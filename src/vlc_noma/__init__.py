@@ -25,12 +25,9 @@ from .rates import (
     PowerAllocation,
     QuarticCoefficients,
     ftpa_allocation,
-    noma_pair_rate,
     quartic_coefficients,
-    rate_gap,
     rate_gap_derivative,
     rate_gap_derivative_variant,
-    tdma_pair_rate,
 )
 from .region import (
     InfeasibleSeedError,
@@ -38,7 +35,6 @@ from .region import (
     OracleMismatchError,
     RegionCache,
     RegionSolverError,
-    ScaSettings,
     ScaTrace,
     feasibility_scan,
     oracle_region,

@@ -1,6 +1,7 @@
 """Command-line front end: the three experiment tables plus one-shot pairing."""
 
 import argparse
+import dataclasses
 import sys
 
 from .config import ConfigError, ExperimentConfig, load_config
@@ -46,11 +47,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    if args.trials is not None:
-        cfg.trials = args.trials
-    return cfg
+    overrides = {name: value for name, value in (("seed", args.seed), ("trials", args.trials))
+                 if value is not None}
+    return dataclasses.replace(cfg, **overrides)  # re-runs the config's validation
 
 
 def _emit(text: str, out_path) -> None:

@@ -18,6 +18,10 @@ class ConfigError(ValueError):
 
 DEFAULT_POWER_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)  # W
 
+# SNR grid values are rounded to 9 decimals (1e-9 dB); a finer step would
+# round distinct grid points onto the same row.
+SNR_DB_RESOLUTION = 1e-9
+
 # Six-receiver cluster with deliberately similar gains (corner-origin frame).
 DEFAULT_FIXED_POSITIONS = (
     (2.5, 5.5, 0.0),
@@ -29,10 +33,11 @@ DEFAULT_FIXED_POSITIONS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Physical parameters plus run controls; defaults reproduce the desk-scale
-    experiments."""
+    experiments. Frozen, so every value passes __post_init__: derive variants
+    with dataclasses.replace."""
 
     room_length: float = 6.0          # m
     room_width: float = 6.0           # m
@@ -61,12 +66,21 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
-        if self.snr_db_step <= 0.0 or self.snr_db_max < self.snr_db_min:
+        for name in ("led_power", "noise_power"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ConfigError(f"{name} must be finite and > 0")
+        if not (math.isfinite(self.snr_db_min) and math.isfinite(self.snr_db_max)):
+            raise ConfigError("SNR grid bounds must be finite")
+        if not SNR_DB_RESOLUTION <= self.snr_db_step < math.inf:
+            raise ConfigError(f"snr_db_step must be finite and >= {SNR_DB_RESOLUTION:g}")
+        if self.snr_db_max < self.snr_db_min:
             raise ConfigError("SNR grid must be non-empty and ascending")
         if not 1 <= self.users_min <= self.users_max:
             raise ConfigError("user-count grid must satisfy 1 <= min <= max")
         if not self.power_grid or list(self.power_grid) != sorted(self.power_grid):
             raise ConfigError("power_grid must be non-empty and sorted")
+        if not all(0.0 < p < math.inf for p in self.power_grid):
+            raise ConfigError("power_grid values must be finite and > 0")
         room = self.room()
         for pos in self.fixed_positions:
             if not room.contains_floor_point(pos[0], pos[1]):
@@ -94,12 +108,11 @@ class ExperimentConfig:
         )
 
     def snr_db_grid(self) -> tuple[float, ...]:
-        out = []
-        value = self.snr_db_min
-        while value <= self.snr_db_max + 1e-9:
-            out.append(round(value, 9))
-            value += self.snr_db_step
-        return tuple(out)
+        """snr_db_min + i * snr_db_step up to snr_db_max, rounded to
+        SNR_DB_RESOLUTION. Built by index, so no rounding error accumulates;
+        the 1e-9-step slack keeps an endpoint that lands a few ulps past max."""
+        count = math.floor((self.snr_db_max - self.snr_db_min) / self.snr_db_step + 1e-9) + 1
+        return tuple(round(self.snr_db_min + i * self.snr_db_step, 9) for i in range(count))
 
     def user_counts(self) -> tuple[int, ...]:
         return tuple(range(self.users_min, self.users_max + 1))

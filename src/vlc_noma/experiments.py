@@ -10,12 +10,13 @@ byte-identical CSV output regardless of worker count.
 import math
 import multiprocessing
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .channel import RoomGeometry, UserPosition, los_channel_gain, snr_db
 from .config import ExperimentConfig
-from .region import RegionCache, ScaSettings, region_for_snr
+from .region import NomaRegion, RegionCache, region_for_snr
 from .scheduler import (
     UserChannelSet,
     adaptive_pairing,
@@ -69,11 +70,7 @@ def _floor_gains(cfg: ExperimentConfig, positions) -> list[float]:
     ]
 
 
-def run_region_map(
-    cfg: ExperimentConfig,
-    settings: ScaSettings | None = None,
-    validate: bool = False,
-) -> ResultTable:
+def run_region_map(cfg: ExperimentConfig, validate: bool = False) -> ResultTable:
     """Region endpoints per weak-user SNR, with strong-user SNR bounds in dB
     for plotting both axes of the decision map."""
     columns = (
@@ -83,7 +80,7 @@ def run_region_map(
     rows = []
     for db in cfg.snr_db_grid():
         gamma = 10.0 ** (db / 10.0)
-        region = region_for_snr(gamma, settings, validate)
+        region = region_for_snr(gamma, validate)
         if region.is_empty:
             rows.append((db, gamma, region.status, "", "", "", "", ""))
         else:
@@ -95,6 +92,17 @@ def run_region_map(
     return ResultTable(columns, rows)
 
 
+def _scheme_rates(
+    users: UserChannelSet, region_of: Callable[[float], NomaRegion]
+) -> tuple[float, float, float]:
+    """(tdma, forced, adaptive) sum-rates of one user set."""
+    return (
+        evaluate_schedule(tdma_plan(users), users).sum_rate,
+        evaluate_schedule(forced_pairing(users), users).sum_rate,
+        evaluate_schedule(adaptive_pairing(users, region_of), users).sum_rate,
+    )
+
+
 def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache):
     """One seeded user drop; returns (tdma, forced, adaptive) sum-rates."""
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, trial))
@@ -102,26 +110,18 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache
     positions = sample_user_positions(rng, cfg.room(), k)
     gains = _floor_gains(cfg, positions)
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    rate_tdma = evaluate_schedule(tdma_plan(users), users).sum_rate
-    rate_forced = evaluate_schedule(forced_pairing(users), users).sum_rate
-    rate_adaptive = evaluate_schedule(
-        adaptive_pairing(users, cache.region_of), users
-    ).sum_rate
-    return rate_tdma, rate_forced, rate_adaptive
+    return _scheme_rates(users, cache.region_of)
 
 
 def _sweep_users_chunk(args):
     """Worker entry: simulate trials [lo, hi) for one user count."""
-    cfg, k, lo, hi, settings, validate = args
-    cache = RegionCache(settings, validate)  # per-worker memo
+    cfg, k, lo, hi, validate = args
+    cache = RegionCache(validate)  # per-worker memo
     return [_simulate_drop(cfg, k, m, cache) for m in range(lo, hi)]
 
 
 def run_sweep_users(
-    cfg: ExperimentConfig,
-    settings: ScaSettings | None = None,
-    validate: bool = False,
-    workers: int = 1,
+    cfg: ExperimentConfig, validate: bool = False, workers: int = 1
 ) -> ResultTable:
     """Mean sum-rate (and standard error) of the three schemes per user count.
 
@@ -135,7 +135,7 @@ def run_sweep_users(
     )
     per_k: dict[int, list] = {}
     if workers <= 1:
-        cache = RegionCache(settings, validate)
+        cache = RegionCache(validate)
         for k in cfg.user_counts():
             per_k[k] = [_simulate_drop(cfg, k, m, cache) for m in range(cfg.trials)]
     else:
@@ -144,7 +144,7 @@ def run_sweep_users(
         for k in cfg.user_counts():
             for lo in range(0, cfg.trials, chunk):
                 hi = min(lo + chunk, cfg.trials)
-                tasks.append((cfg, k, lo, hi, settings, validate))
+                tasks.append((cfg, k, lo, hi, validate))
         with multiprocessing.Pool(processes=workers) as pool:
             outputs = pool.map(_sweep_users_chunk, tasks)
         for task, out in zip(tasks, outputs):
@@ -164,24 +164,16 @@ def run_sweep_users(
     return ResultTable(columns, rows)
 
 
-def run_sweep_power(
-    cfg: ExperimentConfig,
-    settings: ScaSettings | None = None,
-    validate: bool = False,
-) -> ResultTable:
+def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTable:
     """Deterministic sum-rates of the three schemes at the fixed receiver
     cluster, per LED power."""
     columns = ("p_led", "tdma", "forced", "adaptive", "adaptive_minus_forced")
     gains = _floor_gains(cfg, cfg.fixed_positions)
-    cache = RegionCache(settings, validate)
+    cache = RegionCache(validate)
     rows = []
     for p_led in cfg.power_grid:
         users = UserChannelSet.from_gains(gains, p_led, cfg.noise_power)
-        rate_tdma = evaluate_schedule(tdma_plan(users), users).sum_rate
-        rate_forced = evaluate_schedule(forced_pairing(users), users).sum_rate
-        rate_adaptive = evaluate_schedule(
-            adaptive_pairing(users, cache.region_of), users
-        ).sum_rate
+        rate_tdma, rate_forced, rate_adaptive = _scheme_rates(users, cache.region_of)
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,
@@ -189,14 +181,9 @@ def run_sweep_power(
     return ResultTable(columns, rows)
 
 
-def pair_once(
-    gains,
-    cfg: ExperimentConfig,
-    settings: ScaSettings | None = None,
-    validate: bool = False,
-):
+def pair_once(gains, cfg: ExperimentConfig, validate: bool = False):
     """One-shot adaptive pairing for explicit gains; returns (plan, outcome)."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    cache = RegionCache(settings, validate)
+    cache = RegionCache(validate)
     plan = adaptive_pairing(users, cache.region_of)
     return plan, evaluate_schedule(plan, users)

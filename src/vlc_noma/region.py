@@ -10,12 +10,22 @@ is the production path; the oracle exists to cross-check it.
 import csv
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
 from .rates import noma_rate_at, rate_gap_at, rate_gap_curve, tdma_rate_at, tdma_rate_slope
 
 EXPANSION_GUARD = 1e30  # abort geometric bracket growth beyond this ratio
+
+# Solver stopping rule: consecutive iterates closer than TOLERANCE * max(1, r),
+# relative so it stays meaningful when r_max spans many decades.
+TOLERANCE = 1e-9
+MAX_ITERATIONS = 60
+SCAN_POINTS = 256             # log-spaced feasibility grid over SCAN_RANGE
+SCAN_RANGE = (1.0, 1e12)
+ORACLE_REL_WIDTH = 1e-8       # bracket width at which the oracle's bisection stops
+CACHE_BUCKET = 1e-3           # RegionCache key width in log(gamma)
 
 
 class RegionSolverError(RuntimeError):
@@ -28,31 +38,6 @@ class InfeasibleSeedError(RegionSolverError):
 
 class OracleMismatchError(RegionSolverError):
     """Solver endpoints disagree with the bisection oracle."""
-
-
-@dataclass(frozen=True)
-class ScaSettings:
-    """Solver controls.
-
-    tolerance is the iterate-change threshold, measured relative to
-    max(1, r) so it stays meaningful when r_max spans many decades.
-    """
-
-    tolerance: float = 1e-9
-    max_iterations: int = 60
-    scan_points: int = 256
-    scan_range: tuple[float, float] = (1.0, 1e12)
-
-    def __post_init__(self):
-        if self.tolerance <= 0.0:
-            raise ValueError("tolerance must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.scan_points < 16:
-            raise ValueError("scan_points must be >= 16")
-        lo, hi = self.scan_range
-        if not 0.0 < lo < hi:
-            raise ValueError("scan_range must satisfy 0 < lo < hi")
 
 
 @dataclass(frozen=True)
@@ -110,12 +95,11 @@ class ScaTrace:
         return max(0, len(self.iterates) - 1)
 
 
-def feasibility_scan(gamma: float, settings: ScaSettings | None = None) -> float | None:
+def feasibility_scan(gamma: float) -> float | None:
     """Best (largest-gap) ratio on a log-spaced grid, or None if the gap is
     nowhere positive at scan resolution."""
-    settings = settings or ScaSettings()
-    lo, hi = settings.scan_range
-    grid = np.logspace(math.log10(lo), math.log10(hi), settings.scan_points)
+    lo, hi = SCAN_RANGE
+    grid = np.logspace(math.log10(lo), math.log10(hi), SCAN_POINTS)
     gaps = rate_gap_curve(gamma, grid)
     best = int(np.argmax(gaps))
     if gaps[best] <= 0.0:
@@ -123,72 +107,52 @@ def feasibility_scan(gamma: float, settings: ScaSettings | None = None) -> float
     return float(grid[best])
 
 
-def _bisect_gap_root(gamma: float, lo: float, hi: float, rel_width: float = 1e-8) -> float:
-    """Root of the gap inside [lo, hi] where exactly one endpoint is feasible.
+def _log_bisect(fn, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
+    """Root of fn >= 0 inside [lo, hi], where exactly one end is feasible.
 
     Log-space bisection; returns the feasible-side bracket end so the result
-    always lies inside the true region.
+    always lies inside the feasible set.
     """
-    lo_feasible = rate_gap_at(gamma, lo) >= 0.0
     while hi - lo > rel_width * hi:
         mid = math.sqrt(lo * hi)
         if mid <= lo or mid >= hi:  # bracket at float resolution
             break
-        if (rate_gap_at(gamma, mid) >= 0.0) == lo_feasible:
+        if (fn(mid) >= 0.0) == lo_feasible:
             lo = mid
         else:
             hi = mid
     return lo if lo_feasible else hi
 
 
-def oracle_region(gamma: float, settings: ScaSettings | None = None) -> NomaRegion:
+def oracle_region(gamma: float) -> NomaRegion:
     """Brute-force region: grid seed plus bisection toward both endpoints.
 
     Valid because the gap has a single interior maximum, so each side of the
     seed crosses zero at most once.
     """
-    settings = settings or ScaSettings()
-    seed = feasibility_scan(gamma, settings)
+    seed = feasibility_scan(gamma)
     if seed is None:
         return NomaRegion.empty(gamma)
 
-    floor = max(1.0, settings.scan_range[0])
-    if rate_gap_at(gamma, floor) >= 0.0:
+    gap = partial(rate_gap_at, gamma)
+    floor = max(1.0, SCAN_RANGE[0])
+    if gap(floor) >= 0.0:
         r_min = floor  # region reaches the canonical lower bound r = 1
     else:
-        r_min = _bisect_gap_root(gamma, floor, seed)
+        r_min = _log_bisect(gap, floor, seed, False, ORACLE_REL_WIDTH)
 
-    hi = max(seed * 2.0, settings.scan_range[1])
-    while rate_gap_at(gamma, hi) >= 0.0:
+    hi = max(seed * 2.0, SCAN_RANGE[1])
+    while gap(hi) >= 0.0:
         hi *= 4.0
         if hi > EXPANSION_GUARD:
             raise RegionSolverError(
                 f"upper bracket exceeded {EXPANSION_GUARD:g} at gamma={gamma:g}"
             )
-    r_max = _bisect_gap_root(gamma, seed, hi)
+    r_max = _log_bisect(gap, seed, hi, gap(seed) >= 0.0, ORACLE_REL_WIDTH)
     return NomaRegion(gamma, r_min, r_max)
 
 
-def _surrogate_root(g_fn, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
-    """Root of the surrogate constraint by log-space bisection; returns the
-    feasible-side bracket end."""
-    while hi - lo > rel_width * hi:
-        mid = math.sqrt(lo * hi)
-        if mid <= lo or mid >= hi:
-            break
-        if (g_fn(mid) >= 0.0) == lo_feasible:
-            lo = mid
-        else:
-            hi = mid
-    return lo if lo_feasible else hi
-
-
-def sca_solve(
-    gamma: float,
-    objective: str,
-    seed: float,
-    settings: ScaSettings | None = None,
-) -> tuple[float, ScaTrace]:
+def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrace]:
     """Push a feasible ratio to the region boundary in the requested direction.
 
     Each iteration replaces the concave TDMA side q by its tangent at the
@@ -197,11 +161,10 @@ def sca_solve(
     feasible; the surrogate is one-dimensional with a concave constraint, so
     its extreme point is found by root bisection from the iterate outward.
     Stops when consecutive iterates differ by less than
-    tolerance * max(1, r).
+    TOLERANCE * max(1, r).
     """
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
-    settings = settings or ScaSettings()
 
     gap_seed = rate_gap_at(gamma, seed)
     if gap_seed < 0.0:
@@ -215,10 +178,10 @@ def sca_solve(
 
     # Root precision tracks the outer progress: iterates home in
     # quadratically, so early surrogate roots need little accuracy.
-    inner_floor = max(settings.tolerance * 1e-4, 1e-13)
+    inner_floor = max(TOLERANCE * 1e-4, 1e-13)
     inner_width = 1e-3
     r = seed
-    for _ in range(settings.max_iterations):
+    for _ in range(MAX_ITERATIONS):
         q_r = tdma_rate_at(gamma, r)
         q_slope = tdma_rate_slope(gamma, r)
         anchor = r
@@ -230,8 +193,7 @@ def sca_solve(
             if surrogate(1.0) >= 0.0:
                 nxt = 1.0  # surrogate set reaches the canonical bound
             else:
-                nxt = _surrogate_root(surrogate, 1.0, r, lo_feasible=False,
-                                      rel_width=inner_width)
+                nxt = _log_bisect(surrogate, 1.0, r, False, inner_width)
         else:
             hi = r * 2.0
             while surrogate(hi) >= 0.0:
@@ -240,14 +202,13 @@ def sca_solve(
                     raise RegionSolverError(
                         f"surrogate bracket exceeded {EXPANSION_GUARD:g}"
                     )
-            nxt = _surrogate_root(surrogate, r, hi, lo_feasible=True,
-                                  rel_width=inner_width)
+            nxt = _log_bisect(surrogate, r, hi, True, inner_width)
 
         trace.iterates.append(nxt)
         trace.gaps.append(rate_gap_at(gamma, nxt))
         step = abs(nxt - r)
         r = nxt
-        if step < settings.tolerance * max(1.0, abs(r)):
+        if step < TOLERANCE * max(1.0, abs(r)):
             trace.converged = True
             break
         rel_step = step / max(1.0, abs(r))
@@ -255,35 +216,28 @@ def sca_solve(
     return r, trace
 
 
-def region_for_snr(
-    gamma: float,
-    settings: ScaSettings | None = None,
-    validate: bool = False,
-) -> NomaRegion:
+def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
     """Full region computation: feasibility scan, then one solver run toward
     each endpoint from the scan's best point; optional oracle cross-check."""
     if gamma <= 0.0:
         raise ValueError("gamma must be positive")
-    settings = settings or ScaSettings()
 
-    seed = feasibility_scan(gamma, settings)
+    seed = feasibility_scan(gamma)
     if seed is None:
         return NomaRegion.empty(gamma)
 
-    r_min, trace_min = sca_solve(gamma, "min", seed, settings)
-    if not trace_min.converged:
-        raise RegionSolverError(
-            f"lower-endpoint solve did not converge at gamma={gamma:g}"
-        )
-    r_max, trace_max = sca_solve(gamma, "max", seed, settings)
-    if not trace_max.converged:
-        raise RegionSolverError(
-            f"upper-endpoint solve did not converge at gamma={gamma:g}"
-        )
-    found = NomaRegion(gamma, r_min, r_max)
+    ends = []
+    for objective in ("min", "max"):
+        r, trace = sca_solve(gamma, objective, seed)
+        if not trace.converged:
+            raise RegionSolverError(
+                f"r_{objective} solve did not converge at gamma={gamma:g}"
+            )
+        ends.append(r)
+    found = NomaRegion(gamma, *ends)
 
     if validate:
-        ref = oracle_region(gamma, settings)
+        ref = oracle_region(gamma)
         if ref.is_empty:
             raise OracleMismatchError(f"oracle found no region at gamma={gamma:g}")
         err_min = abs(found.r_min - ref.r_min) / ref.r_min
@@ -313,20 +267,17 @@ class RegionCache:
     parallel workers should each own a cache.
     """
 
-    def __init__(self, settings: ScaSettings | None = None, validate: bool = False,
-                 rel_key: float = 1e-3):
-        self.settings = settings or ScaSettings()
+    def __init__(self, validate: bool = False):
         self.validate = validate
-        self._rel_key = rel_key
         self._regions: dict[int, NomaRegion] = {}
 
     def __len__(self) -> int:
         return len(self._regions)
 
     def region_of(self, gamma: float) -> NomaRegion:
-        key = round(math.log(gamma) / self._rel_key)
+        key = round(math.log(gamma) / CACHE_BUCKET)
         hit = self._regions.get(key)
         if hit is None:
-            hit = region_for_snr(gamma, self.settings, self.validate)
+            hit = region_for_snr(gamma, self.validate)
             self._regions[key] = hit
         return hit

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .rates import CAPACITY_SNR_FACTOR, rate_gap_at
+from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, rate_gap_at
 from .region import NomaRegion
 
 
@@ -34,8 +34,9 @@ class UserChannelSet:
         ordered = sorted(users, key=lambda u: (u.gain, u.user_id))
         if not ordered:
             raise ValueError("need at least one user")
-        if any(u.gain < 0.0 or u.snr < 0.0 for u in ordered):
-            raise ValueError("gains and SNRs cannot be negative")
+        if any(not 0.0 <= u.gain < math.inf or not 0.0 <= u.snr < math.inf
+               for u in ordered):
+            raise ValueError("gains and SNRs must be finite and non-negative")
         ids = [u.user_id for u in ordered]
         if len(set(ids)) != len(ids):
             raise ValueError("user ids must be unique")
@@ -179,13 +180,11 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
         tau = 2.0 / k
         if weak.gain <= 0.0:
             # gain-inverse split sends all power to the unreachable user
-            rate_weak = rate_strong = 0.0
+            unit_weak = unit_strong = 0.0
         else:
-            r = (strong.gain / weak.gain) ** 2
-            g = weak.snr
-            x = t * r * g
-            rate_weak = tau * math.log2(1.0 + x / (r + g + 1.0))
-            rate_strong = tau * math.log2(1.0 + x / (r + 1.0))
+            unit_weak, unit_strong = noma_user_rates(weak.snr, (strong.gain / weak.gain) ** 2)
+        rate_weak = tau * unit_weak
+        rate_strong = tau * unit_strong
         per_user[weak_id] = rate_weak
         per_user[strong_id] = rate_strong
         groups.append(ScheduleGroup((weak_id, strong_id), tau, rate_weak + rate_strong))

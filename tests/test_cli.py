@@ -74,3 +74,21 @@ def test_bad_config_key_fails_cleanly(tmp_path, capsys):
 def test_bad_gains_fail_cleanly(capsys):
     assert main(["pair", "--gains", " "]) == 2
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("gains", ["inf,1e-6", "nan,1e-6", "1e200,1e-6"])
+def test_non_finite_gains_fail_cleanly(gains, capsys):
+    assert main(["pair", "--gains", gains]) == 2
+    assert "must be finite and non-negative" in capsys.readouterr().err
+
+
+def test_trials_override_is_validated(capsys):
+    assert main(["sweep-users", "--trials", "0"]) == 2
+    assert capsys.readouterr().err == "error: trials must be >= 1\n"
+
+
+def test_zero_noise_power_fails_cleanly(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("noise_power = 0\n")
+    assert main(["sweep-power", "--config", str(cfg)]) == 2
+    assert "noise_power must be finite and > 0" in capsys.readouterr().err

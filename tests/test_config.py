@@ -1,6 +1,8 @@
 """Config file parsing: typed keys, defaults, and typo rejection."""
 
 import math
+import re
+from pathlib import Path
 
 import pytest
 
@@ -38,6 +40,38 @@ def test_grids():
                            users_min=2, users_max=4)
     assert cfg.snr_db_grid() == (10.0, 11.0, 12.0)
     assert cfg.user_counts() == (2, 3, 4)
+
+
+def test_snr_grid_is_built_by_index():
+    fine = ExperimentConfig(snr_db_min=0.0, snr_db_max=1e-8, snr_db_step=1e-9)
+    grid = fine.snr_db_grid()
+    assert len(grid) == len(set(grid)) == 11
+    assert grid == tuple(sorted(grid))
+    tenth = ExperimentConfig(snr_db_min=0.0, snr_db_max=60.0, snr_db_step=0.1).snr_db_grid()
+    assert len(tenth) == 601 and tenth[-1] == 60.0
+    for step in (1e-10, 0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ConfigError, match="snr_db_step"):
+            ExperimentConfig(snr_db_min=0.0, snr_db_max=1e-8, snr_db_step=step)
+    with pytest.raises(ConfigError, match="finite"):
+        ExperimentConfig(snr_db_max=math.inf)
+
+
+@pytest.mark.parametrize("name", ["led_power", "noise_power", "power_grid"])
+@pytest.mark.parametrize("value", ["0", "-1e-14", "inf", "nan"])
+def test_physical_power_must_be_finite_and_positive(name, value):
+    with pytest.raises(ConfigError, match=f"^{name}( values)? must be finite and > 0"):
+        parse_config_text(f"{name} = {value}\n")
+
+
+def test_config_is_frozen():
+    with pytest.raises(AttributeError):
+        ExperimentConfig().trials = 0
+
+
+def test_readme_config_example_parses_to_defaults():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    assert parse_config_text(block) == ExperimentConfig()
 
 
 def test_parse_overrides_and_comments():

@@ -1,0 +1,58 @@
+"""Golden bytes: published outputs pinned by sha256.
+
+Any change that should keep outputs identical (refactors, speedups) must
+leave these digests alone; a deliberate change to the numbers updates them
+and says why in CHANGES.md.
+"""
+
+import hashlib
+
+import numpy as np
+
+from vlc_noma.cli import main
+from vlc_noma.config import ExperimentConfig
+from vlc_noma.experiments import run_region_map, run_sweep_power, run_sweep_users
+from vlc_noma.rates import noma_rate_at, noma_user_rates
+
+REGION_MAP = "4e3435b510220a648b55a504281445b17c19e5fa4b0a02ed8f7256a0276ad79a"
+SWEEP_POWER = "8c3fc59e584ac2a2c6eca4a0ae206d88846b9be22152fe74ce8037624e4130e1"
+PAIR = "819fe4d61368f5dc2ed4d35a2d8756fe3d4194488d20a38ed855fb5be4f05d66"
+SWEEP_USERS_200 = "19f2084c0ece2bab492ea352891d09d1acce06ad9727a9664dcde2c5a0a71257"
+# K = 2..3 only, to keep this file under 3 s; every worker chunk starts a
+# cold region cache, so a K = 2..10 parallel run costs as much as a serial one.
+SWEEP_USERS_200_K3 = "d098748a14314ef896271582734101bdaa1990b3eb72436a0dafd80008b4283b"
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_region_map_bytes():
+    assert _sha(run_region_map(ExperimentConfig(), validate=True).csv_text()) == REGION_MAP
+
+
+def test_sweep_power_bytes():
+    assert _sha(run_sweep_power(ExperimentConfig()).csv_text()) == SWEEP_POWER
+
+
+def test_pair_bytes(capsys):
+    gains = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
+    assert main(["pair", "--gains", gains]) == 0
+    assert _sha(capsys.readouterr().out) == PAIR
+
+
+def test_sweep_users_bytes_serial():
+    cfg = ExperimentConfig(trials=200, seed=1)
+    assert _sha(run_sweep_users(cfg).csv_text()) == SWEEP_USERS_200
+
+
+def test_sweep_users_bytes_parallel():
+    cfg = ExperimentConfig(trials=200, seed=1, users_max=3)
+    assert _sha(run_sweep_users(cfg, workers=2).csv_text()) == SWEEP_USERS_200_K3
+
+
+def test_noma_sum_rate_is_sum_of_user_rates_exactly():
+    rng = np.random.default_rng(7)
+    for g, r in zip(10.0 ** rng.uniform(-3.0, 14.0, 2000), 10.0 ** rng.uniform(0.0, 27.0, 2000)):
+        g, r = float(g), float(r)
+        assert noma_rate_at(g, r) == sum(noma_user_rates(g, r))

@@ -9,15 +9,12 @@ from vlc_noma.rates import (
     CAPACITY_SNR_FACTOR,
     PairState,
     ftpa_allocation,
-    noma_pair_rate,
     noma_rate_at,
     quartic_coefficients,
-    rate_gap,
     rate_gap_at,
     rate_gap_curve,
     rate_gap_derivative,
     rate_gap_derivative_variant,
-    tdma_pair_rate,
     tdma_rate_at,
 )
 
@@ -39,8 +36,6 @@ QUARTIC_AT_1 = (
 
 def test_t_constant_is_exact():
     assert CAPACITY_SNR_FACTOR == math.e / (2.0 * math.pi)
-    state = PairState(gamma=1.0, r=1.0)
-    assert state.t == CAPACITY_SNR_FACTOR
 
 
 def test_ftpa_examples():
@@ -63,40 +58,33 @@ def test_ftpa_fractions_sum_to_one_exactly():
 
 
 def test_noma_rate_examples():
-    assert noma_pair_rate(PairState(100.0, 1.0)) == pytest.approx(NOMA_100_1, rel=1e-12)
-    assert noma_pair_rate(PairState(100.0, 4.0)) == pytest.approx(NOMA_100_4, rel=1e-12)
+    assert noma_rate_at(100.0, 1.0) == pytest.approx(NOMA_100_1, rel=1e-12)
+    assert noma_rate_at(100.0, 4.0) == pytest.approx(NOMA_100_4, rel=1e-12)
 
 
 def test_noma_rate_vanishes_at_low_snr():
-    assert noma_pair_rate(PairState(1e-12, 5.0)) < 1e-10
-
-
-def test_noma_rate_scales_with_slot():
-    state = PairState(100.0, 4.0)
-    assert noma_pair_rate(state, 0.25) == pytest.approx(0.25 * NOMA_100_4, rel=1e-12)
-    with pytest.raises(ValueError):
-        noma_pair_rate(state, 0.0)
+    assert noma_rate_at(1e-12, 5.0) < 1e-10
 
 
 def test_tdma_rate_examples():
-    assert tdma_pair_rate(PairState(100.0, 1.0)) == pytest.approx(TDMA_100_1, rel=1e-12)
-    assert tdma_pair_rate(PairState(100.0, 4.0)) == pytest.approx(TDMA_100_4, rel=1e-12)
+    assert tdma_rate_at(100.0, 1.0) == pytest.approx(TDMA_100_1, rel=1e-12)
+    assert tdma_rate_at(100.0, 4.0) == pytest.approx(TDMA_100_4, rel=1e-12)
 
 
 def test_tdma_rate_equal_gains_reduces_to_single_log():
     for g in (3.0, 50.0, 1234.0):
         expect = math.log2(1.0 + CAPACITY_SNR_FACTOR * g)
-        assert tdma_pair_rate(PairState(g, 1.0)) == pytest.approx(expect, rel=1e-12)
+        assert tdma_rate_at(g, 1.0) == pytest.approx(expect, rel=1e-12)
 
 
 def test_rate_gap_examples():
-    assert rate_gap(PairState(100.0, 1.0)) == pytest.approx(GAP_100_1, rel=1e-12)
-    assert rate_gap(PairState(100.0, 4.0)) == pytest.approx(GAP_100_4, rel=1e-12)
+    assert rate_gap_at(100.0, 1.0) == pytest.approx(GAP_100_1, rel=1e-12)
+    assert rate_gap_at(100.0, 4.0) == pytest.approx(GAP_100_4, rel=1e-12)
 
 
 def test_rate_gap_negative_at_unit_snr():
     for r in (1.0, 1.5, 2.0):
-        assert rate_gap(PairState(1.0, r)) < 0.0
+        assert rate_gap_at(1.0, r) < 0.0
 
 
 def test_rate_gap_limits():

@@ -10,8 +10,8 @@ from vlc_noma.rates import rate_gap_at
 from vlc_noma.region import (
     InfeasibleSeedError,
     NomaRegion,
+    TOLERANCE,
     RegionCache,
-    ScaSettings,
     feasibility_scan,
     oracle_region,
     region_for_snr,
@@ -34,11 +34,6 @@ def test_feasibility_scan_finds_positive_gap_at_100():
 
 def test_feasibility_scan_empty_at_unit_snr():
     assert feasibility_scan(1.0) is None
-
-
-def test_feasibility_scan_respects_scan_range():
-    narrow = ScaSettings(scan_range=(1.0, 2.0), scan_points=64)
-    assert feasibility_scan(100.0, narrow) is None
 
 
 def test_oracle_region_at_100():
@@ -99,11 +94,10 @@ def test_sca_rejects_infeasible_seed():
 
 
 def test_sca_trace_termination_distance():
-    settings = ScaSettings(tolerance=1e-9)
-    _, trace = sca_solve(1000.0, "max", seed=30.0, settings=settings)
+    _, trace = sca_solve(1000.0, "max", seed=30.0)
     assert trace.converged
     last, prev = trace.iterates[-1], trace.iterates[-2]
-    assert abs(last - prev) < settings.tolerance * max(1.0, abs(last))
+    assert abs(last - prev) < TOLERANCE * max(1.0, abs(last))
 
 
 def test_region_for_snr_matches_oracle_across_decades():
@@ -169,17 +163,6 @@ def test_noma_region_construction_rules():
     full = NomaRegion(100.0, 3.0, 30.0)
     assert full.contains(3.0) and full.contains(30.0) and not full.contains(31.0)
     assert full.width_db() == pytest.approx(10.0)
-
-
-def test_sca_settings_validation():
-    with pytest.raises(ValueError):
-        ScaSettings(tolerance=0.0)
-    with pytest.raises(ValueError):
-        ScaSettings(max_iterations=0)
-    with pytest.raises(ValueError):
-        ScaSettings(scan_points=8)
-    with pytest.raises(ValueError):
-        ScaSettings(scan_range=(5.0, 2.0))
 
 
 def test_write_trace_csv(tmp_path):

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from vlc_noma.rates import PairState, noma_pair_rate, rate_gap_at
+from vlc_noma.rates import noma_rate_at, rate_gap_at
 from vlc_noma.region import RegionCache, region_for_snr
 from vlc_noma.scheduler import (
     PairingPlan,
@@ -41,6 +41,11 @@ def test_user_set_sorts_by_gain_then_id():
         UserChannelSet([UserChannel(1, 1e-6, 1.0), UserChannel(1, 2e-6, 4.0)])
     with pytest.raises(ValueError):
         UserChannelSet([UserChannel(1, -1e-6, 1.0)])
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            UserChannelSet([UserChannel(1, bad, 1.0)])
+        with pytest.raises(ValueError, match="finite"):
+            UserChannelSet([UserChannel(1, 1e-6, bad)])
     with pytest.raises(ValueError):
         UserChannelSet([])
 
@@ -205,8 +210,8 @@ def test_evaluate_bookkeeping_consistency():
     for group in outcome.groups:
         if len(group.member_ids) == 2:
             weak, strong = (by_id[i] for i in group.member_ids)
-            state = PairState(weak.snr, (strong.gain / weak.gain) ** 2)
-            expect = noma_pair_rate(state, group.slot_fraction)
+            r = (strong.gain / weak.gain) ** 2
+            expect = group.slot_fraction * noma_rate_at(weak.snr, r)
             assert group.rate == pytest.approx(expect, rel=1e-12)
 
 
