@@ -60,8 +60,21 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
+def _glue_gains(argv: list[str]) -> list[str]:
+    """Rewrite `--gains VALUE` (or an abbreviation such as `--gain VALUE`)
+    as `--gains=VALUE`: argparse takes a value that starts with '-' (a
+    negative first gain) for an option, and the gains check, not a usage
+    error, should reject it."""
+    argv = list(argv)
+    for i, tok in enumerate(argv[:-1]):
+        if len(tok) >= 3 and "--gains".startswith(tok):
+            argv[i:i + 2] = ["--gains=" + argv[i + 1]]
+            break
+    return argv
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_glue_gains(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _load(args)
         if args.command == "region":

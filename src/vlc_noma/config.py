@@ -8,6 +8,7 @@ to a default.
 
 import math
 from dataclasses import dataclass, field, fields
+from functools import cached_property
 
 from .channel import LedConfig, PhotodiodeConfig, RoomGeometry
 
@@ -106,6 +107,12 @@ class ExperimentConfig:
             concentrator_index=self.refractive_index,
             conversion_efficiency=self.conversion_efficiency,
         )
+
+    @cached_property
+    def devices(self) -> tuple[RoomGeometry, LedConfig, PhotodiodeConfig]:
+        """(room(), led(), photodiode()), built once per config; the config
+        is frozen, so they cannot go stale."""
+        return self.room(), self.led(), self.photodiode()
 
     def snr_db_grid(self) -> tuple[float, ...]:
         """snr_db_min + i * snr_db_step up to snr_db_max, rounded to

@@ -4,7 +4,9 @@ Two independent routes compute the interval: an iterative solver that
 linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 (an inner approximation, so every iterate stays inside the true region), and
 a brute-force bisection oracle licensed by the gap's unimodality. The solver
-is the production path; the oracle exists to cross-check it.
+is the paper's method and produces the region map; the oracle, about 4x
+cheaper, fills the scheduler's RegionCache, and with validation on each
+route checks the other.
 """
 
 import csv
@@ -95,16 +97,18 @@ class ScaTrace:
         return max(0, len(self.iterates) - 1)
 
 
+_SCAN_GRID = np.logspace(math.log10(SCAN_RANGE[0]), math.log10(SCAN_RANGE[1]), SCAN_POINTS)
+_SCAN_GRID.flags.writeable = False
+
+
 def feasibility_scan(gamma: float) -> float | None:
     """Best (largest-gap) ratio on a log-spaced grid, or None if the gap is
     nowhere positive at scan resolution."""
-    lo, hi = SCAN_RANGE
-    grid = np.logspace(math.log10(lo), math.log10(hi), SCAN_POINTS)
-    gaps = rate_gap_curve(gamma, grid)
+    gaps = rate_gap_curve(gamma, _SCAN_GRID)
     best = int(np.argmax(gaps))
     if gaps[best] <= 0.0:
         return None
-    return float(grid[best])
+    return float(_SCAN_GRID[best])
 
 
 def _log_bisect(fn, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
@@ -261,7 +265,14 @@ def write_trace_csv(trace: ScaTrace, path: str) -> None:
 
 
 class RegionCache:
-    """Memoizes regions per SNR bucket (1e-3 relative in log space).
+    """Memoizes oracle regions per SNR bucket (1e-3 relative in log space).
+
+    Misses are filled by oracle_region, not the solver: both start from the
+    same feasibility scan, so they agree on empty vs nonempty, and their
+    endpoints agree within the 1e-3 relative bound that validation enforces
+    (adaptive_pairing confirms the exact gap anyway). With validate on,
+    each miss also runs region_for_snr(gamma, True), which raises
+    OracleMismatchError when the two routes disagree.
 
     Lookups from threads may race but at worst recompute the same value;
     parallel workers should each own a cache.
@@ -278,6 +289,8 @@ class RegionCache:
         key = round(math.log(gamma) / CACHE_BUCKET)
         hit = self._regions.get(key)
         if hit is None:
-            hit = region_for_snr(gamma, self.validate)
+            if self.validate:
+                region_for_snr(gamma, True)
+            hit = oracle_region(gamma)
             self._regions[key] = hit
         return hit

@@ -113,18 +113,19 @@ def adaptive_pairing(
 
     For each unpaired weak user (ascending gain), strong candidates are
     scanned from the top down; the first whose squared ratio lies in the
-    region computed at the weak user's SNR is taken. Zero-gain users are
-    never paired. On top of the interval test, the rate gap itself is
-    confirmed non-negative: region_of may serve cached intervals from a
-    slightly different SNR bucket, and the direct check keeps every kept
-    pair at least as good as splitting the slot.
+    region computed at the weak user's SNR is taken. Users with zero gain or
+    zero SNR (a gain so small that P * h^2 underflows) are never paired. On
+    top of the interval test, the rate gap itself is confirmed non-negative:
+    region_of may serve cached intervals from a slightly different SNR
+    bucket, and the direct check keeps every kept pair at least as good as
+    splitting the slot.
     """
     order = users.users
     k = len(order)
     paired = [False] * k
     pairs: list[tuple[int, int]] = []
     for i in range(k - 1):
-        if paired[i] or order[i].gain <= 0.0:
+        if paired[i] or order[i].gain <= 0.0 or order[i].snr <= 0.0:
             continue
         region = region_of(order[i].snr)
         if region.is_empty:

@@ -82,6 +82,20 @@ def test_non_finite_gains_fail_cleanly(gains, capsys):
     assert "must be finite and non-negative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["--gains", "--gain"])
+def test_leading_negative_gain_reaches_the_gains_check(option, capsys):
+    assert main(["pair", option, "-1e-6,1e-6"]) == 2
+    assert capsys.readouterr().err == "error: gains and SNRs must be finite and non-negative\n"
+
+
+def test_underflowed_snr_is_a_dead_link(capsys):
+    # P * h^2 underflows to 0 for h = 1e-170: a live gain with zero SNR
+    assert main(["pair", "--gains=1e-170,1e-6"]) == 0
+    lines = capsys.readouterr().out.split("\n")
+    assert lines[:2] == ["SOLO 1", "SOLO 2"]
+    assert lines[2].startswith("SUM_RATE ")
+
+
 def test_trials_override_is_validated(capsys):
     assert main(["sweep-users", "--trials", "0"]) == 2
     assert capsys.readouterr().err == "error: trials must be >= 1\n"

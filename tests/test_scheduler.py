@@ -117,6 +117,19 @@ def test_adaptive_zero_gain_users_stay_solo():
     assert plan.pairs == ((3, 4),)
 
 
+def test_adaptive_underflowed_snr_stays_solo():
+    users = users_from_gains([1e-170, 1e-6, 2e-6])
+    assert users.users[0].gain > 0.0 and users.users[0].snr == 0.0
+
+    def region_of(gamma):
+        assert gamma > 0.0, "region_of called for a dead link"
+        return CACHE.region_of(gamma)
+
+    plan = adaptive_pairing(users, region_of)
+    assert 1 in plan.singletons
+    assert plan.pairs == ((2, 3),)  # r = 4 at gamma = 100, inside the region
+
+
 def test_adaptive_pairs_lie_in_exact_region():
     rng = np.random.default_rng(5)
     for _ in range(60):
