@@ -2,6 +2,7 @@
 
 import argparse
 import dataclasses
+import re
 import sys
 
 from .config import ConfigError, ExperimentConfig, load_config
@@ -42,6 +43,10 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_pair)
     p_pair.add_argument("--gains", required=True, metavar="H1,H2,...",
                         help="comma-separated channel gains")
+    # argparse reads a token that starts with '-' as an option unless it is a
+    # plain decimal, so `--gains -1e-6,1e-6` would be a usage error; count
+    # any '-digit' or '-.digit' start as a value, so the gains check rejects it.
+    p_pair._negative_number_matcher = re.compile(r"^-\.?\d")
     return parser
 
 
@@ -60,21 +65,8 @@ def _emit(text: str, out_path) -> None:
         sys.stdout.write(text)
 
 
-def _glue_gains(argv: list[str]) -> list[str]:
-    """Rewrite `--gains VALUE` (or an abbreviation such as `--gain VALUE`)
-    as `--gains=VALUE`: argparse takes a value that starts with '-' (a
-    negative first gain) for an option, and the gains check, not a usage
-    error, should reject it."""
-    argv = list(argv)
-    for i, tok in enumerate(argv[:-1]):
-        if len(tok) >= 3 and "--gains".startswith(tok):
-            argv[i:i + 2] = ["--gains=" + argv[i + 1]]
-            break
-    return argv
-
-
 def main(argv=None) -> int:
-    args = build_parser().parse_args(_glue_gains(sys.argv[1:] if argv is None else argv))
+    args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
         if args.command == "region":

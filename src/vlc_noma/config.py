@@ -87,10 +87,23 @@ class ExperimentConfig:
             if not room.contains_floor_point(pos[0], pos[1]):
                 raise ConfigError(f"fixed position {pos} lies outside the room")
 
+    # The devices are built once per config: drops reach them thousands of
+    # times, and a frozen config cannot make them stale.
     def room(self) -> RoomGeometry:
-        return RoomGeometry(self.room_length, self.room_width, self.room_height)
+        return self._room
 
     def led(self) -> LedConfig:
+        return self._led
+
+    def photodiode(self) -> PhotodiodeConfig:
+        return self._photodiode
+
+    @cached_property
+    def _room(self) -> RoomGeometry:
+        return RoomGeometry(self.room_length, self.room_width, self.room_height)
+
+    @cached_property
+    def _led(self) -> LedConfig:
         return LedConfig(
             position=self.room().led_position(),
             transmit_power=self.led_power,
@@ -98,7 +111,8 @@ class ExperimentConfig:
             dc_offset=self.dc_offset,
         )
 
-    def photodiode(self) -> PhotodiodeConfig:
+    @cached_property
+    def _photodiode(self) -> PhotodiodeConfig:
         return PhotodiodeConfig(
             active_area=self.pd_area,
             responsivity=self.pd_responsivity,
@@ -107,12 +121,6 @@ class ExperimentConfig:
             concentrator_index=self.refractive_index,
             conversion_efficiency=self.conversion_efficiency,
         )
-
-    @cached_property
-    def devices(self) -> tuple[RoomGeometry, LedConfig, PhotodiodeConfig]:
-        """(room(), led(), photodiode()), built once per config; the config
-        is frozen, so they cannot go stale."""
-        return self.room(), self.led(), self.photodiode()
 
     def snr_db_grid(self) -> tuple[float, ...]:
         """snr_db_min + i * snr_db_step up to snr_db_max, rounded to

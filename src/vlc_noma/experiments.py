@@ -61,7 +61,8 @@ def sample_user_positions(rng: np.random.Generator, room: RoomGeometry, k: int) 
 
 
 def _floor_gains(cfg: ExperimentConfig, positions) -> list[float]:
-    _, led, pd = cfg.devices
+    led = cfg.led()
+    pd = cfg.photodiode()
     return [
         los_channel_gain(led, pd, UserPosition((float(p[0]), float(p[1]), 0.0)),
                          cfg.noise_power).channel_gain
@@ -106,25 +107,19 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache
     """One seeded user drop; returns (tdma, forced, adaptive) sum-rates."""
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, trial))
     rng = np.random.default_rng(seq)
-    positions = sample_user_positions(rng, cfg.devices[0], k)
+    positions = sample_user_positions(rng, cfg.room(), k)
     gains = _floor_gains(cfg, positions)
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
     return _scheme_rates(users, cache.region_of)
 
 
-_worker_cache: RegionCache | None = None  # set in pool workers only
-
-
-def _init_sweep_worker(validate: bool) -> None:
-    """Pool initializer: one region cache for the worker's whole lifetime."""
-    global _worker_cache
-    _worker_cache = RegionCache(validate)
-
-
-def _sweep_users_chunk(args):
-    """Worker entry: simulate trials [lo, hi) for one user count."""
-    cfg, k, lo, hi = args
-    return [_simulate_drop(cfg, k, m, _worker_cache) for m in range(lo, hi)]
+def _sweep_users_shard(args):
+    """Worker entry: simulate trials [lo, hi) of every user count, with one
+    region cache for the whole shard."""
+    cfg, lo, hi, validate = args
+    cache = RegionCache(validate)
+    return [[_simulate_drop(cfg, k, m, cache) for m in range(lo, hi)]
+            for k in cfg.user_counts()]
 
 
 def run_sweep_users(
@@ -146,16 +141,15 @@ def run_sweep_users(
         for k in cfg.user_counts():
             per_k[k] = [_simulate_drop(cfg, k, m, cache) for m in range(cfg.trials)]
     else:
-        tasks = []
+        # One shard per worker, each a trial range across every K: a shard's
+        # output depends only on its range, never on which process ran it.
         chunk = max(1, math.ceil(cfg.trials / workers))
-        for k in cfg.user_counts():
-            for lo in range(0, cfg.trials, chunk):
-                hi = min(lo + chunk, cfg.trials)
-                tasks.append((cfg, k, lo, hi))
-        with multiprocessing.Pool(workers, _init_sweep_worker, (validate,)) as pool:
-            outputs = pool.map(_sweep_users_chunk, tasks)
-        for task, out in zip(tasks, outputs):
-            per_k.setdefault(task[1], []).extend(out)
+        shards = [(cfg, lo, min(lo + chunk, cfg.trials), validate)
+                  for lo in range(0, cfg.trials, chunk)]
+        with multiprocessing.Pool(processes=workers) as pool:
+            outputs = pool.map(_sweep_users_shard, shards)
+        for k_index, k in enumerate(cfg.user_counts()):
+            per_k[k] = [drop for out in outputs for drop in out[k_index]]
 
     rows = []
     for k in cfg.user_counts():

@@ -4,9 +4,7 @@ Two independent routes compute the interval: an iterative solver that
 linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 (an inner approximation, so every iterate stays inside the true region), and
 a brute-force bisection oracle licensed by the gap's unimodality. The solver
-is the paper's method and produces the region map; the oracle, about 4x
-cheaper, fills the scheduler's RegionCache, and with validation on each
-route checks the other.
+is the production path; the oracle exists to cross-check it.
 """
 
 import csv
@@ -265,14 +263,11 @@ def write_trace_csv(trace: ScaTrace, path: str) -> None:
 
 
 class RegionCache:
-    """Memoizes oracle regions per SNR bucket (1e-3 relative in log space).
+    """Memoizes solver regions per SNR bucket (1e-3 relative in log space).
 
-    Misses are filled by oracle_region, not the solver: both start from the
-    same feasibility scan, so they agree on empty vs nonempty, and their
-    endpoints agree within the 1e-3 relative bound that validation enforces
-    (adaptive_pairing confirms the exact gap anyway). With validate on,
-    each miss also runs region_for_snr(gamma, True), which raises
-    OracleMismatchError when the two routes disagree.
+    A miss runs region_for_snr at the SNR that missed, so every cached
+    region equals a fresh region_for_snr call at that SNR; with validate on,
+    each miss is also cross-checked against the oracle.
 
     Lookups from threads may race but at worst recompute the same value;
     parallel workers should each own a cache.
@@ -289,8 +284,6 @@ class RegionCache:
         key = round(math.log(gamma) / CACHE_BUCKET)
         hit = self._regions.get(key)
         if hit is None:
-            if self.validate:
-                region_for_snr(gamma, True)
-            hit = oracle_region(gamma)
+            hit = region_for_snr(gamma, self.validate)
             self._regions[key] = hit
         return hit

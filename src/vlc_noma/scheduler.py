@@ -119,23 +119,31 @@ def adaptive_pairing(
     region_of may serve cached intervals from a slightly different SNR
     bucket, and the direct check keeps every kept pair at least as good as
     splitting the slot.
+
+    The gap is tested first, and region_of is called only once a candidate
+    passes it: a weak user whose candidates all lose to time-splitting never
+    costs a region solve. Both tests must hold, so the order does not change
+    the decision for a given region_of.
     """
     order = users.users
     k = len(order)
     paired = [False] * k
     pairs: list[tuple[int, int]] = []
     for i in range(k - 1):
-        if paired[i] or order[i].gain <= 0.0 or order[i].snr <= 0.0:
+        weak = order[i]
+        if paired[i] or weak.gain <= 0.0 or weak.snr <= 0.0:
             continue
-        region = region_of(order[i].snr)
-        if region.is_empty:
-            continue
+        region = None
         for j in range(k - 1, i, -1):
             if paired[j]:
                 continue
-            r = (order[j].gain / order[i].gain) ** 2
-            if region.contains(r) and rate_gap_at(order[i].snr, r) >= 0.0:
-                pairs.append((order[i].user_id, order[j].user_id))
+            r = (order[j].gain / weak.gain) ** 2
+            if rate_gap_at(weak.snr, r) < 0.0:
+                continue
+            if region is None:
+                region = region_of(weak.snr)
+            if region.contains(r):
+                pairs.append((weak.user_id, order[j].user_id))
                 paired[i] = paired[j] = True
                 break
     singles = tuple(order[i].user_id for i in range(k) if not paired[i])

@@ -18,9 +18,9 @@ REGION_MAP = "4e3435b510220a648b55a504281445b17c19e5fa4b0a02ed8f7256a0276ad79a"
 SWEEP_POWER = "8c3fc59e584ac2a2c6eca4a0ae206d88846b9be22152fe74ce8037624e4130e1"
 PAIR = "819fe4d61368f5dc2ed4d35a2d8756fe3d4194488d20a38ed855fb5be4f05d66"
 SWEEP_USERS_200 = "19f2084c0ece2bab492ea352891d09d1acce06ad9727a9664dcde2c5a0a71257"
-# K = 2..3, the grid this digest was recorded at. Each pool worker keeps one
-# region cache for its lifetime; at 200 trials, starting the pool still costs
-# more than its second worker saves.
+# K = 2..3, the grid this digest was recorded at. Each worker runs one trial
+# range across every K with one region cache; at 200 trials, starting the
+# pool still costs more than its second worker saves.
 SWEEP_USERS_200_K3 = "d098748a14314ef896271582734101bdaa1990b3eb72436a0dafd80008b4283b"
 
 

@@ -11,7 +11,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from vlc_noma.rates import rate_gap_at
-from vlc_noma.region import CACHE_BUCKET, RegionCache, oracle_region, region_for_snr
+from vlc_noma.region import CACHE_BUCKET, RegionCache, oracle_region
 from vlc_noma.scheduler import (
     PairingPlan,
     UserChannelSet,
@@ -36,14 +36,14 @@ def users_of(gains, ids=None) -> UserChannelSet:
     return UserChannelSet.from_gains(gains, 1.0, NOISE, ids=ids)
 
 
-def solver_region_of():
-    """RegionCache's bucketing, filled by region_for_snr instead of the oracle."""
+def oracle_region_of():
+    """RegionCache's bucketing, filled by oracle_region instead of the solver."""
     regions = {}
 
     def region_of(gamma):
         key = round(math.log(gamma) / CACHE_BUCKET)
         if key not in regions:
-            regions[key] = region_for_snr(gamma)
+            regions[key] = oracle_region(gamma)
         return regions[key]
 
     return region_of
@@ -71,9 +71,9 @@ def gap_sign_plan(users: UserChannelSet) -> PairingPlan:
 @given(user_gains)
 def test_plan_does_not_depend_on_the_region_route(gains):
     users = users_of(gains)
-    by_oracle = adaptive_pairing(users, RegionCache().region_of)
-    assert adaptive_pairing(users, solver_region_of()) == by_oracle
-    assert gap_sign_plan(users) == by_oracle
+    by_solver = adaptive_pairing(users, RegionCache().region_of)
+    assert adaptive_pairing(users, oracle_region_of()) == by_solver
+    assert gap_sign_plan(users) == by_solver
 
 
 @PROPERTY

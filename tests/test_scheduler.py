@@ -130,6 +130,16 @@ def test_adaptive_underflowed_snr_stays_solo():
     assert plan.pairs == ((2, 3),)  # r = 4 at gamma = 100, inside the region
 
 
+def test_adaptive_skips_the_region_when_no_candidate_beats_tdma():
+    # equal gains (r = 1) lose to time-splitting at any SNR
+    users = users_from_gains([1e-6, 1e-6, 1e-6])
+
+    def region_of(gamma):
+        raise AssertionError("region_of called with no candidate past the gap test")
+
+    assert adaptive_pairing(users, region_of) == tdma_plan(users)
+
+
 def test_adaptive_pairs_lie_in_exact_region():
     rng = np.random.default_rng(5)
     for _ in range(60):
