@@ -8,6 +8,7 @@ the electrical SNR is simply P_LED * h^2 / sigma^2.
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 DEFAULT_NOISE_POWER = 1e-14  # W, combined shot + thermal noise
 
@@ -131,6 +132,51 @@ def concentrator_gain(incidence: float, fov: float, concentrator_index: float) -
     return concentrator_index**2 / math.sin(fov) ** 2
 
 
+class LinkConstants(NamedTuple):
+    """The factors of the LoS gain that only the LED and the photodiode set,
+    so a batch of receivers under one LED computes them once."""
+
+    led_position: tuple[float, float, float]  # m
+    fov: float           # rad
+    m: float             # Lambertian order
+    scale: float         # (m + 1) * A * R, multiplied in that order
+    filter_gain: float   # T_s
+    concentrator: float  # T_f inside the field of view
+
+    @classmethod
+    def of(cls, led: LedConfig, pd: PhotodiodeConfig) -> "LinkConstants":
+        m = lambertian_order(led.semi_angle)
+        return cls(
+            led.position, pd.fov, m, (m + 1.0) * pd.active_area * pd.responsivity,
+            pd.filter_gain, concentrator_gain(0.0, pd.fov, pd.concentrator_index),
+        )
+
+
+_TWO_PI = 2.0 * math.pi
+
+
+def _los_link(link: LinkConstants, x: float, y: float, z: float) -> tuple[float, float, float]:
+    """(gain, distance, angle) of a receiver at (x, y, z); see los_channel_gain."""
+    lx, ly, lz = link.led_position
+    dx = x - lx
+    dy = y - ly
+    dz = z - lz
+    distance = math.sqrt(dx * dx + dy * dy + dz * dz)
+    if distance == 0.0:
+        raise ValueError("receiver is collocated with the LED")
+
+    # LED axis points down (-z), photodiode axis up (+z): both cosines equal.
+    cos_angle = -dz / distance
+    angle = math.acos(max(-1.0, min(1.0, cos_angle)))
+    if cos_angle <= 0.0 or angle > link.fov:
+        return 0.0, distance, angle
+    gain = (
+        link.scale / (_TWO_PI * distance**2)
+        * cos_angle**link.m * link.filter_gain * link.concentrator * cos_angle
+    )
+    return gain, distance, angle
+
+
 def los_channel_gain(
     led: LedConfig,
     pd: PhotodiodeConfig,
@@ -144,27 +190,14 @@ def los_channel_gain(
     for a downward LED and an upward photodiode (phi = psi). Links outside
     the field of view get h = 0, not an error.
     """
-    dx = user.position[0] - led.position[0]
-    dy = user.position[1] - led.position[1]
-    dz = user.position[2] - led.position[2]
-    distance = math.sqrt(dx * dx + dy * dy + dz * dz)
-    if distance == 0.0:
-        raise ValueError("receiver is collocated with the LED")
-
-    # LED axis points down (-z), photodiode axis up (+z): both cosines equal.
-    cos_angle = -dz / distance
-    angle = math.acos(max(-1.0, min(1.0, cos_angle)))
-
-    if cos_angle <= 0.0 or angle > pd.fov:
-        return LinkBudget(0.0, distance, angle, angle, noise_power)
-
-    m = lambertian_order(led.semi_angle)
-    t_f = concentrator_gain(angle, pd.fov, pd.concentrator_index)
-    gain = (
-        (m + 1.0) * pd.active_area * pd.responsivity / (2.0 * math.pi * distance**2)
-        * cos_angle**m * pd.filter_gain * t_f * cos_angle
-    )
+    gain, distance, angle = _los_link(LinkConstants.of(led, pd), *user.position)
     return LinkBudget(gain, distance, angle, angle, noise_power)
+
+
+def floor_gains(link: LinkConstants, points) -> list[float]:
+    """los_channel_gain's h for each floor point (x, y, ...), with the link
+    constants computed once and no per-receiver objects."""
+    return [_los_link(link, p[0], p[1], 0.0)[0] for p in points]
 
 
 def snr(link: LinkBudget, p_led: float) -> float:

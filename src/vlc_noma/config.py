@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-from .channel import LedConfig, PhotodiodeConfig, RoomGeometry
+from .channel import LedConfig, LinkConstants, PhotodiodeConfig, RoomGeometry
 
 
 class ConfigError(ValueError):
@@ -98,6 +98,9 @@ class ExperimentConfig:
     def photodiode(self) -> PhotodiodeConfig:
         return self._photodiode
 
+    def link(self) -> LinkConstants:
+        return self._link
+
     @cached_property
     def _room(self) -> RoomGeometry:
         return RoomGeometry(self.room_length, self.room_width, self.room_height)
@@ -121,6 +124,10 @@ class ExperimentConfig:
             concentrator_index=self.refractive_index,
             conversion_efficiency=self.conversion_efficiency,
         )
+
+    @cached_property
+    def _link(self) -> LinkConstants:
+        return LinkConstants.of(self.led(), self.photodiode())
 
     def snr_db_grid(self) -> tuple[float, ...]:
         """snr_db_min + i * snr_db_step up to snr_db_max, rounded to

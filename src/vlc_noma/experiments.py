@@ -5,25 +5,27 @@ sweep over user counts, and the deterministic sum-rate sweep over LED power
 at six fixed receiver positions. Every row is re-derivable by calling the
 library directly; the runners hold no hidden state, and a fixed seed yields
 byte-identical CSV output regardless of worker count.
+
+The user sweep decides each pair by the sign of the rate gap at the weak
+user's exact SNR and computes a drop's three sum-rates in one scalar pass
+(channel.floor_gains, scheduler.scheme_sum_rates), bit-identical to
+evaluating the public plans. It stays scalar on purpose: numpy's log2,
+arccos and power differ from math's in the last bit on some hosts, which
+would change the published bytes. The power sweep and pair_once still gate
+each pair on a cached solver region as well; the user sweep does so only
+with validate, as a cross-check of that route.
 """
 
 import math
 import multiprocessing
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
-from .channel import RoomGeometry, UserPosition, los_channel_gain, snr_db
+from .channel import RoomGeometry, floor_gains, snr_db
 from .config import ExperimentConfig
-from .region import NomaRegion, RegionCache, region_for_snr
-from .scheduler import (
-    UserChannelSet,
-    adaptive_pairing,
-    evaluate_schedule,
-    forced_pairing,
-    tdma_plan,
-)
+from .region import RegionCache, region_for_snr
+from .scheduler import UserChannelSet, adaptive_pairing, evaluate_schedule, scheme_sum_rates
 
 
 def _fmt_cell(value) -> str:
@@ -60,16 +62,6 @@ def sample_user_positions(rng: np.random.Generator, room: RoomGeometry, k: int) 
     return out
 
 
-def _floor_gains(cfg: ExperimentConfig, positions) -> list[float]:
-    led = cfg.led()
-    pd = cfg.photodiode()
-    return [
-        los_channel_gain(led, pd, UserPosition((float(p[0]), float(p[1]), 0.0)),
-                         cfg.noise_power).channel_gain
-        for p in positions
-    ]
-
-
 def run_region_map(cfg: ExperimentConfig, validate: bool = False) -> ResultTable:
     """Region endpoints per weak-user SNR, with strong-user SNR bounds in dB
     for plotting both axes of the decision map."""
@@ -92,32 +84,26 @@ def run_region_map(cfg: ExperimentConfig, validate: bool = False) -> ResultTable
     return ResultTable(columns, rows)
 
 
-def _scheme_rates(
-    users: UserChannelSet, region_of: Callable[[float], NomaRegion]
-) -> tuple[float, float, float]:
-    """(tdma, forced, adaptive) sum-rates of one user set."""
-    return (
-        evaluate_schedule(tdma_plan(users), users).sum_rate,
-        evaluate_schedule(forced_pairing(users), users).sum_rate,
-        evaluate_schedule(adaptive_pairing(users, region_of), users).sum_rate,
-    )
+def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache | None = None):
+    """One seeded user drop; returns (tdma, forced, adaptive) sum-rates.
 
-
-def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache):
-    """One seeded user drop; returns (tdma, forced, adaptive) sum-rates."""
+    Pairs are decided by the sign of the rate gap; a given cache adds its
+    region as a second gate (the reference route)."""
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, trial))
-    rng = np.random.default_rng(seq)
+    # The generator default_rng(seq) returns, without its argument dispatch.
+    rng = np.random.Generator(np.random.PCG64(seq))
     positions = sample_user_positions(rng, cfg.room(), k)
-    gains = _floor_gains(cfg, positions)
-    users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    return _scheme_rates(users, cache.region_of)
+    gains = floor_gains(cfg.link(), positions.tolist())
+    region_of = None if cache is None else cache.region_of
+    return scheme_sum_rates(gains, cfg.led_power, cfg.noise_power, region_of)
 
 
 def _sweep_users_shard(args):
-    """Worker entry: simulate trials [lo, hi) of every user count, with one
-    region cache for the whole shard."""
+    """Worker entry: simulate trials [lo, hi) of every user count. With
+    validate, the shard runs the reference route through one validating
+    region cache."""
     cfg, lo, hi, validate = args
-    cache = RegionCache(validate)
+    cache = RegionCache(validate=True) if validate else None
     return [[_simulate_drop(cfg, k, m, cache) for m in range(lo, hi)]
             for k in cfg.user_counts()]
 
@@ -127,33 +113,31 @@ def run_sweep_users(
 ) -> ResultTable:
     """Mean sum-rate (and standard error) of the three schemes per user count.
 
-    Trials are independent with per-trial RNG streams keyed by (K, trial), so
-    parallel execution cannot change any drawn value; chunks are reduced in
-    trial order to keep the output bytes identical for any worker count.
+    Trials are independent with per-trial RNG streams keyed by (K, trial),
+    and each shard of trials depends only on its range, so parallel
+    execution cannot change any drawn value; shards are reduced in trial
+    order to keep the output bytes identical for any worker count. With
+    validate, every drop also gates its pairs on solver regions that are
+    cross-checked against the oracle, which must give the same bytes.
     """
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     columns = (
         "k", "tdma_mean", "tdma_se", "forced_mean", "forced_se",
         "adaptive_mean", "adaptive_se",
     )
-    per_k: dict[int, list] = {}
-    if workers <= 1:
-        cache = RegionCache(validate)
-        for k in cfg.user_counts():
-            per_k[k] = [_simulate_drop(cfg, k, m, cache) for m in range(cfg.trials)]
+    chunk = math.ceil(cfg.trials / workers)
+    shards = [(cfg, lo, min(lo + chunk, cfg.trials), validate)
+              for lo in range(0, cfg.trials, chunk)]
+    if len(shards) == 1:
+        outputs = [_sweep_users_shard(shards[0])]
     else:
-        # One shard per worker, each a trial range across every K: a shard's
-        # output depends only on its range, never on which process ran it.
-        chunk = max(1, math.ceil(cfg.trials / workers))
-        shards = [(cfg, lo, min(lo + chunk, cfg.trials), validate)
-                  for lo in range(0, cfg.trials, chunk)]
-        with multiprocessing.Pool(processes=workers) as pool:
+        with multiprocessing.Pool(processes=min(workers, len(shards))) as pool:
             outputs = pool.map(_sweep_users_shard, shards)
-        for k_index, k in enumerate(cfg.user_counts()):
-            per_k[k] = [drop for out in outputs for drop in out[k_index]]
 
     rows = []
-    for k in cfg.user_counts():
-        arr = np.asarray(per_k[k])
+    for k_index, k in enumerate(cfg.user_counts()):
+        arr = np.asarray([drop for out in outputs for drop in out[k_index]])
         means = arr.mean(axis=0)
         if len(arr) > 1:
             ses = arr.std(axis=0, ddof=1) / math.sqrt(len(arr))
@@ -169,12 +153,12 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
     """Deterministic sum-rates of the three schemes at the fixed receiver
     cluster, per LED power."""
     columns = ("p_led", "tdma", "forced", "adaptive", "adaptive_minus_forced")
-    gains = _floor_gains(cfg, cfg.fixed_positions)
+    gains = floor_gains(cfg.link(), cfg.fixed_positions)
     cache = RegionCache(validate)
     rows = []
     for p_led in cfg.power_grid:
-        users = UserChannelSet.from_gains(gains, p_led, cfg.noise_power)
-        rate_tdma, rate_forced, rate_adaptive = _scheme_rates(users, cache.region_of)
+        rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(
+            gains, p_led, cfg.noise_power, cache.region_of)
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,

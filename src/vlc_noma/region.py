@@ -269,8 +269,11 @@ class RegionCache:
     region equals a fresh region_for_snr call at that SNR; with validate on,
     each miss is also cross-checked against the oracle.
 
-    Lookups from threads may race but at worst recompute the same value;
-    parallel workers should each own a cache.
+    A bucket serves the region of the first SNR that filled it, so a gate
+    on a cached region depends on the lookup order near the region's ends.
+    Lookups from threads may race but at worst recompute the same value.
+    The user sweep needs no cache: it decides pairs by the exact gap sign
+    and keeps one cache per shard only with validate.
     """
 
     def __init__(self, validate: bool = False):

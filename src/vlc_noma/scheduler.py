@@ -105,49 +105,64 @@ class ScheduleOutcome:
     sum_rate: float  # bits/s/Hz
 
 
-def adaptive_pairing(
-    users: UserChannelSet,
-    region_of: Callable[[float], NomaRegion],
-) -> PairingPlan:
-    """Greedy weakest-with-strongest pairing gated by the gain-ratio region.
-
-    For each unpaired weak user (ascending gain), strong candidates are
-    scanned from the top down; the first whose squared ratio lies in the
-    region computed at the weak user's SNR is taken. Users with zero gain or
-    zero SNR (a gain so small that P * h^2 underflows) are never paired. On
-    top of the interval test, the rate gap itself is confirmed non-negative:
-    region_of may serve cached intervals from a slightly different SNR
-    bucket, and the direct check keeps every kept pair at least as good as
-    splitting the slot.
-
-    The gap is tested first, and region_of is called only once a candidate
-    passes it: a weak user whose candidates all lose to time-splitting never
-    costs a region solve. Both tests must hold, so the order does not change
-    the decision for a given region_of.
-    """
-    order = users.users
-    k = len(order)
+def _greedy_pairs(
+    gains: Sequence[float],
+    snrs: Sequence[float],
+    region_of: Callable[[float], NomaRegion] | None,
+) -> tuple[list[tuple[int, int]], list[bool]]:
+    """adaptive_pairing on ascending-gain lists: the (weak, strong) index
+    pairs in the order taken, and which indices they cover."""
+    k = len(gains)
     paired = [False] * k
     pairs: list[tuple[int, int]] = []
     for i in range(k - 1):
-        weak = order[i]
-        if paired[i] or weak.gain <= 0.0 or weak.snr <= 0.0:
+        weak_gain = gains[i]
+        weak_snr = snrs[i]
+        if paired[i] or weak_gain <= 0.0 or weak_snr <= 0.0:
             continue
         region = None
         for j in range(k - 1, i, -1):
             if paired[j]:
                 continue
-            r = (order[j].gain / weak.gain) ** 2
-            if rate_gap_at(weak.snr, r) < 0.0:
+            r = (gains[j] / weak_gain) ** 2
+            if rate_gap_at(weak_snr, r) < 0.0:
                 continue
-            if region is None:
-                region = region_of(weak.snr)
-            if region.contains(r):
-                pairs.append((weak.user_id, order[j].user_id))
-                paired[i] = paired[j] = True
-                break
-    singles = tuple(order[i].user_id for i in range(k) if not paired[i])
-    return PairingPlan(tuple(pairs), singles)
+            if region_of is not None:
+                if region is None:
+                    region = region_of(weak_snr)
+                if not region.contains(r):
+                    continue
+            pairs.append((i, j))
+            paired[i] = paired[j] = True
+            break
+    return pairs, paired
+
+
+def adaptive_pairing(
+    users: UserChannelSet,
+    region_of: Callable[[float], NomaRegion] | None = None,
+) -> PairingPlan:
+    """Greedy weakest-with-strongest pairing wherever sharing the slot wins.
+
+    For each unpaired weak user (ascending gain), strong candidates are
+    scanned from the top down; the first whose squared gain ratio r gives a
+    non-negative rate gap at the weak user's exact SNR is taken. The gap is
+    unimodal in r, so that sign test is the same as r lying in the region
+    [r_min, r_max] at that SNR, and no region is needed. Users with zero gain
+    or zero SNR (a gain so small that P * h^2 underflows) are never paired.
+
+    A given region_of is an extra gate after the gap test: the pair must
+    also lie in region_of(weak SNR), which is looked up only once some
+    candidate passes the gap test, so a weak user whose candidates all lose
+    to time-splitting never costs a region solve.
+    """
+    order = users.users
+    pairs, paired = _greedy_pairs(
+        [u.gain for u in order], [u.snr for u in order], region_of)
+    return PairingPlan(
+        tuple((order[i].user_id, order[j].user_id) for i, j in pairs),
+        tuple(u.user_id for u, done in zip(order, paired) if not done),
+    )
 
 
 def forced_pairing(users: UserChannelSet) -> PairingPlan:
@@ -166,6 +181,23 @@ def tdma_plan(users: UserChannelSet) -> PairingPlan:
     return PairingPlan((), users.ids())
 
 
+def _pair_rates(
+    weak_gain: float, weak_snr: float, strong_gain: float, tau: float
+) -> tuple[float, float]:
+    """(weak, strong) rates of a pair sharing a slot of fraction tau, with
+    the gain-inverse split applied at their own ratio."""
+    if weak_gain <= 0.0:
+        # gain-inverse split sends all power to the unreachable user
+        return 0.0, 0.0
+    unit_weak, unit_strong = noma_user_rates(weak_snr, (strong_gain / weak_gain) ** 2)
+    return tau * unit_weak, tau * unit_strong
+
+
+def _solo_rate(snr: float, tau: float) -> float:
+    """Rate of a user alone in a slot of fraction tau: tau * log2(1 + t*gamma)."""
+    return tau * math.log2(1.0 + CAPACITY_SNR_FACTOR * snr)
+
+
 def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutcome:
     """Rates under proportional slots: a group of n users gets n/K of the frame.
 
@@ -178,7 +210,6 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
         raise ValueError("plan does not cover the user set exactly once")
 
     k = len(lookup)
-    t = CAPACITY_SNR_FACTOR
     groups: list[ScheduleGroup] = []
     per_user: dict[int, float] = {}
 
@@ -187,20 +218,14 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
         if strong.gain < weak.gain:
             raise ValueError(f"pair ({weak_id}, {strong_id}) is not weak/strong ordered")
         tau = 2.0 / k
-        if weak.gain <= 0.0:
-            # gain-inverse split sends all power to the unreachable user
-            unit_weak = unit_strong = 0.0
-        else:
-            unit_weak, unit_strong = noma_user_rates(weak.snr, (strong.gain / weak.gain) ** 2)
-        rate_weak = tau * unit_weak
-        rate_strong = tau * unit_strong
+        rate_weak, rate_strong = _pair_rates(weak.gain, weak.snr, strong.gain, tau)
         per_user[weak_id] = rate_weak
         per_user[strong_id] = rate_strong
         groups.append(ScheduleGroup((weak_id, strong_id), tau, rate_weak + rate_strong))
 
     for uid in plan.singletons:
         tau = 1.0 / k
-        rate = tau * math.log2(1.0 + t * lookup[uid].snr)
+        rate = _solo_rate(lookup[uid].snr, tau)
         per_user[uid] = rate
         groups.append(ScheduleGroup((uid,), tau, rate))
 
@@ -209,3 +234,43 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
         per_user_rates=per_user,
         sum_rate=sum(g.rate for g in groups),
     )
+
+
+def scheme_sum_rates(
+    gains: Sequence[float],
+    p_led: float,
+    noise_power: float,
+    region_of: Callable[[float], NomaRegion] | None = None,
+) -> tuple[float, float, float]:
+    """(TDMA, forced, adaptive) sum-rates of users 1..K with these gains.
+
+    Equal (==) to evaluate_schedule(plan, users).sum_rate for tdma_plan,
+    forced_pairing and adaptive_pairing(users, region_of) of
+    UserChannelSet.from_gains(gains, p_led, noise_power): the same group
+    rates, summed by the same builtin sum in the same group order (pairs in
+    plan order, then singletons), without building the plans or outcomes.
+    """
+    # Users with equal gains have equal rates, so the sorted gain values
+    # stand for UserChannelSet's (gain, id) order without building users;
+    # the SNRs and the checks are from_gains' and UserChannelSet's.
+    g = sorted(gains)
+    snrs = [p_led * h * h / noise_power for h in g]
+    if not g:
+        raise ValueError("need at least one user")
+    if any(not 0.0 <= v < math.inf for v in (*g, *snrs)):
+        raise ValueError("gains and SNRs must be finite and non-negative")
+    k = len(g)
+    solo_tau, pair_tau = 1.0 / k, 2.0 / k
+    solo = [_solo_rate(snr, solo_tau) for snr in snrs]
+
+    def pair_rate(i: int, j: int) -> float:
+        rate_weak, rate_strong = _pair_rates(g[i], snrs[i], g[j], pair_tau)
+        return rate_weak + rate_strong
+
+    forced = [pair_rate(i, k - 1 - i) for i in range(k // 2)]
+    if k % 2:
+        forced.append(solo[k // 2])
+    pairs, paired = _greedy_pairs(g, snrs, region_of)
+    adaptive = [pair_rate(i, j) for i, j in pairs]
+    adaptive += [rate for rate, done in zip(solo, paired) if not done]
+    return sum(solo), sum(forced), sum(adaptive)

@@ -36,6 +36,12 @@ def test_sweep_users_workers_do_not_change_bytes(tmp_path):
     assert one.read_bytes() == two.read_bytes()
 
 
+@pytest.mark.parametrize("workers", ["0", "-2"])
+def test_sweep_users_rejects_fewer_than_one_worker(workers, capsys):
+    assert main(["sweep-users", "--trials", "2", "--workers", workers]) == 2
+    assert capsys.readouterr().err == "error: workers must be >= 1\n"
+
+
 def test_cli_overrides_seed_and_trials(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(SMALL_SWEEP)

@@ -1,6 +1,7 @@
 """Experiment runners: reproducibility, row semantics, statistics."""
 
 import math
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -76,6 +77,37 @@ def test_sweep_users_byte_identical_across_runs_and_workers():
     assert run_sweep_users(cfg).csv_text() == serial
     parallel = run_sweep_users(cfg, workers=2).csv_text()
     assert parallel == serial
+
+
+def test_sweep_users_pool_is_sized_by_its_shards(monkeypatch):
+    sizes = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    cfg = small_cfg(trials=10)
+    table = run_sweep_users(cfg, workers=64)
+    assert sizes == [10]  # one trial per shard, ten shards
+    assert table.csv_text() == run_sweep_users(cfg).csv_text()
+    run_sweep_users(cfg, workers=4)
+    assert sizes == [10, 4]
+
+
+@pytest.mark.parametrize("workers", [0, -3])
+def test_sweep_users_rejects_fewer_than_one_worker(workers):
+    with pytest.raises(ValueError, match="workers must be >= 1"):
+        run_sweep_users(small_cfg(), workers=workers)
 
 
 def test_sweep_users_seed_changes_output():

@@ -19,8 +19,7 @@ SWEEP_POWER = "8c3fc59e584ac2a2c6eca4a0ae206d88846b9be22152fe74ce8037624e4130e1"
 PAIR = "819fe4d61368f5dc2ed4d35a2d8756fe3d4194488d20a38ed855fb5be4f05d66"
 SWEEP_USERS_200 = "19f2084c0ece2bab492ea352891d09d1acce06ad9727a9664dcde2c5a0a71257"
 # K = 2..3, the grid this digest was recorded at. Each worker runs one trial
-# range across every K with one region cache; at 200 trials, starting the
-# pool still costs more than its second worker saves.
+# range across every K, so its output depends only on that range.
 SWEEP_USERS_200_K3 = "d098748a14314ef896271582734101bdaa1990b3eb72436a0dafd80008b4283b"
 
 
@@ -45,6 +44,13 @@ def test_pair_bytes(capsys):
 def test_sweep_users_bytes_serial():
     cfg = ExperimentConfig(trials=200, seed=1)
     assert _sha(run_sweep_users(cfg).csv_text()) == SWEEP_USERS_200
+
+
+def test_sweep_users_bytes_through_the_validated_region_route():
+    # Every pair must also lie in a solver region cross-checked against the
+    # oracle: the region route and the gap sign give the same bytes.
+    cfg = ExperimentConfig(trials=200, seed=1)
+    assert _sha(run_sweep_users(cfg, validate=True).csv_text()) == SWEEP_USERS_200
 
 
 def test_sweep_users_bytes_parallel():

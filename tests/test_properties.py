@@ -1,6 +1,7 @@
-"""Property tests: the pairing plan does not depend on how regions are found
-or on input order, adaptive pairing never loses to TDMA, and oracle
-endpoints are feasible.
+"""Property tests: the rate gap is non-negative exactly inside the region,
+the solver agrees with the oracle, the pairing plan does not depend on how
+regions are found or on input order, adaptive pairing never loses to TDMA,
+and oracle endpoints are feasible.
 
 Examples are derandomized, so a run is reproducible; each example builds
 fresh region caches.
@@ -11,7 +12,7 @@ import math
 from hypothesis import given, settings, strategies as st
 
 from vlc_noma.rates import rate_gap_at
-from vlc_noma.region import CACHE_BUCKET, RegionCache, oracle_region
+from vlc_noma.region import CACHE_BUCKET, RegionCache, oracle_region, region_for_snr
 from vlc_noma.scheduler import (
     PairingPlan,
     UserChannelSet,
@@ -71,9 +72,35 @@ def gap_sign_plan(users: UserChannelSet) -> PairingPlan:
 @given(user_gains)
 def test_plan_does_not_depend_on_the_region_route(gains):
     users = users_of(gains)
-    by_solver = adaptive_pairing(users, RegionCache().region_of)
-    assert adaptive_pairing(users, oracle_region_of()) == by_solver
-    assert gap_sign_plan(users) == by_solver
+    by_gap = adaptive_pairing(users)
+    assert gap_sign_plan(users) == by_gap
+    assert adaptive_pairing(users, RegionCache().region_of) == by_gap
+    assert adaptive_pairing(users, oracle_region_of()) == by_gap
+
+
+@settings(PROPERTY, max_examples=300)  # about half the SNRs drawn have no region
+@given(st.floats(0.0, 140.0), st.floats(0.0, 1.0))
+def test_gap_sign_is_region_membership_up_to_140_db(snr_db, frac):
+    gamma = 10.0 ** (snr_db / 10.0)
+    # log10(r_max) is about snr_db / 10 + 5.3, so r spans both sides of it.
+    r = 10.0 ** (frac * (snr_db / 10.0 + 6.0))
+    region = region_for_snr(gamma)
+    if not region.is_empty:
+        for end in (region.r_min, region.r_max):
+            if abs(r - end) <= 1e-6 * end:
+                return  # too close to an endpoint to tell the solver's rounding apart
+    assert (rate_gap_at(gamma, r) >= 0.0) == region.contains(r)
+
+
+@PROPERTY
+@given(st.floats(0.0, 140.0))
+def test_solver_matches_oracle_up_to_140_db(snr_db):
+    gamma = 10.0 ** (snr_db / 10.0)
+    found, ref = region_for_snr(gamma), oracle_region(gamma)
+    assert found.is_empty == ref.is_empty
+    if not ref.is_empty:
+        assert abs(found.r_min - ref.r_min) <= 1e-3 * ref.r_min
+        assert abs(found.r_max - ref.r_max) <= 1e-3 * ref.r_max
 
 
 @PROPERTY
