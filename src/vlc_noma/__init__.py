@@ -2,7 +2,8 @@
 
 Submodules: channel (LoS gains and SNR), rates (pair rates and the decision
 gap), region (beneficial-ratio interval solver and oracle), scheduler
-(pairing plans and evaluation), config/experiments/cli (reproducible studies).
+(pairing plans and evaluation), streams (batched seeded uniforms),
+config/experiments/cli (reproducible studies).
 """
 
 from .channel import (

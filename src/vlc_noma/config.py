@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .channel import LedConfig, LinkConstants, PhotodiodeConfig, RoomGeometry
+from .streams import TRIAL_LIMIT
 
 
 class ConfigError(ValueError):
@@ -67,6 +68,10 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ConfigError("trials must be >= 1")
+        if self.trials > TRIAL_LIMIT:
+            raise ConfigError("trials must be <= 2**32")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         for name in ("led_power", "noise_power"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0")

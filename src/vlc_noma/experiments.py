@@ -6,14 +6,16 @@ at six fixed receiver positions. Every row is re-derivable by calling the
 library directly; the runners hold no hidden state, and a fixed seed yields
 byte-identical CSV output regardless of worker count.
 
-The user sweep decides each pair by the sign of the rate gap at the weak
-user's exact SNR and computes a drop's three sum-rates in one scalar pass
-(channel.floor_gains, scheduler.scheme_sum_rates), bit-identical to
-evaluating the public plans. It stays scalar on purpose: numpy's log2,
-arccos and power differ from math's in the last bit on some hosts, which
-would change the published bytes. The power sweep and pair_once still gate
-each pair on a cached solver region as well; the user sweep does so only
-with validate, as a cross-check of that route.
+The user sweep draws each block of trials' positions in one batch
+(streams.uniform_streams): the SeedSequence/PCG64 chain is integer
+arithmetic, so numpy's uint32/uint64 array operations reproduce every
+drop's stream exactly. Gains and rates stay scalar (channel.floor_gains,
+scheduler.scheme_sum_rates), bit-identical to evaluating the public plans:
+numpy's log2, arccos and power differ from math's in the last bit on some
+hosts, which would change the published bytes. Each pair is decided by the
+sign of the rate gap at the weak user's exact SNR. The power sweep and
+pair_once still gate each pair on a cached solver region as well; the user
+sweep does so only with validate, as a cross-check of that route.
 """
 
 import math
@@ -26,6 +28,11 @@ from .channel import RoomGeometry, floor_gains, snr_db
 from .config import ExperimentConfig
 from .region import RegionCache, region_for_snr
 from .scheduler import UserChannelSet, adaptive_pairing, evaluate_schedule, scheme_sum_rates
+from .streams import uniform_streams
+
+# Trials per batch of drawn positions: the batch's arrays and lists stay
+# under a megabyte whatever the trial count.
+STREAM_BLOCK = 512
 
 
 def _fmt_cell(value) -> str:
@@ -99,13 +106,26 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache
 
 
 def _sweep_users_shard(args):
-    """Worker entry: simulate trials [lo, hi) of every user count. With
-    validate, the shard runs the reference route through one validating
-    region cache."""
+    """Worker entry: simulate trials [lo, hi) of every user count, drop for
+    drop equal to _simulate_drop, with each block of trials' positions drawn
+    in one batch. With validate, every drop also gates its pairs on one
+    validating region cache."""
     cfg, lo, hi, validate = args
-    cache = RegionCache(validate=True) if validate else None
-    return [[_simulate_drop(cfg, k, m, cache) for m in range(lo, hi)]
-            for k in cfg.user_counts()]
+    region_of = RegionCache(validate=True).region_of if validate else None
+    link, room = cfg.link(), cfg.room()
+    out = []
+    for k in cfg.user_counts():
+        drops = []
+        for start in range(lo, hi, STREAM_BLOCK):
+            u = uniform_streams(cfg.seed, k, start, min(start + STREAM_BLOCK, hi))
+            # sample_user_positions' multiplies, on the same uniforms
+            xs = (u[:, 0::2] * room.length).tolist()
+            ys = (u[:, 1::2] * room.width).tolist()
+            drops += [scheme_sum_rates(floor_gains(link, zip(x, y)), cfg.led_power,
+                                       cfg.noise_power, region_of)
+                      for x, y in zip(xs, ys)]
+        out.append(drops)
+    return out
 
 
 def run_sweep_users(

@@ -105,6 +105,14 @@ class ScheduleOutcome:
     sum_rate: float  # bits/s/Hz
 
 
+def _squared_ratio(strong_gain: float, weak_gain: float) -> float:
+    """r = (strong_gain / weak_gain) ** 2 of a pair, or inf past the float range."""
+    try:
+        return (strong_gain / weak_gain) ** 2
+    except OverflowError:
+        return math.inf
+
+
 def _greedy_pairs(
     gains: Sequence[float],
     snrs: Sequence[float],
@@ -124,8 +132,9 @@ def _greedy_pairs(
         for j in range(k - 1, i, -1):
             if paired[j]:
                 continue
-            r = (gains[j] / weak_gain) ** 2
-            if rate_gap_at(weak_snr, r) < 0.0:
+            r = _squared_ratio(gains[j], weak_gain)
+            # The gap tends to -inf as r grows, so an overflowed r never pairs.
+            if r == math.inf or rate_gap_at(weak_snr, r) < 0.0:
                 continue
             if region_of is not None:
                 if region is None:
@@ -189,7 +198,12 @@ def _pair_rates(
     if weak_gain <= 0.0:
         # gain-inverse split sends all power to the unreachable user
         return 0.0, 0.0
-    unit_weak, unit_strong = noma_user_rates(weak_snr, (strong_gain / weak_gain) ** 2)
+    r = _squared_ratio(strong_gain, weak_gain)
+    if r == math.inf:
+        # both unit rates tend to the weak user's solo rate as r grows
+        unit_weak = unit_strong = math.log2(1.0 + CAPACITY_SNR_FACTOR * weak_snr)
+    else:
+        unit_weak, unit_strong = noma_user_rates(weak_snr, r)
     return tau * unit_weak, tau * unit_strong
 
 

@@ -1,18 +1,26 @@
 """The user sweep's lean per-drop path equals the public route bit for bit.
 
-floor_gains must give each user's los_channel_gain(...).channel_gain, and
+floor_gains must give each user's los_channel_gain(...).channel_gain,
 scheme_sum_rates must give evaluate_schedule(plan, users).sum_rate for the
-TDMA, forced and adaptive plans, compared with ==, never approximately.
+TDMA, forced and adaptive plans, and a batched sweep shard must give
+_simulate_drop's rates for every drop, compared with ==, never approximately.
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from vlc_noma.channel import UserPosition, floor_gains, los_channel_gain
 from vlc_noma.config import ExperimentConfig
-from vlc_noma.experiments import sample_user_positions
+from vlc_noma.experiments import (
+    STREAM_BLOCK,
+    _simulate_drop,
+    _sweep_users_shard,
+    sample_user_positions,
+)
+from vlc_noma.rates import CAPACITY_SNR_FACTOR
 from vlc_noma.region import RegionCache
 from vlc_noma.scheduler import (
     UserChannelSet,
@@ -84,6 +92,42 @@ def test_scheme_sum_rates_equal_evaluate_schedule_with_a_region_gate():
 ])
 def test_scheme_sum_rates_edge_gains(gains, noise_power):
     assert scheme_sum_rates(gains, 1.0, noise_power) == public_rates(gains, 1.0, noise_power)
+
+
+@pytest.mark.parametrize("gains, p_led, noise_power", [
+    ([1e-160, 1e-6], 1.0, 1e-14),    # r = 1e308, still finite
+    ([1e-160, 1e-5], 1.0, 1e-14),    # r = 1e310 overflows the square
+    ([1e-314, 1e-5], 1e308, 1.0),    # the ratio itself is inf, weak SNR > 0
+    ([1e-160, 1e-160, 3e-6, 1e-5], 1.0, 1e-14),
+])
+def test_huge_gain_ratios(gains, p_led, noise_power):
+    rates = scheme_sum_rates(gains, p_led, noise_power)
+    assert rates == public_rates(gains, p_led, noise_power)
+    assert all(math.isfinite(rate) for rate in rates)
+
+
+@pytest.mark.parametrize("gains, p_led, noise_power", [
+    ([1e-160, 1e-5], 1.0, 1e-14),
+    ([1e-314, 1e-5], 1e308, 1.0),
+])
+def test_an_overflowed_ratio_never_pairs_and_forces_the_limit(gains, p_led, noise_power):
+    tdma, forced, adaptive = scheme_sum_rates(gains, p_led, noise_power)
+    assert adaptive == tdma
+    # both unit rates of a forced pair tend to log2(1 + t * weak SNR)
+    weak_snr = p_led * gains[0] * gains[0] / noise_power
+    unit = math.log2(1.0 + CAPACITY_SNR_FACTOR * weak_snr)
+    assert forced == unit + unit
+
+
+@pytest.mark.parametrize("validate", [False, True], ids=["gap_sign", "region_gate"])
+@pytest.mark.parametrize("cfg", [DEFAULT, NARROW_FOV], ids=["default", "narrow_fov"])
+def test_batched_shard_equals_simulate_drop(cfg, validate):
+    cfg = dataclasses.replace(cfg, users_min=1, users_max=11)
+    lo, hi = STREAM_BLOCK - 15, STREAM_BLOCK + 15  # spans a block boundary
+    shard = _sweep_users_shard((cfg, lo, hi, validate))
+    cache = RegionCache(validate=True) if validate else None
+    for k, drops in zip(cfg.user_counts(), shard):
+        assert drops == [_simulate_drop(cfg, k, m, cache) for m in range(lo, hi)], k
 
 
 @pytest.mark.parametrize("gains", [[], [float("nan"), 1e-6], [float("inf")], [-1e-6, 1e-6]])

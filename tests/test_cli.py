@@ -1,5 +1,7 @@
 """End-to-end CLI checks through the argparse entry point."""
 
+import math
+
 import pytest
 
 from vlc_noma.cli import main
@@ -105,6 +107,27 @@ def test_underflowed_snr_is_a_dead_link(capsys):
 def test_trials_override_is_validated(capsys):
     assert main(["sweep-users", "--trials", "0"]) == 2
     assert capsys.readouterr().err == "error: trials must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", [["sweep-users"], ["region"], ["pair", "--gains", "1e-6"]])
+@pytest.mark.parametrize("option, value, message", [
+    ("--seed", "-1", "seed must be >= 0"),
+    ("--trials", str(2**32 + 1), "trials must be <= 2**32"),
+])
+def test_seed_and_trial_bounds_are_config_errors(command, option, value, message, capsys):
+    assert main([*command, option, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_narrow_beam_sweep_has_finite_cells(tmp_path, capsys):
+    # At a 1 degree semi-angle live gains differ by more than 1e154, so the
+    # squared ratio of a pair overflows.
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("semi_angle_deg = 1\ntrials = 300\n")
+    assert main(["sweep-users", "--config", str(cfg)]) == 0
+    header, *rows = capsys.readouterr().out.strip().split("\n")
+    assert header.startswith("k,tdma_mean") and len(rows) == 9
+    assert all(math.isfinite(float(cell)) for row in rows for cell in row.split(","))
 
 
 def test_zero_noise_power_fails_cleanly(tmp_path, capsys):

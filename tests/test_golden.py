@@ -21,6 +21,8 @@ SWEEP_USERS_200 = "19f2084c0ece2bab492ea352891d09d1acce06ad9727a9664dcde2c5a0a71
 # K = 2..3, the grid this digest was recorded at. Each worker runs one trial
 # range across every K, so its output depends only on that range.
 SWEEP_USERS_200_K3 = "d098748a14314ef896271582734101bdaa1990b3eb72436a0dafd80008b4283b"
+# The published default sweep: 10^4 drops per K = 2..10, seed 1.
+SWEEP_USERS_DEFAULT = "2481a1dd704f60a16c64ac975d9b6ff6e5b2a059660762e1c8051750fc069dce"
 
 
 def _sha(text: str) -> str:
@@ -44,6 +46,10 @@ def test_pair_bytes(capsys):
 def test_sweep_users_bytes_serial():
     cfg = ExperimentConfig(trials=200, seed=1)
     assert _sha(run_sweep_users(cfg).csv_text()) == SWEEP_USERS_200
+
+
+def test_sweep_users_default_bytes():
+    assert _sha(run_sweep_users(ExperimentConfig()).csv_text()) == SWEEP_USERS_DEFAULT
 
 
 def test_sweep_users_bytes_through_the_validated_region_route():
