@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass, field, fields
 from functools import cached_property
 
-from .channel import LedConfig, LinkConstants, PhotodiodeConfig, RoomGeometry
+from .channel import LedConfig, LinkConstants, PhotodiodeConfig, RoomGeometry, floor_gains
 from .streams import TRIAL_LIMIT
 
 
@@ -91,6 +91,23 @@ class ExperimentConfig:
         for pos in self.fixed_positions:
             if not room.contains_floor_point(pos[0], pos[1]):
                 raise ConfigError(f"fixed position {pos} lies outside the room")
+        self._check_link_under_led()
+
+    def _check_link_under_led(self) -> None:
+        """The floor point under the LED has the room's largest gain and
+        SNR: it must have a finite positive gain, or every drop is silently
+        dead, and an SNR that does not overflow at the largest LED power."""
+        x, y, _ = self.room().led_position()
+        link = self.link()
+        try:
+            gain = floor_gains(link, [(x, y)])[0]
+        except (ValueError, ArithmeticError):  # distance or its square is 0 or inf
+            gain = 0.0
+        if not 0.0 < gain < math.inf:
+            raise ConfigError(
+                "room_height leaves the floor under the LED no finite positive channel gain")
+        if max(self.led_power, *self.power_grid) * gain * gain / self.noise_power == math.inf:
+            raise ConfigError("noise_power is too small: the SNR under the LED overflows")
 
     # The devices are built once per config: drops reach them thousands of
     # times, and a frozen config cannot make them stale.

@@ -6,16 +6,20 @@ at six fixed receiver positions. Every row is re-derivable by calling the
 library directly; the runners hold no hidden state, and a fixed seed yields
 byte-identical CSV output regardless of worker count.
 
-The user sweep draws each block of trials' positions in one batch
-(streams.uniform_streams): the SeedSequence/PCG64 chain is integer
-arithmetic, so numpy's uint32/uint64 array operations reproduce every
-drop's stream exactly. Gains and rates stay scalar (channel.floor_gains,
-scheduler.scheme_sum_rates), bit-identical to evaluating the public plans:
-numpy's log2, arccos and power differ from math's in the last bit on some
-hosts, which would change the published bytes. Each pair is decided by the
-sign of the rate gap at the weak user's exact SNR. The power sweep and
-pair_once still gate each pair on a cached solver region as well; the user
-sweep does so only with validate, as a cross-check of that route.
+The user sweep evaluates a block of trials at a time. Each block's
+positions come from one batch of uniforms (streams.uniform_streams): the
+SeedSequence/PCG64 chain is integer arithmetic, so numpy's uint32/uint64
+array operations reproduce every drop's stream exactly. Gains and rates are
+block-evaluated as well (channel.block_floor_gains,
+scheduler.block_sum_rates): + - * / and sqrt run as numpy array operations,
+which round as Python's floats do, while every transcendental is math's own
+function mapped over the block, since numpy's log2, arccos and power differ
+from math's in the last bit on some hosts. So each drop equals the per-drop
+reference route (_simulate_drop: floor_gains and scheme_sum_rates), which
+equals evaluating the public plans. Each pair is decided by the sign of the
+rate gap at the weak user's exact SNR. The power sweep and pair_once still
+gate each pair on a cached solver region as well; the user sweep does so
+only with validate, as a cross-check of that route.
 """
 
 import math
@@ -24,14 +28,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import RoomGeometry, floor_gains, snr_db
+from .channel import RoomGeometry, block_floor_gains, floor_gains, snr_db
 from .config import ExperimentConfig
 from .region import RegionCache, region_for_snr
-from .scheduler import UserChannelSet, adaptive_pairing, evaluate_schedule, scheme_sum_rates
+from .scheduler import (
+    UserChannelSet,
+    adaptive_pairing,
+    block_sum_rates,
+    evaluate_schedule,
+    scheme_sum_rates,
+)
 from .streams import uniform_streams
 
-# Trials per batch of drawn positions: the batch's arrays and lists stay
-# under a megabyte whatever the trial count.
+# Trials per block of the user sweep: a block's arrays and lists stay under
+# a megabyte whatever the trial count.
 STREAM_BLOCK = 512
 
 
@@ -107,9 +117,9 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache
 
 def _sweep_users_shard(args):
     """Worker entry: simulate trials [lo, hi) of every user count, drop for
-    drop equal to _simulate_drop, with each block of trials' positions drawn
-    in one batch. With validate, every drop also gates its pairs on one
-    validating region cache."""
+    drop equal to _simulate_drop, a block of trials at a time. With
+    validate, every drop also gates its pairs on one validating region
+    cache."""
     cfg, lo, hi, validate = args
     region_of = RegionCache(validate=True).region_of if validate else None
     link, room = cfg.link(), cfg.room()
@@ -119,11 +129,9 @@ def _sweep_users_shard(args):
         for start in range(lo, hi, STREAM_BLOCK):
             u = uniform_streams(cfg.seed, k, start, min(start + STREAM_BLOCK, hi))
             # sample_user_positions' multiplies, on the same uniforms
-            xs = (u[:, 0::2] * room.length).tolist()
-            ys = (u[:, 1::2] * room.width).tolist()
-            drops += [scheme_sum_rates(floor_gains(link, zip(x, y)), cfg.led_power,
-                                       cfg.noise_power, region_of)
-                      for x, y in zip(xs, ys)]
+            gains = block_floor_gains(link, u[:, 0::2] * room.length, u[:, 1::2] * room.width)
+            rates = block_sum_rates(gains, cfg.led_power, cfg.noise_power, region_of)
+            drops += map(tuple, rates.tolist())
         out.append(drops)
     return out
 

@@ -37,7 +37,13 @@ class PairState:
         lo, hi = sorted((h_a, h_b))
         if lo <= 0.0:
             raise ValueError("both gains must be positive to form a pair")
-        return cls(gamma=p_led * lo * lo / noise_power, r=(hi / lo) ** 2)
+        try:
+            r = (hi / lo) ** 2
+        except OverflowError:
+            r = math.inf
+        if r == math.inf:
+            raise ValueError("the squared gain ratio (h_strong / h_weak)**2 overflows")
+        return cls(gamma=p_led * lo * lo / noise_power, r=r)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,11 @@
-"""The user sweep's lean per-drop path equals the public route bit for bit.
+"""The user sweep's lean paths equal the public route bit for bit.
 
 floor_gains must give each user's los_channel_gain(...).channel_gain,
 scheme_sum_rates must give evaluate_schedule(plan, users).sum_rate for the
-TDMA, forced and adaptive plans, and a batched sweep shard must give
-_simulate_drop's rates for every drop, compared with ==, never approximately.
+TDMA, forced and adaptive plans, the block kernels block_floor_gains and
+block_sum_rates must give floor_gains and scheme_sum_rates row by row, and a
+batched sweep shard must give _simulate_drop's rates for every drop,
+compared with ==, never approximately.
 """
 
 import dataclasses
@@ -11,8 +13,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from vlc_noma.channel import UserPosition, floor_gains, los_channel_gain
+from vlc_noma.channel import UserPosition, block_floor_gains, floor_gains, los_channel_gain
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import (
     STREAM_BLOCK,
@@ -20,20 +23,27 @@ from vlc_noma.experiments import (
     _sweep_users_shard,
     sample_user_positions,
 )
-from vlc_noma.rates import CAPACITY_SNR_FACTOR
-from vlc_noma.region import RegionCache
+from vlc_noma.rates import CAPACITY_SNR_FACTOR, rate_gap_at
+from vlc_noma.region import NomaRegion, RegionCache
 from vlc_noma.scheduler import (
     UserChannelSet,
     adaptive_pairing,
+    block_sum_rates,
     evaluate_schedule,
     forced_pairing,
     scheme_sum_rates,
     tdma_plan,
 )
+from vlc_noma.streams import uniform_streams
 
 DEFAULT = ExperimentConfig()
 # A 30 degree field of view leaves the room's outer floor outside it.
 NARROW_FOV = dataclasses.replace(DEFAULT, fov_deg=30.0)
+# At a 1 degree semi-angle live gains differ by more than 1e154, so squared
+# gain ratios overflow.
+NARROW_BEAM = dataclasses.replace(DEFAULT, semi_angle_deg=1.0)
+CONFIGS = pytest.mark.parametrize(
+    "cfg", [DEFAULT, NARROW_FOV, NARROW_BEAM], ids=["default", "narrow_fov", "narrow_beam"])
 
 
 def public_rates(gains, p_led, noise_power, region_of=None):
@@ -137,3 +147,115 @@ def test_scheme_sum_rates_rejects_what_the_user_set_rejects(gains):
     with pytest.raises(ValueError) as lean:
         scheme_sum_rates(gains, 1.0, 1e-14)
     assert str(lean.value) == str(public.value)
+
+
+def block_gains(cfg, k, trials):
+    """A (trials, k) block of seeded sweep drops' gains, and floor_gains
+    of each drop."""
+    u = uniform_streams(cfg.seed, k, 0, trials)
+    xs, ys = u[:, 0::2] * cfg.room().length, u[:, 1::2] * cfg.room().width
+    rows = [floor_gains(cfg.link(), zip(x, y)) for x, y in zip(xs.tolist(), ys.tolist())]
+    return block_floor_gains(cfg.link(), xs, ys), rows
+
+
+def assert_rows_equal(gains, p_led, noise_power, block_gate=None, row_gate=None):
+    gains = np.asarray(gains, dtype=float)
+    rates = block_sum_rates(gains, p_led, noise_power, block_gate)
+    assert rates.shape == (len(gains), 3)
+    for row, got in zip(gains.tolist(), rates.tolist()):
+        assert tuple(got) == scheme_sum_rates(row, p_led, noise_power, row_gate), row
+
+
+@CONFIGS
+def test_block_floor_gains_equal_floor_gains(cfg):
+    for k in range(1, 12):
+        block, rows = block_gains(cfg, k, 64)
+        for got, expected in zip(block, rows):
+            assert np.array_equal(got, expected), k
+    # dead links outside the narrow FOV, underflowed gains in the narrow beam
+    assert (block == 0.0).any() == (cfg is not DEFAULT)
+
+
+def test_block_floor_gains_rejects_a_receiver_at_the_led():
+    lx, ly, _ = DEFAULT.link().led_position
+    floor_led = DEFAULT.link()._replace(led_position=(lx, ly, 0.0))
+    with pytest.raises(ValueError, match="collocated"):
+        block_floor_gains(floor_led, np.array([[1.0, lx]]), np.array([[1.0, ly]]))
+
+
+@pytest.mark.parametrize("gate", [False, True], ids=["gap_sign", "region_gate"])
+@CONFIGS
+def test_block_sum_rates_equal_scheme_sum_rates(cfg, gate):
+    # One cache per route, filled in the same drop order.
+    block_gate = RegionCache(validate=True).region_of if gate else None
+    row_gate = RegionCache(validate=True).region_of if gate else None
+    for k in range(1, 12):
+        gains, _ = block_gains(cfg, k, 48 if gate else 128)
+        assert_rows_equal(gains, cfg.led_power, cfg.noise_power, block_gate, row_gate)
+
+
+def narrow_region(gamma):
+    """A gate that rejects every pair with r > 1.5."""
+    return NomaRegion(gamma, 1.0, 1.5)
+
+
+def test_block_sum_rates_walk_on_past_a_rejected_pair():
+    gains, _ = block_gains(DEFAULT, 8, 64)
+    assert_rows_equal(gains, 1.0, DEFAULT.noise_power, narrow_region, narrow_region)
+    assert (block_sum_rates(gains, 1.0, DEFAULT.noise_power, narrow_region)
+            != block_sum_rates(gains, 1.0, DEFAULT.noise_power)).any()
+
+
+# Pairs whose gap is exactly 0.0, at r_min of gamma = 100 and at r_max of
+# gamma = 400: the greedy takes them (the test is gap >= 0), and one ulp
+# more in any log2 of the gap would not.
+ZERO_GAP_PAIRS = [[1e-6, 1.7683513499195429e-06], [2e-6, 0.00034446561201890974]]
+
+
+@pytest.mark.parametrize("weak, strong", ZERO_GAP_PAIRS)
+def test_a_zero_gap_pairs(weak, strong):
+    assert rate_gap_at(1.0 * weak * weak / 1e-14, (strong / weak) ** 2) == 0.0
+    users = UserChannelSet.from_gains([weak, strong], 1.0, 1e-14)
+    assert adaptive_pairing(users).pairs == ((1, 2),)
+
+
+@pytest.mark.parametrize("row, p_led, noise_power", [
+    *((pair, 1.0, 1e-14) for pair in ZERO_GAP_PAIRS),
+    ([0.0, 0.0, 0.0, 0.0], 1.0, 1e-14),                # every link dead
+    ([1e-6, 1e-6, 3e-6, 3e-6, 3e-6], 1.0, 1e-14),      # ties
+    ([0.0, 1e-6, 3e-6, 3e-6, 0.0], 1.0, 1e-14),        # dead links and a tie
+    ([1e-170, 1e-6, 2e-6, 5e-6], 1.0, 1e-14),          # the weakest SNR underflows to 0
+    ([1e-158, 1e-158, 1e-6, 3e-6], 1.0, 1e10),
+    ([1e-160, 1e-5], 1.0, 1e-14),                      # 1e160 : 1e-5, r overflows
+    ([1e-160, 1e-160, 3e-6, 1e-5, 2e-6], 1.0, 1e-14),
+    ([1e-160, 1e-6], 1.0, 1e-14),                      # r = 1e308, still finite
+    ([1e-314, 1e-5], 1e308, 1.0),                      # the ratio itself is inf
+    ([2e-6], 1.0, 1e-14),
+])
+def test_block_sum_rates_edge_rows(row, p_led, noise_power):
+    # the row, its reverse and a rotation: the kernel sorts each row
+    assert_rows_equal([row, row[::-1], row[1:] + row[:1]], p_led, noise_power)
+
+
+# Live gains of 0..50 dB weak-user SNR at 1 W, a dead link, an underflowing
+# SNR and a gain 1e155 below the others, drawn from a short list so rows tie.
+LEVELS = [0.0, 1e-170, 1e-160, 1e-7, 2e-7, 1e-6, 1e-6 * math.pi, 1e-5, 2.5e-5]
+gain_blocks = st.integers(1, 9).flatmap(lambda k: st.lists(
+    st.lists(st.one_of(st.sampled_from(LEVELS), st.floats(1e-7, 3e-5)), min_size=k, max_size=k),
+    min_size=1, max_size=6))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(gain_blocks)
+def test_block_sum_rates_equal_scheme_sum_rates_on_random_blocks(gains):
+    assert_rows_equal(gains, 1.0, 1e-14)
+
+
+@pytest.mark.parametrize("gains", [[[float("nan"), 1e-6]], [[float("inf")]], [[-1e-6, 1e-6]],
+                                   [[1e-6], [float("nan")]], [[]]])
+def test_block_sum_rates_rejects_what_scheme_sum_rates_rejects(gains):
+    with pytest.raises(ValueError) as lean:
+        scheme_sum_rates(gains[-1], 1.0, 1e-14)
+    with pytest.raises(ValueError) as block:
+        block_sum_rates(np.array(gains), 1.0, 1e-14)
+    assert str(block.value) == str(lean.value)

@@ -8,6 +8,7 @@ import pytest
 from vlc_noma.channel import (
     LedConfig,
     LinkBudget,
+    LinkConstants,
     PhotodiodeConfig,
     RoomGeometry,
     UserPosition,
@@ -171,3 +172,9 @@ def test_config_validation():
         LinkBudget(-1e-9, 3.0, 0.0, 0.0, 1e-14)
     with pytest.raises(ValueError):
         LinkBudget(1e-6, 3.0, 0.0, 0.0, 0.0)
+
+
+def test_link_constants_are_built_once_per_device_pair():
+    led, pd = LedConfig(), PhotodiodeConfig()
+    assert LinkConstants.of(led, pd) is LinkConstants.of(LedConfig(), PhotodiodeConfig())
+    assert LinkConstants.of(led, PhotodiodeConfig(fov=0.5)).fov == 0.5

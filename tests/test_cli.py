@@ -135,3 +135,14 @@ def test_zero_noise_power_fails_cleanly(tmp_path, capsys):
     cfg.write_text("noise_power = 0\n")
     assert main(["sweep-power", "--config", str(cfg)]) == 2
     assert "noise_power must be finite and > 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, key", [
+    ("room_height = 1e-300\n", "room_height"),
+    ("noise_power = 1e-320\n", "noise_power"),
+])
+def test_degenerate_channel_configs_fail_cleanly(text, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["sweep-users", "--config", str(cfg), "--trials", "5"]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} ")

@@ -126,6 +126,21 @@ def test_semantic_validation():
         parse_config_text("fixed_positions = 7,1,0\n")
 
 
+@pytest.mark.parametrize("text, key", [
+    ("room_height = 1e-300\n", "room_height"),   # every link would be dead
+    ("noise_power = 1e-320\n", "noise_power"),   # the SNR under the LED overflows
+])
+def test_degenerate_channels_are_config_errors(text, key):
+    with pytest.raises(ConfigError, match=f"^{key} "):
+        parse_config_text(text)
+
+
+@pytest.mark.parametrize("text", ["", "semi_angle_deg = 1\n", "fov_deg = 30\n",
+                                  "noise_power = 1e-300\n", "room_height = 0.01\n"])
+def test_extreme_but_live_channels_load(text):
+    parse_config_text(text)
+
+
 def test_load_config_roundtrip(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("seed = 5\ntrials = 10\nled_power = 0.5\n")

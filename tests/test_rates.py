@@ -108,6 +108,12 @@ def test_pair_state_from_gains_canonicalizes():
     assert flipped == state
 
 
+@pytest.mark.parametrize("h_a, h_b", [(1e-160, 1e-5), (1e-314, 1e-5)])
+def test_pair_state_from_gains_rejects_an_overflowed_ratio(h_a, h_b):
+    with pytest.raises(ValueError, match="gain ratio"):
+        PairState.from_gains(h_a, h_b, p_led=1.0, noise_power=1e-14)
+
+
 def test_pair_state_validation():
     with pytest.raises(ValueError):
         PairState(0.0, 2.0)
