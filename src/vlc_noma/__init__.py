@@ -23,9 +23,7 @@ from .config import ConfigError, ExperimentConfig, load_config, parse_config_tex
 from .rates import (
     CAPACITY_SNR_FACTOR,
     PairState,
-    PowerAllocation,
     QuarticCoefficients,
-    ftpa_allocation,
     quartic_coefficients,
     rate_gap_derivative,
     rate_gap_derivative_variant,

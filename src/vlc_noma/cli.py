@@ -7,6 +7,7 @@ import sys
 
 from .config import ConfigError, ExperimentConfig, load_config
 from .experiments import pair_once, run_region_map, run_sweep_power, run_sweep_users
+from .region import RegionSolverError
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -18,7 +19,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH",
                         help="output file (stdout if omitted)")
     parser.add_argument("--validate-oracle", action="store_true",
-                        help="cross-check every solver result against the bisection oracle")
+                        help="check solver results against the oracle, sweep pairs against them")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -86,7 +87,7 @@ def main(argv=None) -> int:
             plan, outcome = pair_once(gains, cfg, validate=args.validate_oracle)
             text = plan.serialize() + f"SUM_RATE {outcome.sum_rate!r}\n"
             _emit(text, args.out)
-    except (ConfigError, ValueError, OSError) as exc:
+    except (ConfigError, ValueError, OSError, RegionSolverError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0

@@ -72,9 +72,22 @@ class ExperimentConfig:
             raise ConfigError("trials must be <= 2**32")
         if self.seed < 0:
             raise ConfigError("seed must be >= 0")
-        for name in ("led_power", "noise_power"):
+        # The device classes check these too, but name their own fields.
+        for name in ("room_length", "room_width", "room_height", "led_power", "noise_power",
+                     "pd_area", "pd_responsivity", "filter_gain"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ConfigError(f"{name} must be finite and > 0")
+        if not 1.0 <= self.refractive_index < math.inf:
+            raise ConfigError("refractive_index must be finite and >= 1")
+        if not 0.0 < self.semi_angle_deg < 90.0:
+            raise ConfigError("semi_angle_deg must lie in (0, 90) degrees")
+        if not 0.0 < self.fov_deg <= 90.0:
+            raise ConfigError("fov_deg must lie in (0, 90] degrees")
+        # The link constants divide by log2(cos(semi_angle)) and sin(fov)**2.
+        if math.cos(math.radians(self.semi_angle_deg)) == 1.0:
+            raise ConfigError("semi_angle_deg is too small: its cosine rounds to 1")
+        if math.sin(math.radians(self.fov_deg)) ** 2 == 0.0:
+            raise ConfigError("fov_deg is too small: the square of its sine underflows to 0")
         if not (math.isfinite(self.snr_db_min) and math.isfinite(self.snr_db_max)):
             raise ConfigError("SNR grid bounds must be finite")
         if not SNR_DB_RESOLUTION <= self.snr_db_step < math.inf:

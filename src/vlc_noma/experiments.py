@@ -16,10 +16,10 @@ which round as Python's floats do, while every transcendental is math's own
 function mapped over the block, since numpy's log2, arccos and power differ
 from math's in the last bit on some hosts. So each drop equals the per-drop
 reference route (_simulate_drop: floor_gains and scheme_sum_rates), which
-equals evaluating the public plans. Each pair is decided by the sign of the
-rate gap at the weak user's exact SNR. The power sweep and pair_once still
-gate each pair on a cached solver region as well; the user sweep does so
-only with validate, as a cross-check of that route.
+equals evaluating the public plans. Both sum-rate sweeps decide each pair
+by the sign of the rate gap at the weak user's exact SNR; with validate they
+only cross-check that the pairs lie in oracle-checked solver regions
+(scheduler.check_gap_sign_pairs). pair_once gates its pairs on a region.
 """
 
 import math
@@ -35,6 +35,7 @@ from .scheduler import (
     UserChannelSet,
     adaptive_pairing,
     block_sum_rates,
+    check_gap_sign_pairs,
     evaluate_schedule,
     scheme_sum_rates,
 )
@@ -104,24 +105,22 @@ def run_region_map(cfg: ExperimentConfig, validate: bool = False) -> ResultTable
 def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache | None = None):
     """One seeded user drop; returns (tdma, forced, adaptive) sum-rates.
 
-    Pairs are decided by the sign of the rate gap; a given cache adds its
-    region as a second gate (the reference route)."""
+    Pairs are decided by the sign of the rate gap, so the rates need no
+    region: a given cache is accepted and ignored."""
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, trial))
     # The generator default_rng(seq) returns, without its argument dispatch.
     rng = np.random.Generator(np.random.PCG64(seq))
     positions = sample_user_positions(rng, cfg.room(), k)
     gains = floor_gains(cfg.link(), positions.tolist())
-    region_of = None if cache is None else cache.region_of
-    return scheme_sum_rates(gains, cfg.led_power, cfg.noise_power, region_of)
+    return scheme_sum_rates(gains, cfg.led_power, cfg.noise_power)
 
 
 def _sweep_users_shard(args):
     """Worker entry: simulate trials [lo, hi) of every user count, drop for
     drop equal to _simulate_drop, a block of trials at a time. With
-    validate, every drop also gates its pairs on one validating region
-    cache."""
+    validate, every drop is also cross-checked on one validating cache."""
     cfg, lo, hi, validate = args
-    region_of = RegionCache(validate=True).region_of if validate else None
+    cache = RegionCache(validate=True) if validate else None
     link, room = cfg.link(), cfg.room()
     out = []
     for k in cfg.user_counts():
@@ -130,8 +129,10 @@ def _sweep_users_shard(args):
             u = uniform_streams(cfg.seed, k, start, min(start + STREAM_BLOCK, hi))
             # sample_user_positions' multiplies, on the same uniforms
             gains = block_floor_gains(link, u[:, 0::2] * room.length, u[:, 1::2] * room.width)
-            rates = block_sum_rates(gains, cfg.led_power, cfg.noise_power, region_of)
-            drops += map(tuple, rates.tolist())
+            drops += map(tuple, block_sum_rates(gains, cfg.led_power, cfg.noise_power).tolist())
+            if cache is not None:
+                for row in gains.tolist():
+                    check_gap_sign_pairs(row, cfg.led_power, cfg.noise_power, cache)
         out.append(drops)
     return out
 
@@ -145,8 +146,8 @@ def run_sweep_users(
     and each shard of trials depends only on its range, so parallel
     execution cannot change any drawn value; shards are reduced in trial
     order to keep the output bytes identical for any worker count. With
-    validate, every drop also gates its pairs on solver regions that are
-    cross-checked against the oracle, which must give the same bytes.
+    validate, every drop is also cross-checked against solver regions
+    that are checked against the oracle, which adds no byte.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -179,14 +180,15 @@ def run_sweep_users(
 
 def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTable:
     """Deterministic sum-rates of the three schemes at the fixed receiver
-    cluster, per LED power."""
+    cluster, per LED power; validate cross-checks as run_sweep_users does."""
     columns = ("p_led", "tdma", "forced", "adaptive", "adaptive_minus_forced")
     gains = floor_gains(cfg.link(), cfg.fixed_positions)
-    cache = RegionCache(validate)
+    cache = RegionCache(validate=True) if validate else None
     rows = []
     for p_led in cfg.power_grid:
-        rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(
-            gains, p_led, cfg.noise_power, cache.region_of)
+        rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(gains, p_led, cfg.noise_power)
+        if cache is not None:
+            check_gap_sign_pairs(gains, p_led, cfg.noise_power, cache)
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,

@@ -47,14 +47,6 @@ class PairState:
 
 
 @dataclass(frozen=True)
-class PowerAllocation:
-    """Power fractions for the weak and strong pair members."""
-
-    weak_fraction: float
-    strong_fraction: float
-
-
-@dataclass(frozen=True)
 class QuarticCoefficients:
     """Coefficients of the quartic numerator of the gap derivative in
     fractional form, ordered from r^4 down to the constant term.
@@ -78,13 +70,6 @@ class QuarticCoefficients:
     def evaluate(self, r: float) -> float:
         """Horner evaluation of the quartic at r."""
         return (((self.f1 * r + self.f2) * r + self.f3) * r + self.f4) * r + self.f5
-
-
-def ftpa_allocation(r: float) -> PowerAllocation:
-    """Gain-inverse fractional power split: weak gets r/(r+1), strong 1/(r+1)."""
-    if r < 1.0:
-        raise ValueError("r must be >= 1")
-    return PowerAllocation(weak_fraction=r / (r + 1.0), strong_fraction=1.0 / (r + 1.0))
 
 
 def noma_user_rates(gamma: float, r: float) -> tuple[float, float]:

@@ -37,7 +37,7 @@ class InfeasibleSeedError(RegionSolverError):
 
 
 class OracleMismatchError(RegionSolverError):
-    """Solver endpoints disagree with the bisection oracle."""
+    """Solver endpoints disagree with the oracle, or a gap-sign pair with them."""
 
 
 @dataclass(frozen=True)
@@ -202,7 +202,7 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
                 hi *= 2.0
                 if hi > EXPANSION_GUARD:
                     raise RegionSolverError(
-                        f"surrogate bracket exceeded {EXPANSION_GUARD:g}"
+                        f"surrogate bracket exceeded {EXPANSION_GUARD:g} at gamma={gamma:g}"
                     )
             nxt = _log_bisect(surrogate, r, hi, True, inner_width)
 
@@ -269,11 +269,10 @@ class RegionCache:
     region equals a fresh region_for_snr call at that SNR; with validate on,
     each miss is also cross-checked against the oracle.
 
-    A bucket serves the region of the first SNR that filled it, so a gate
+    A bucket serves the region of the first SNR that filled it, so a test
     on a cached region depends on the lookup order near the region's ends.
     Lookups from threads may race but at worst recompute the same value.
-    The user sweep needs no cache: it decides pairs by the exact gap sign
-    and keeps one cache per shard only with validate.
+    pair_once gates on a cache; the sweeps use one only to cross-check.
     """
 
     def __init__(self, validate: bool = False):

@@ -17,7 +17,7 @@ import numpy as np
 
 from .channel import mapped
 from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, rate_gap_at
-from .region import NomaRegion
+from .region import NomaRegion, OracleMismatchError, RegionCache
 
 
 @dataclass(frozen=True)
@@ -178,6 +178,25 @@ def adaptive_pairing(
     )
 
 
+def check_gap_sign_pairs(
+    gains: Sequence[float], p_led: float, noise_power: float, cache: RegionCache
+) -> None:
+    """Raise OracleMismatchError unless the gap-sign plan of these gains
+    equals adaptive_pairing(users, cache.region_of): exactly when every pair
+    the gap sign takes lies in region_of(weak SNR), looked up in take order
+    as the gated greedy looks them up."""
+    g = sorted(gains)
+    snrs = [p_led * h * h / noise_power for h in g]
+    for i, j in _greedy_pairs(g, snrs, None)[0]:
+        region = cache.region_of(snrs[i])
+        r = _squared_ratio(g[j], g[i])
+        if not region.contains(r):
+            bounds = "empty" if region.is_empty else f"[{region.r_min:g}, {region.r_max:g}]"
+            raise OracleMismatchError(
+                f"the gap sign pairs r={r:g} at gamma={snrs[i]:g}, "
+                f"outside the solver region {bounds}")
+
+
 def forced_pairing(users: UserChannelSet) -> PairingPlan:
     """Always pair rank i with rank K+1-i; the median stays solo for odd K."""
     order = users.users
@@ -255,15 +274,12 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
 
 
 def scheme_sum_rates(
-    gains: Sequence[float],
-    p_led: float,
-    noise_power: float,
-    region_of: Callable[[float], NomaRegion] | None = None,
+    gains: Sequence[float], p_led: float, noise_power: float
 ) -> tuple[float, float, float]:
     """(TDMA, forced, adaptive) sum-rates of users 1..K with these gains.
 
     Equal (==) to evaluate_schedule(plan, users).sum_rate for tdma_plan,
-    forced_pairing and adaptive_pairing(users, region_of) of
+    forced_pairing and adaptive_pairing(users) of
     UserChannelSet.from_gains(gains, p_led, noise_power): the same group
     rates, summed by the same builtin sum in the same group order (pairs in
     plan order, then singletons), without building the plans or outcomes.
@@ -288,7 +304,7 @@ def scheme_sum_rates(
     forced = [pair_rate(i, k - 1 - i) for i in range(k // 2)]
     if k % 2:
         forced.append(solo[k // 2])
-    pairs, paired = _greedy_pairs(g, snrs, region_of)
+    pairs, paired = _greedy_pairs(g, snrs, None)
     adaptive = [pair_rate(i, j) for i, j in pairs]
     adaptive += [rate for rate, done in zip(solo, paired) if not done]
     return sum(solo), sum(forced), sum(adaptive)
@@ -319,12 +335,7 @@ def _block_noma_logs(gamma: np.ndarray, r: np.ndarray):
             x)
 
 
-def block_sum_rates(
-    gains: np.ndarray,
-    p_led: float,
-    noise_power: float,
-    region_of: Callable[[float], NomaRegion] | None = None,
-) -> np.ndarray:
+def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.ndarray:
     """scheme_sum_rates of each row of a (B, K) gain block, as a (B, 3)
     array equal (==) to it row by row.
 
@@ -342,13 +353,6 @@ def block_sum_rates(
     pairs by weak index, then singletons by index, with 0.0 in the columns
     of indices that are not a pair's weak user or a singleton: adding 0.0
     to a sum that starts from 0.0 changes no bit.
-
-    A region_of gate is checked after the walk, drop by drop and weak index
-    by weak index, which is the order the scalar greedy looks regions up
-    in: a RegionCache serves each bucket the region of the first SNR that
-    filled it, so the order decides the regions. A drop in which a gate
-    rejects a taken pair is evaluated again by scheme_sum_rates with the
-    same gate, which keeps walking past the rejected candidate.
     """
     g = np.sort(np.asarray(gains, dtype=float), axis=1)
     b, k = g.shape
@@ -381,11 +385,10 @@ def block_sum_rates(
         if k % 2:
             out[:, 1] += solo[:, half]
 
-        # Adaptive: the greedy walk; a pair's rate and r sit in its weak
-        # user's column.
+        # Adaptive: the greedy walk; a pair's rate sits in its weak user's
+        # column.
         paired = np.zeros((b, k), dtype=bool)
         pair_rates = np.zeros((b, k))
-        pair_r = np.zeros((b, k))
         for i in range(k - 1):
             drops = np.flatnonzero(~paired[:, i] & (g[:, i] > 0.0) & (snrs[:, i] > 0.0))
             j = np.full(drops.size, k - 1)
@@ -407,18 +410,9 @@ def block_sum_rates(
                 won, partner = drops[take], j[take]
                 paired[won, i] = paired[won, partner] = True
                 pair_rates[won, i] = pair_tau * unit_weak[take] + pair_tau * unit_strong[take]
-                pair_r[won, i] = r[take]
                 drops, j = drops[~take], j[~take] - 1
         for col in pair_rates.T:
             out[:, 2] += col
         for col in np.where(paired, 0.0, solo).T:
             out[:, 2] += col
-
-    if region_of is not None:
-        gammas = snrs.tolist()
-        for n, ratios in enumerate(pair_r.tolist()):
-            # r >= 1 marks the weak user of a pair, in weak-index order
-            if any(r and not region_of(gamma).contains(r)
-                   for gamma, r in zip(gammas[n], ratios)):
-                out[n] = scheme_sum_rates(g[n].tolist(), p_led, noise_power, region_of)
     return out

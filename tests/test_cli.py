@@ -4,7 +4,9 @@ import math
 
 import pytest
 
+from vlc_noma import region
 from vlc_noma.cli import main
+from vlc_noma.region import NomaRegion
 
 SMALL_SWEEP = "trials = 30\nusers_min = 2\nusers_max = 3\nseed = 11\n"
 
@@ -146,3 +148,33 @@ def test_degenerate_channel_configs_fail_cleanly(text, key, tmp_path, capsys):
     cfg.write_text(text)
     assert main(["sweep-users", "--config", str(cfg), "--trials", "5"]) == 2
     assert capsys.readouterr().err.startswith(f"error: {key} ")
+
+
+@pytest.mark.parametrize("text, command", [
+    # the region solver's surrogate bracket overflows at 160 dB
+    ("snr_db_min = 160\nsnr_db_max = 160\n", ["region"]),
+    # a 1e17 weak-user SNR: the pair gate's region solve fails
+    ("led_power = 1e9\nnoise_power = 1e-20\n", ["pair", "--gains", "1e-6,3e-6"]),
+    # the same config, through the user sweep's region cross-check
+    ("led_power = 1e9\nnoise_power = 1e-20\n",
+     ["sweep-users", "--trials", "20", "--validate-oracle"]),
+])
+def test_region_solver_failures_exit_2(text, command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([*command, "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: surrogate bracket exceeded 1e+30 at gamma=")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["sweep-users", "sweep-power"])
+def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
+        command, monkeypatch, capsys):
+    monkeypatch.setattr(region, "region_for_snr",
+                        lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
+    assert main([command, "--trials", "20", "--validate-oracle"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: the gap sign pairs r=")
+    assert captured.err.count("\n") == 1

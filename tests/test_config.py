@@ -135,7 +135,24 @@ def test_degenerate_channels_are_config_errors(text, key):
         parse_config_text(text)
 
 
-@pytest.mark.parametrize("text", ["", "semi_angle_deg = 1\n", "fov_deg = 30\n",
+@pytest.mark.parametrize("key, values, message", [
+    ("semi_angle_deg", ["0", "90", "95", "-10", "nan"], "must lie in (0, 90) degrees"),
+    ("fov_deg", ["0", "90.5", "-1", "nan"], "must lie in (0, 90] degrees"),
+    ("semi_angle_deg", ["1e-7"], "is too small: its cosine rounds to 1"),
+    ("fov_deg", ["1e-300"], "is too small: the square of its sine underflows to 0"),
+    ("refractive_index", ["0.5", "inf", "nan"], "must be finite and >= 1"),
+    *((key, ["0", "-1", "inf", "nan"], "must be finite and > 0")
+      for key in ("room_length", "room_width", "room_height", "pd_area",
+                  "pd_responsivity", "filter_gain")),
+])
+def test_device_bounds_name_the_config_key(key, values, message):
+    for value in values:
+        with pytest.raises(ConfigError) as exc:
+            parse_config_text(f"{key} = {value}\n")
+        assert str(exc.value) == f"{key} {message}", value
+
+
+@pytest.mark.parametrize("text", ["", "semi_angle_deg = 1\n", "fov_deg = 90\n", "fov_deg = 30\n",
                                   "noise_power = 1e-300\n", "room_height = 0.01\n"])
 def test_extreme_but_live_channels_load(text):
     parse_config_text(text)

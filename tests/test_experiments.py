@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from vlc_noma.channel import RoomGeometry
+from vlc_noma import region
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import (
     pair_once,
@@ -15,6 +16,7 @@ from vlc_noma.experiments import (
     run_sweep_users,
     sample_user_positions,
 )
+from vlc_noma.region import NomaRegion, OracleMismatchError
 
 # Frozen end-to-end values for the six fixed receivers at P = 1 W.
 SWEEP_POWER_P1 = {
@@ -180,3 +182,16 @@ def test_pair_once_matches_library_pairing():
     assert plan.pairs == ((1, 4),)
     assert set(plan.singletons) == {2, 3}
     assert outcome.sum_rate > 0.0
+
+
+def test_validated_sweeps_raise_when_a_region_disagrees_with_the_gap_sign(monkeypatch):
+    # Solver regions that end at r = 1.5 leave out pairs the gap sign takes.
+    monkeypatch.setattr(region, "region_for_snr",
+                        lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
+    with pytest.raises(OracleMismatchError, match="outside the solver region"):
+        run_sweep_users(small_cfg(), validate=True)
+    with pytest.raises(OracleMismatchError, match="outside the solver region"):
+        run_sweep_power(ExperimentConfig(), validate=True)
+    # without validate the rates consult no region
+    assert run_sweep_users(small_cfg()).rows
+    assert run_sweep_power(ExperimentConfig()).rows

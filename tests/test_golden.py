@@ -37,6 +37,11 @@ def test_sweep_power_bytes():
     assert _sha(run_sweep_power(ExperimentConfig()).csv_text()) == SWEEP_POWER
 
 
+def test_sweep_power_bytes_with_the_region_cross_check():
+    # Every gap-sign pair lies in its solver region, and the check adds no byte.
+    assert _sha(run_sweep_power(ExperimentConfig(), validate=True).csv_text()) == SWEEP_POWER
+
+
 def test_pair_bytes(capsys):
     gains = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
     assert main(["pair", "--gains", gains]) == 0
@@ -53,8 +58,8 @@ def test_sweep_users_default_bytes():
 
 
 def test_sweep_users_bytes_through_the_validated_region_route():
-    # Every pair must also lie in a solver region cross-checked against the
-    # oracle: the region route and the gap sign give the same bytes.
+    # Every gap-sign pair must also lie in a solver region cross-checked
+    # against the oracle, and the check adds no byte.
     cfg = ExperimentConfig(trials=200, seed=1)
     assert _sha(run_sweep_users(cfg, validate=True).csv_text()) == SWEEP_USERS_200
 

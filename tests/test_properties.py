@@ -1,7 +1,8 @@
 """Property tests: the rate gap is non-negative exactly inside the region,
 the solver agrees with the oracle, the pairing plan does not depend on how
-regions are found or on input order, adaptive pairing never loses to TDMA,
-and oracle endpoints are feasible.
+regions are found or on input order, the sweeps' region cross-check fails
+exactly when a region would change the plan, adaptive pairing never loses
+to TDMA, and oracle endpoints are feasible.
 
 Examples are derandomized, so a run is reproducible; each example builds
 fresh region caches.
@@ -9,14 +10,23 @@ fresh region caches.
 
 import math
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlc_noma.rates import rate_gap_at
-from vlc_noma.region import CACHE_BUCKET, RegionCache, oracle_region, region_for_snr
+from vlc_noma.region import (
+    CACHE_BUCKET,
+    NomaRegion,
+    OracleMismatchError,
+    RegionCache,
+    oracle_region,
+    region_for_snr,
+)
 from vlc_noma.scheduler import (
     PairingPlan,
     UserChannelSet,
     adaptive_pairing,
+    check_gap_sign_pairs,
     evaluate_schedule,
     tdma_plan,
 )
@@ -76,6 +86,21 @@ def test_plan_does_not_depend_on_the_region_route(gains):
     assert gap_sign_plan(users) == by_gap
     assert adaptive_pairing(users, RegionCache().region_of) == by_gap
     assert adaptive_pairing(users, oracle_region_of()) == by_gap
+
+
+@PROPERTY
+@given(user_gains, st.floats(1.0, 1e3), st.floats(0.0, 1e4))
+def test_cross_check_fails_exactly_when_a_region_changes_the_plan(gains, r_min, width):
+    class FixedRegions(RegionCache):
+        def region_of(self, gamma):
+            return NomaRegion(gamma, r_min, r_min + width)
+
+    users, cache = users_of(gains), FixedRegions()
+    if adaptive_pairing(users, cache.region_of) == adaptive_pairing(users):
+        check_gap_sign_pairs(gains, 1.0, NOISE, cache)
+    else:
+        with pytest.raises(OracleMismatchError, match="outside the solver region"):
+            check_gap_sign_pairs(gains, 1.0, NOISE, cache)
 
 
 @settings(PROPERTY, max_examples=300)  # about half the SNRs drawn have no region

@@ -1,4 +1,4 @@
-"""Rate-model checks: FTPA, pair rates, the gap, its derivative, the quartic."""
+"""Rate-model checks: pair rates, the gap, its derivative, the quartic."""
 
 import math
 
@@ -8,7 +8,6 @@ import pytest
 from vlc_noma.rates import (
     CAPACITY_SNR_FACTOR,
     PairState,
-    ftpa_allocation,
     noma_rate_at,
     quartic_coefficients,
     rate_gap_at,
@@ -36,25 +35,6 @@ QUARTIC_AT_1 = (
 
 def test_t_constant_is_exact():
     assert CAPACITY_SNR_FACTOR == math.e / (2.0 * math.pi)
-
-
-def test_ftpa_examples():
-    for r, expect in ((3.0, (0.75, 0.25)), (1.0, (0.5, 0.5)), (9.0, (0.9, 0.1))):
-        alloc = ftpa_allocation(r)
-        assert (alloc.weak_fraction, alloc.strong_fraction) == pytest.approx(expect)
-
-
-def test_ftpa_rejects_ratio_below_one():
-    with pytest.raises(ValueError):
-        ftpa_allocation(0.99)
-
-
-def test_ftpa_fractions_sum_to_one_exactly():
-    rng = np.random.default_rng(11)
-    for r in 10.0 ** rng.uniform(0.0, 9.0, size=2000):
-        alloc = ftpa_allocation(float(r))
-        assert abs(alloc.weak_fraction + alloc.strong_fraction - 1.0) <= 2.0**-52
-        assert alloc.weak_fraction >= alloc.strong_fraction
 
 
 def test_noma_rate_examples():
