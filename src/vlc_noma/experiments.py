@@ -15,10 +15,10 @@ scheduler.block_sum_rates): + - * / and sqrt run as numpy array operations,
 which round as Python's floats do, while every transcendental is math's own
 function mapped over the block, since numpy's log2, arccos and power differ
 from math's in the last bit on some hosts. So each drop equals the per-drop
-reference route (_simulate_drop: floor_gains and scheme_sum_rates), which
-equals evaluating the public plans. Both sum-rate sweeps decide each pair
-by the sign of the rate gap at the weak user's exact SNR; with validate they
-only cross-check that the pairs lie in oracle-checked solver regions
+route _simulate_drop: floor_gains, then scheme_sum_rates, which evaluates
+the public TDMA, forced and adaptive plans. Both sum-rate sweeps decide each
+pair by the sign of the rate gap at the weak user's exact SNR; with validate
+they only cross-check that the pairs lie in oracle-checked solver regions
 (scheduler.check_gap_sign_pairs). pair_once gates its pairs on a region.
 """
 

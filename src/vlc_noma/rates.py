@@ -18,6 +18,14 @@ _LN2 = math.log(2.0)
 _T = CAPACITY_SNR_FACTOR
 
 
+def squared_ratio(strong_gain: float, weak_gain: float) -> float:
+    """r = (strong_gain / weak_gain) ** 2 of a pair, or inf past the float range."""
+    try:
+        return (strong_gain / weak_gain) ** 2
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class PairState:
     """Weak-user SNR and squared gain ratio of a canonicalized pair."""
@@ -37,10 +45,7 @@ class PairState:
         lo, hi = sorted((h_a, h_b))
         if lo <= 0.0:
             raise ValueError("both gains must be positive to form a pair")
-        try:
-            r = (hi / lo) ** 2
-        except OverflowError:
-            r = math.inf
+        r = squared_ratio(hi, lo)
         if r == math.inf:
             raise ValueError("the squared gain ratio (h_strong / h_weak)**2 overflows")
         return cls(gamma=p_led * lo * lo / noise_power, r=r)

@@ -9,14 +9,24 @@ is the production path; the oracle exists to cross-check it.
 
 import csv
 import math
+import sys
 from dataclasses import dataclass, field
 from functools import partial
 
 import numpy as np
 
-from .rates import noma_rate_at, rate_gap_at, rate_gap_curve, tdma_rate_at, tdma_rate_slope
+from .rates import (
+    CAPACITY_SNR_FACTOR,
+    noma_rate_at,
+    rate_gap_at,
+    rate_gap_curve,
+    tdma_rate_at,
+    tdma_rate_slope,
+)
 
-EXPANSION_GUARD = 1e30  # abort geometric bracket growth beyond this ratio
+# Abort geometric bracket growth beyond EXPANSION_GUARD * max(1, gamma^2):
+# r_max grows as about 0.19 * gamma^2.
+EXPANSION_GUARD = 1e30
 
 # Solver stopping rule: consecutive iterates closer than TOLERANCE * max(1, r),
 # relative so it stays meaningful when r_max spans many decades.
@@ -95,6 +105,18 @@ class ScaTrace:
         return max(0, len(self.iterates) - 1)
 
 
+_X_LIMIT = sys.float_info.max / 4.0  # bound on t*r*gamma, so every rate formula stays finite
+
+
+def _ratio_ceiling(gamma: float) -> float:
+    """Largest ratio a search may evaluate at this SNR: the bracket guard,
+    EXPANSION_GUARD * max(1, gamma^2), capped where t*r*gamma would pass
+    _X_LIMIT."""
+    if gamma <= 1.0:
+        return EXPANSION_GUARD
+    return min(EXPANSION_GUARD * gamma * gamma, _X_LIMIT / (CAPACITY_SNR_FACTOR * gamma))
+
+
 _SCAN_GRID = np.logspace(math.log10(SCAN_RANGE[0]), math.log10(SCAN_RANGE[1]), SCAN_POINTS)
 _SCAN_GRID.flags.writeable = False
 
@@ -102,6 +124,8 @@ _SCAN_GRID.flags.writeable = False
 def feasibility_scan(gamma: float) -> float | None:
     """Best (largest-gap) ratio on a log-spaced grid, or None if the gap is
     nowhere positive at scan resolution."""
+    if SCAN_RANGE[1] > _ratio_ceiling(gamma):
+        raise RegionSolverError(f"t*r*gamma overflows the scan grid at gamma={gamma:g}")
     gaps = rate_gap_curve(gamma, _SCAN_GRID)
     best = int(np.argmax(gaps))
     if gaps[best] <= 0.0:
@@ -144,12 +168,11 @@ def oracle_region(gamma: float) -> NomaRegion:
         r_min = _log_bisect(gap, floor, seed, False, ORACLE_REL_WIDTH)
 
     hi = max(seed * 2.0, SCAN_RANGE[1])
-    while gap(hi) >= 0.0:
+    ceiling = _ratio_ceiling(gamma)
+    while hi <= ceiling and gap(hi) >= 0.0:
         hi *= 4.0
-        if hi > EXPANSION_GUARD:
-            raise RegionSolverError(
-                f"upper bracket exceeded {EXPANSION_GUARD:g} at gamma={gamma:g}"
-            )
+    if hi > ceiling:
+        raise RegionSolverError(f"upper bracket exceeded {ceiling:g} at gamma={gamma:g}")
     r_max = _log_bisect(gap, seed, hi, gap(seed) >= 0.0, ORACLE_REL_WIDTH)
     return NomaRegion(gamma, r_min, r_max)
 
@@ -182,6 +205,7 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
     # quadratically, so early surrogate roots need little accuracy.
     inner_floor = max(TOLERANCE * 1e-4, 1e-13)
     inner_width = 1e-3
+    ceiling = _ratio_ceiling(gamma)
     r = seed
     for _ in range(MAX_ITERATIONS):
         q_r = tdma_rate_at(gamma, r)
@@ -198,12 +222,11 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
                 nxt = _log_bisect(surrogate, 1.0, r, False, inner_width)
         else:
             hi = r * 2.0
-            while surrogate(hi) >= 0.0:
+            while hi <= ceiling and surrogate(hi) >= 0.0:
                 hi *= 2.0
-                if hi > EXPANSION_GUARD:
-                    raise RegionSolverError(
-                        f"surrogate bracket exceeded {EXPANSION_GUARD:g} at gamma={gamma:g}"
-                    )
+            if hi > ceiling:
+                raise RegionSolverError(
+                    f"surrogate bracket exceeded {ceiling:g} at gamma={gamma:g}")
             nxt = _log_bisect(surrogate, r, hi, True, inner_width)
 
         trace.iterates.append(nxt)

@@ -16,7 +16,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .channel import mapped
-from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, rate_gap_at
+from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, rate_gap_at, squared_ratio
 from .region import NomaRegion, OracleMismatchError, RegionCache
 
 
@@ -109,48 +109,6 @@ class ScheduleOutcome:
     sum_rate: float  # bits/s/Hz
 
 
-def _squared_ratio(strong_gain: float, weak_gain: float) -> float:
-    """r = (strong_gain / weak_gain) ** 2 of a pair, or inf past the float range."""
-    try:
-        return (strong_gain / weak_gain) ** 2
-    except OverflowError:
-        return math.inf
-
-
-def _greedy_pairs(
-    gains: Sequence[float],
-    snrs: Sequence[float],
-    region_of: Callable[[float], NomaRegion] | None,
-) -> tuple[list[tuple[int, int]], list[bool]]:
-    """adaptive_pairing on ascending-gain lists: the (weak, strong) index
-    pairs in the order taken, and which indices they cover."""
-    k = len(gains)
-    paired = [False] * k
-    pairs: list[tuple[int, int]] = []
-    for i in range(k - 1):
-        weak_gain = gains[i]
-        weak_snr = snrs[i]
-        if paired[i] or weak_gain <= 0.0 or weak_snr <= 0.0:
-            continue
-        region = None
-        for j in range(k - 1, i, -1):
-            if paired[j]:
-                continue
-            r = _squared_ratio(gains[j], weak_gain)
-            # The gap tends to -inf as r grows, so an overflowed r never pairs.
-            if r == math.inf or rate_gap_at(weak_snr, r) < 0.0:
-                continue
-            if region_of is not None:
-                if region is None:
-                    region = region_of(weak_snr)
-                if not region.contains(r):
-                    continue
-            pairs.append((i, j))
-            paired[i] = paired[j] = True
-            break
-    return pairs, paired
-
-
 def adaptive_pairing(
     users: UserChannelSet,
     region_of: Callable[[float], NomaRegion] | None = None,
@@ -170,30 +128,50 @@ def adaptive_pairing(
     to time-splitting never costs a region solve.
     """
     order = users.users
-    pairs, paired = _greedy_pairs(
-        [u.gain for u in order], [u.snr for u in order], region_of)
+    k = len(order)
+    paired = [False] * k
+    pairs: list[tuple[int, int]] = []
+    for i in range(k - 1):
+        weak = order[i]
+        if paired[i] or weak.gain <= 0.0 or weak.snr <= 0.0:
+            continue
+        region = None
+        for j in range(k - 1, i, -1):
+            if paired[j]:
+                continue
+            r = squared_ratio(order[j].gain, weak.gain)
+            # The gap tends to -inf as r grows, so an overflowed r never pairs.
+            if r == math.inf or rate_gap_at(weak.snr, r) < 0.0:
+                continue
+            if region_of is not None:
+                if region is None:
+                    region = region_of(weak.snr)
+                if not region.contains(r):
+                    continue
+            pairs.append((weak.user_id, order[j].user_id))
+            paired[i] = paired[j] = True
+            break
     return PairingPlan(
-        tuple((order[i].user_id, order[j].user_id) for i, j in pairs),
-        tuple(u.user_id for u, done in zip(order, paired) if not done),
-    )
+        tuple(pairs), tuple(u.user_id for u, done in zip(order, paired) if not done))
 
 
 def check_gap_sign_pairs(
     gains: Sequence[float], p_led: float, noise_power: float, cache: RegionCache
 ) -> None:
-    """Raise OracleMismatchError unless the gap-sign plan of these gains
-    equals adaptive_pairing(users, cache.region_of): exactly when every pair
-    the gap sign takes lies in region_of(weak SNR), looked up in take order
-    as the gated greedy looks them up."""
-    g = sorted(gains)
-    snrs = [p_led * h * h / noise_power for h in g]
-    for i, j in _greedy_pairs(g, snrs, None)[0]:
-        region = cache.region_of(snrs[i])
-        r = _squared_ratio(g[j], g[i])
+    """Raise OracleMismatchError unless the gap-sign plan of these gains,
+    adaptive_pairing(users), equals adaptive_pairing(users, cache.region_of):
+    exactly when every pair it takes lies in region_of(weak SNR), looked up
+    in take order as the gated greedy looks them up."""
+    users = UserChannelSet.from_gains(gains, p_led, noise_power)
+    lookup = {u.user_id: u for u in users}
+    for weak_id, strong_id in adaptive_pairing(users).pairs:
+        weak = lookup[weak_id]
+        region = cache.region_of(weak.snr)
+        r = squared_ratio(lookup[strong_id].gain, weak.gain)
         if not region.contains(r):
             bounds = "empty" if region.is_empty else f"[{region.r_min:g}, {region.r_max:g}]"
             raise OracleMismatchError(
-                f"the gap sign pairs r={r:g} at gamma={snrs[i]:g}, "
+                f"the gap sign pairs r={r:g} at gamma={weak.snr:g}, "
                 f"outside the solver region {bounds}")
 
 
@@ -211,28 +189,6 @@ def forced_pairing(users: UserChannelSet) -> PairingPlan:
 def tdma_plan(users: UserChannelSet) -> PairingPlan:
     """Every user in its own slot."""
     return PairingPlan((), users.ids())
-
-
-def _pair_rates(
-    weak_gain: float, weak_snr: float, strong_gain: float, tau: float
-) -> tuple[float, float]:
-    """(weak, strong) rates of a pair sharing a slot of fraction tau, with
-    the gain-inverse split applied at their own ratio."""
-    if weak_gain <= 0.0:
-        # gain-inverse split sends all power to the unreachable user
-        return 0.0, 0.0
-    r = _squared_ratio(strong_gain, weak_gain)
-    if r == math.inf:
-        # both unit rates tend to the weak user's solo rate as r grows
-        unit_weak = unit_strong = math.log2(1.0 + CAPACITY_SNR_FACTOR * weak_snr)
-    else:
-        unit_weak, unit_strong = noma_user_rates(weak_snr, r)
-    return tau * unit_weak, tau * unit_strong
-
-
-def _solo_rate(snr: float, tau: float) -> float:
-    """Rate of a user alone in a slot of fraction tau: tau * log2(1 + t*gamma)."""
-    return tau * math.log2(1.0 + CAPACITY_SNR_FACTOR * snr)
 
 
 def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutcome:
@@ -255,14 +211,24 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
         if strong.gain < weak.gain:
             raise ValueError(f"pair ({weak_id}, {strong_id}) is not weak/strong ordered")
         tau = 2.0 / k
-        rate_weak, rate_strong = _pair_rates(weak.gain, weak.snr, strong.gain, tau)
+        if weak.gain <= 0.0:
+            # the gain-inverse split sends all power to the unreachable user
+            unit_weak = unit_strong = 0.0
+        else:
+            r = squared_ratio(strong.gain, weak.gain)
+            if r == math.inf:
+                # both unit rates tend to the weak user's solo rate as r grows
+                unit_weak = unit_strong = math.log2(1.0 + CAPACITY_SNR_FACTOR * weak.snr)
+            else:
+                unit_weak, unit_strong = noma_user_rates(weak.snr, r)
+        rate_weak, rate_strong = tau * unit_weak, tau * unit_strong
         per_user[weak_id] = rate_weak
         per_user[strong_id] = rate_strong
         groups.append(ScheduleGroup((weak_id, strong_id), tau, rate_weak + rate_strong))
 
     for uid in plan.singletons:
         tau = 1.0 / k
-        rate = _solo_rate(lookup[uid].snr, tau)
+        rate = tau * math.log2(1.0 + CAPACITY_SNR_FACTOR * lookup[uid].snr)
         per_user[uid] = rate
         groups.append(ScheduleGroup((uid,), tau, rate))
 
@@ -276,38 +242,12 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
 def scheme_sum_rates(
     gains: Sequence[float], p_led: float, noise_power: float
 ) -> tuple[float, float, float]:
-    """(TDMA, forced, adaptive) sum-rates of users 1..K with these gains.
-
-    Equal (==) to evaluate_schedule(plan, users).sum_rate for tdma_plan,
-    forced_pairing and adaptive_pairing(users) of
-    UserChannelSet.from_gains(gains, p_led, noise_power): the same group
-    rates, summed by the same builtin sum in the same group order (pairs in
-    plan order, then singletons), without building the plans or outcomes.
-    """
-    # Users with equal gains have equal rates, so the sorted gain values
-    # stand for UserChannelSet's (gain, id) order without building users;
-    # the SNRs and the checks are from_gains' and UserChannelSet's.
-    g = sorted(gains)
-    snrs = [p_led * h * h / noise_power for h in g]
-    if not g:
-        raise ValueError("need at least one user")
-    if any(not 0.0 <= v < math.inf for v in (*g, *snrs)):
-        raise ValueError("gains and SNRs must be finite and non-negative")
-    k = len(g)
-    solo_tau, pair_tau = 1.0 / k, 2.0 / k
-    solo = [_solo_rate(snr, solo_tau) for snr in snrs]
-
-    def pair_rate(i: int, j: int) -> float:
-        rate_weak, rate_strong = _pair_rates(g[i], snrs[i], g[j], pair_tau)
-        return rate_weak + rate_strong
-
-    forced = [pair_rate(i, k - 1 - i) for i in range(k // 2)]
-    if k % 2:
-        forced.append(solo[k // 2])
-    pairs, paired = _greedy_pairs(g, snrs, None)
-    adaptive = [pair_rate(i, j) for i, j in pairs]
-    adaptive += [rate for rate, done in zip(solo, paired) if not done]
-    return sum(solo), sum(forced), sum(adaptive)
+    """(TDMA, forced, adaptive) sum-rates of users 1..K with these gains:
+    evaluate_schedule of tdma_plan, forced_pairing and adaptive_pairing over
+    UserChannelSet.from_gains(gains, p_led, noise_power)."""
+    users = UserChannelSet.from_gains(gains, p_led, noise_power)
+    plans = (tdma_plan(users), forced_pairing(users), adaptive_pairing(users))
+    return tuple(evaluate_schedule(plan, users).sum_rate for plan in plans)
 
 
 # Ratios below this square without overflow (sqrt of the float max is 1.34e154).
@@ -315,15 +255,15 @@ _SAFE_RATIO = 1e154
 
 
 def _block_squared_ratios(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
-    """_squared_ratio of each (strong, weak > 0) pair: builtin pow (what **
-    calls) mapped over the ratios that cannot overflow, _squared_ratio
+    """squared_ratio of each (strong, weak > 0) pair: builtin pow (what **
+    calls) mapped over the ratios that cannot overflow, squared_ratio
     itself on the rest."""
     ratio = strong / weak
     safe = ratio < _SAFE_RATIO
     r = np.empty(ratio.shape)
     r[safe] = mapped(pow, ratio[safe], repeat(2.0))
     for n in np.flatnonzero(~safe).tolist():
-        r[n] = _squared_ratio(strong[n].item(), weak[n].item())
+        r[n] = squared_ratio(strong[n].item(), weak[n].item())
     return r
 
 
@@ -337,14 +277,15 @@ def _block_noma_logs(gamma: np.ndarray, r: np.ndarray):
 
 def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.ndarray:
     """scheme_sum_rates of each row of a (B, K) gain block, as a (B, 3)
-    array equal (==) to it row by row.
+    array equal (==) to it row by row: the user sweep's batched form of the
+    public plans and evaluate_schedule.
 
-    The arithmetic runs in numpy in scheme_sum_rates' order, and every log2
-    and power is math.log2 or builtin pow mapped over the block (see
+    The arithmetic runs in numpy in evaluate_schedule's order, and every
+    log2 and power is math.log2 or builtin pow mapped over the block (see
     channel.mapped). The greedy runs as a walk over weak indices i: each
     drop still looking for a partner of i tests its largest unpaired j > i,
     takes it when the gap is >= 0 and otherwise moves to the next lower j,
-    so only the gaps the scalar greedy reaches are evaluated. A weak user's
+    so only the gaps adaptive_pairing reaches are evaluated. A weak user's
     solo log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
 
     Each scheme's group rates are summed by column-wise left-to-right adds

@@ -151,21 +151,36 @@ def test_degenerate_channel_configs_fail_cleanly(text, key, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("text, command", [
-    # the region solver's surrogate bracket overflows at 160 dB
-    ("snr_db_min = 160\nsnr_db_max = 160\n", ["region"]),
-    # a 1e17 weak-user SNR: the pair gate's region solve fails
-    ("led_power = 1e9\nnoise_power = 1e-20\n", ["pair", "--gains", "1e-6,3e-6"]),
-    # the same config, through the user sweep's region cross-check
-    ("led_power = 1e9\nnoise_power = 1e-20\n",
-     ["sweep-users", "--trials", "20", "--validate-oracle"]),
+    # t*r*gamma overflows the feasibility scan's grid at 3000 dB
+    ("snr_db_min = 3000\nsnr_db_max = 3000\n", ["region"]),
+    # a 1e301 weak-user SNR: the pair gate's region solve fails
+    ("led_power = 1e9\nnoise_power = 1e-20\n", ["pair", "--gains", "1e136,2e136"]),
+    # SNRs of about 1e240, through the user sweep's region cross-check
+    ("noise_power = 1e-250\n", ["sweep-users", "--trials", "20", "--validate-oracle"]),
 ])
 def test_region_solver_failures_exit_2(text, command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert main([*command, "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: surrogate bracket exceeded 1e+30 at gamma=")
+    assert err.startswith("error: ") and " at gamma=" in err
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text, command", [
+    # 160 dB, past the old fixed 1e30 bracket guard
+    ("snr_db_min = 160\nsnr_db_max = 160\n", ["region", "--validate-oracle"]),
+    ("", ["pair", "--gains", "1e3,2e3"]),  # weak-user SNR 1e20
+    # weak-user SNRs of about 1e17
+    ("led_power = 1e9\nnoise_power = 1e-20\n",
+     ["sweep-users", "--trials", "20", "--validate-oracle"]),
+], ids=["region_160_db", "pair_200_db", "validated_sweep_170_db"])
+def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main([*command, "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == "" and "inf" not in captured.out
 
 
 @pytest.mark.parametrize("command", ["sweep-users", "sweep-power"])

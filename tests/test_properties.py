@@ -117,9 +117,11 @@ def test_gap_sign_is_region_membership_up_to_140_db(snr_db, frac):
     assert (rate_gap_at(gamma, r) >= 0.0) == region.contains(r)
 
 
+# The bracket ceiling scales with gamma^2, so the solver reaches r_max up to
+# 480 dB; past about 485 dB it runs out of iterations and raises.
 @PROPERTY
-@given(st.floats(0.0, 140.0))
-def test_solver_matches_oracle_up_to_140_db(snr_db):
+@given(st.floats(0.0, 480.0))
+def test_solver_matches_oracle_up_to_480_db(snr_db):
     gamma = 10.0 ** (snr_db / 10.0)
     found, ref = region_for_snr(gamma), oracle_region(gamma)
     assert found.is_empty == ref.is_empty

@@ -14,6 +14,7 @@ from vlc_noma.region import (
     OracleMismatchError,
     TOLERANCE,
     RegionCache,
+    RegionSolverError,
     feasibility_scan,
     oracle_region,
     region_for_snr,
@@ -111,6 +112,22 @@ def test_region_for_snr_matches_oracle_across_decades():
             continue
         assert region.r_min == pytest.approx(ref.r_min, rel=1e-3)
         assert region.r_max == pytest.approx(ref.r_max, rel=1e-3)
+
+
+def test_region_is_oracle_checked_or_an_error_up_to_3080_db():
+    # Past about 485 dB the r_max solve runs out of iterations, and near
+    # 3000 dB t*r*gamma leaves the float range: both must raise, never
+    # return a region the oracle would not confirm.
+    raised = []
+    for db in range(0, 3090, 10):
+        gamma = 10.0 ** (db / 10.0)
+        try:
+            found = region_for_snr(gamma)
+        except RegionSolverError:
+            raised.append(db)
+            continue
+        assert region_for_snr(gamma, validate=True) == found, db
+    assert min(raised) > 480 and 3000 in raised
 
 
 def test_region_interior_is_nonnegative():
