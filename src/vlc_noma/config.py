@@ -94,6 +94,13 @@ class ExperimentConfig:
             raise ConfigError(f"snr_db_step must be finite and >= {SNR_DB_RESOLUTION:g}")
         if self.snr_db_max < self.snr_db_min:
             raise ConfigError("SNR grid must be non-empty and ascending")
+        # The region map solves at the linear SNR 10**(dB/10) of each grid point.
+        try:
+            10.0 ** (self.snr_db_max / 10.0)
+        except OverflowError:
+            raise ConfigError("snr_db_max is too large: its linear SNR overflows") from None
+        if 10.0 ** (self.snr_db_min / 10.0) == 0.0:
+            raise ConfigError("snr_db_min is too small: its linear SNR underflows to 0")
         if not 1 <= self.users_min <= self.users_max:
             raise ConfigError("user-count grid must satisfy 1 <= min <= max")
         if not self.power_grid or list(self.power_grid) != sorted(self.power_grid):

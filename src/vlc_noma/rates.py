@@ -91,11 +91,8 @@ def noma_user_rates(gamma: float, r: float) -> tuple[float, float]:
 def noma_rate_at(gamma: float, r: float) -> float:
     """Unit-slot pair sum-rate when both users share the slot (bits/s/Hz):
     the sum of noma_user_rates."""
-    # noma_user_rates inlined in the same arithmetic order, so the result is
-    # bit-identical to its sum: the region solver calls this in its innermost
-    # loop, where sum(noma_user_rates(...)) made the region map 30-45% slower.
-    x = _T * r * gamma
-    return math.log2(1.0 + x / (r + gamma + 1.0)) + math.log2(1.0 + x / (r + 1.0))
+    weak, strong = noma_user_rates(gamma, r)
+    return weak + strong
 
 
 def tdma_rate_at(gamma: float, r: float) -> float:

@@ -5,24 +5,23 @@ linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 (an inner approximation, so every iterate stays inside the true region), and
 a brute-force bisection oracle licensed by the gap's unimodality. The solver
 is the production path; the oracle exists to cross-check it.
+
+Both run as fused kernels: each bisection step and bracket test evaluates
+rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope, rate_gap_at)
+inline, in rates' operation order, with only left-prefix subexpressions such
+as t*gamma in t*gamma*r hoisted per SNR. Every value is therefore the one
+the rates functions give; tests/test_bit_identity.py pins the kernels == to
+that generic route.
 """
 
 import csv
 import math
 import sys
 from dataclasses import dataclass, field
-from functools import partial
 
 import numpy as np
 
-from .rates import (
-    CAPACITY_SNR_FACTOR,
-    noma_rate_at,
-    rate_gap_at,
-    rate_gap_curve,
-    tdma_rate_at,
-    tdma_rate_slope,
-)
+from .rates import _LN2, CAPACITY_SNR_FACTOR, rate_gap_at, rate_gap_curve
 
 # Abort geometric bracket growth beyond EXPANSION_GUARD * max(1, gamma^2):
 # r_max grows as about 0.19 * gamma^2.
@@ -105,7 +104,13 @@ class ScaTrace:
         return max(0, len(self.iterates) - 1)
 
 
+_T = CAPACITY_SNR_FACTOR
 _X_LIMIT = sys.float_info.max / 4.0  # bound on t*r*gamma, so every rate formula stays finite
+
+
+def _check_gamma(gamma: float) -> None:
+    if not 0.0 < gamma < math.inf:
+        raise ValueError("gamma must be finite and positive")
 
 
 def _ratio_ceiling(gamma: float) -> float:
@@ -123,7 +128,9 @@ _SCAN_GRID.flags.writeable = False
 
 def feasibility_scan(gamma: float) -> float | None:
     """Best (largest-gap) ratio on a log-spaced grid, or None if the gap is
-    nowhere positive at scan resolution."""
+    nowhere positive at scan resolution. A gamma that is not finite and
+    positive raises ValueError."""
+    _check_gamma(gamma)
     if SCAN_RANGE[1] > _ratio_ceiling(gamma):
         raise RegionSolverError(f"t*r*gamma overflows the scan grid at gamma={gamma:g}")
     gaps = rate_gap_curve(gamma, _SCAN_GRID)
@@ -133,17 +140,39 @@ def feasibility_scan(gamma: float) -> float | None:
     return float(_SCAN_GRID[best])
 
 
-def _log_bisect(fn, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
-    """Root of fn >= 0 inside [lo, hi], where exactly one end is feasible.
+# The two bisections below are log-space root searches inside [lo, hi],
+# where exactly one end is feasible; each returns the feasible-side bracket
+# end, so the result always lies inside the feasible set.
 
-    Log-space bisection; returns the feasible-side bracket end so the result
-    always lies inside the feasible set.
-    """
+def _surrogate_root(gamma: float, q_r: float, q_slope: float, anchor: float,
+                    lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
+    """Root of sca_solve's surrogate
+    noma_rate_at(gamma, x) - (q_r + q_slope * (x - anchor)) >= 0."""
+    log2, sqrt, t = math.log2, math.sqrt, _T
     while hi - lo > rel_width * hi:
-        mid = math.sqrt(lo * hi)
+        mid = sqrt(lo * hi)
         if mid <= lo or mid >= hi:  # bracket at float resolution
             break
-        if (fn(mid) >= 0.0) == lo_feasible:
+        x = t * mid * gamma
+        if (log2(1.0 + x / (mid + gamma + 1.0)) + log2(1.0 + x / (mid + 1.0))
+                - (q_r + q_slope * (mid - anchor)) >= 0.0) == lo_feasible:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo_feasible else hi
+
+
+def _gap_root(gamma: float, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
+    """Root of rate_gap_at(gamma, x) >= 0."""
+    log2, sqrt, t = math.log2, math.sqrt, _T
+    log_1tg = log2(1.0 + t * gamma)
+    while hi - lo > rel_width * hi:
+        mid = sqrt(lo * hi)
+        if mid <= lo or mid >= hi:  # bracket at float resolution
+            break
+        x = t * mid * gamma
+        if (log2(1.0 + x / (mid + gamma + 1.0)) + log2(1.0 + x / (mid + 1.0))
+                - 0.5 * (log_1tg + log2(1.0 + x)) >= 0.0) == lo_feasible:
             lo = mid
         else:
             hi = mid
@@ -156,24 +185,33 @@ def oracle_region(gamma: float) -> NomaRegion:
     Valid because the gap has a single interior maximum, so each side of the
     seed crosses zero at most once.
     """
-    seed = feasibility_scan(gamma)
+    return _oracle_region(gamma, feasibility_scan(gamma))
+
+
+def _oracle_region(gamma: float, seed: float | None) -> NomaRegion:
+    """oracle_region from the feasibility_scan(gamma) seed."""
     if seed is None:
         return NomaRegion.empty(gamma)
 
-    gap = partial(rate_gap_at, gamma)
     floor = max(1.0, SCAN_RANGE[0])
-    if gap(floor) >= 0.0:
+    if rate_gap_at(gamma, floor) >= 0.0:
         r_min = floor  # region reaches the canonical lower bound r = 1
     else:
-        r_min = _log_bisect(gap, floor, seed, False, ORACLE_REL_WIDTH)
+        r_min = _gap_root(gamma, floor, seed, False, ORACLE_REL_WIDTH)
 
+    log2, t = math.log2, _T
+    log_1tg = log2(1.0 + t * gamma)
     hi = max(seed * 2.0, SCAN_RANGE[1])
     ceiling = _ratio_ceiling(gamma)
-    while hi <= ceiling and gap(hi) >= 0.0:
+    while hi <= ceiling:
+        x = t * hi * gamma
+        if not (log2(1.0 + x / (hi + gamma + 1.0)) + log2(1.0 + x / (hi + 1.0))
+                - 0.5 * (log_1tg + log2(1.0 + x)) >= 0.0):
+            break
         hi *= 4.0
     if hi > ceiling:
         raise RegionSolverError(f"upper bracket exceeded {ceiling:g} at gamma={gamma:g}")
-    r_max = _log_bisect(gap, seed, hi, gap(seed) >= 0.0, ORACLE_REL_WIDTH)
+    r_max = _gap_root(gamma, seed, hi, rate_gap_at(gamma, seed) >= 0.0, ORACLE_REL_WIDTH)
     return NomaRegion(gamma, r_min, r_max)
 
 
@@ -190,8 +228,19 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
     """
     if objective not in ("min", "max"):
         raise ValueError("objective must be 'min' or 'max'")
+    _check_gamma(gamma)
+    if not math.isfinite(seed):
+        raise ValueError("seed must be finite")
 
-    gap_seed = rate_gap_at(gamma, seed)
+    log2, t = math.log2, _T
+    tg = t * gamma
+    half_tg = 0.5 * t * gamma
+    log_1tg = log2(1.0 + tg)
+    # q is tdma_rate_at(gamma, r) at the current iterate r: the tangent's
+    # value, and the TDMA side of the iterate's gap.
+    x = t * seed * gamma
+    q = 0.5 * (log_1tg + log2(1.0 + x))
+    gap_seed = log2(1.0 + x / (seed + gamma + 1.0)) + log2(1.0 + x / (seed + 1.0)) - q
     if gap_seed < 0.0:
         raise InfeasibleSeedError(
             f"seed r={seed:g} has gap {gap_seed:.3e} < 0 at gamma={gamma:g}"
@@ -208,29 +257,31 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
     ceiling = _ratio_ceiling(gamma)
     r = seed
     for _ in range(MAX_ITERATIONS):
-        q_r = tdma_rate_at(gamma, r)
-        q_slope = tdma_rate_slope(gamma, r)
-        anchor = r
-
-        def surrogate(x: float) -> float:
-            return noma_rate_at(gamma, x) - (q_r + q_slope * (x - anchor))
-
+        q_slope = half_tg / (_LN2 * (1.0 + tg * r))  # tdma_rate_slope(gamma, r)
         if objective == "min":
-            if surrogate(1.0) >= 0.0:
+            # the surrogate at x = 1, where t*x*gamma is tg
+            if (log2(1.0 + tg / (1.0 + gamma + 1.0)) + log2(1.0 + tg / 2.0)
+                    - (q + q_slope * (1.0 - r)) >= 0.0):
                 nxt = 1.0  # surrogate set reaches the canonical bound
             else:
-                nxt = _log_bisect(surrogate, 1.0, r, False, inner_width)
+                nxt = _surrogate_root(gamma, q, q_slope, r, 1.0, r, False, inner_width)
         else:
             hi = r * 2.0
-            while hi <= ceiling and surrogate(hi) >= 0.0:
+            while hi <= ceiling:
+                x = t * hi * gamma
+                if not (log2(1.0 + x / (hi + gamma + 1.0)) + log2(1.0 + x / (hi + 1.0))
+                        - (q + q_slope * (hi - r)) >= 0.0):
+                    break
                 hi *= 2.0
             if hi > ceiling:
                 raise RegionSolverError(
                     f"surrogate bracket exceeded {ceiling:g} at gamma={gamma:g}")
-            nxt = _log_bisect(surrogate, r, hi, True, inner_width)
+            nxt = _surrogate_root(gamma, q, q_slope, r, r, hi, True, inner_width)
 
+        x = t * nxt * gamma
+        q = 0.5 * (log_1tg + log2(1.0 + x))
         trace.iterates.append(nxt)
-        trace.gaps.append(rate_gap_at(gamma, nxt))
+        trace.gaps.append(log2(1.0 + x / (nxt + gamma + 1.0)) + log2(1.0 + x / (nxt + 1.0)) - q)
         step = abs(nxt - r)
         r = nxt
         if step < TOLERANCE * max(1.0, abs(r)):
@@ -243,10 +294,9 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
 
 def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
     """Full region computation: feasibility scan, then one solver run toward
-    each endpoint from the scan's best point; optional oracle cross-check."""
-    if gamma <= 0.0:
-        raise ValueError("gamma must be positive")
-
+    each endpoint from the scan's best point; optional oracle cross-check
+    from the same scan. A gamma that is not finite and positive raises
+    ValueError."""
     seed = feasibility_scan(gamma)
     if seed is None:
         return NomaRegion.empty(gamma)
@@ -262,7 +312,7 @@ def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
     found = NomaRegion(gamma, *ends)
 
     if validate:
-        ref = oracle_region(gamma)
+        ref = _oracle_region(gamma, seed)
         if ref.is_empty:
             raise OracleMismatchError(f"oracle found no region at gamma={gamma:g}")
         err_min = abs(found.r_min - ref.r_min) / ref.r_min

@@ -1,14 +1,17 @@
-"""The user sweep's lean paths equal the public route bit for bit.
+"""The user sweep's lean paths and the region solver's fused kernels equal
+the public route bit for bit.
 
 floor_gains must give each user's los_channel_gain(...).channel_gain, the
 block kernels block_floor_gains and block_sum_rates must give floor_gains and
 scheme_sum_rates (evaluate_schedule over the TDMA, forced and adaptive plans)
-row by row, and a batched sweep shard must give _simulate_drop's rates for
-every drop, compared with ==, never approximately.
+row by row, a batched sweep shard must give _simulate_drop's rates for every
+drop, and sca_solve and oracle_region must give what the rates functions
+through a generic bisection give, compared with ==, never approximately.
 """
 
 import dataclasses
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -22,7 +25,28 @@ from vlc_noma.experiments import (
     _sweep_users_shard,
     sample_user_positions,
 )
-from vlc_noma.rates import CAPACITY_SNR_FACTOR, rate_gap_at
+from vlc_noma.rates import (
+    CAPACITY_SNR_FACTOR,
+    noma_rate_at,
+    rate_gap_at,
+    tdma_rate_at,
+    tdma_rate_slope,
+)
+from vlc_noma.region import (
+    MAX_ITERATIONS,
+    ORACLE_REL_WIDTH,
+    SCAN_RANGE,
+    TOLERANCE,
+    InfeasibleSeedError,
+    RegionSolverError,
+    _gap_root,
+    _ratio_ceiling,
+    _surrogate_root,
+    feasibility_scan,
+    oracle_region,
+    region_for_snr,
+    sca_solve,
+)
 from vlc_noma.scheduler import (
     UserChannelSet,
     adaptive_pairing,
@@ -196,3 +220,172 @@ def test_block_sum_rates_rejects_what_scheme_sum_rates_rejects(gains):
     with pytest.raises(ValueError) as block:
         block_sum_rates(np.array(gains), 1.0, 1e-14)
     assert str(block.value) == str(lean.value)
+
+
+# The region solver's fused kernels (sca_solve's surrogate-root bisection and
+# the oracle's gap-root bisection) repeat rates' formulas inline. The
+# reference below is the generic route they replace: noma_rate_at,
+# tdma_rate_at, tdma_rate_slope and rate_gap_at through one bisection that
+# takes the function it bisects.
+
+def _log_bisect(fn, lo, hi, lo_feasible, rel_width):
+    while hi - lo > rel_width * hi:
+        mid = math.sqrt(lo * hi)
+        if mid <= lo or mid >= hi:
+            break
+        if (fn(mid) >= 0.0) == lo_feasible:
+            lo = mid
+        else:
+            hi = mid
+    return lo if lo_feasible else hi
+
+
+def reference_sca_solve(gamma, objective, seed):
+    """(r, iterates, gaps, converged) of sca_solve by the generic route."""
+    gap_seed = rate_gap_at(gamma, seed)
+    if gap_seed < 0.0:
+        raise InfeasibleSeedError(seed)
+    iterates, gaps, converged = [seed], [gap_seed], False
+    inner_floor = max(TOLERANCE * 1e-4, 1e-13)
+    inner_width = 1e-3
+    ceiling = _ratio_ceiling(gamma)
+    r = seed
+    for _ in range(MAX_ITERATIONS):
+        q_r = tdma_rate_at(gamma, r)
+        q_slope = tdma_rate_slope(gamma, r)
+        anchor = r
+
+        def surrogate(x):
+            return noma_rate_at(gamma, x) - (q_r + q_slope * (x - anchor))
+
+        if objective == "min":
+            if surrogate(1.0) >= 0.0:
+                nxt = 1.0
+            else:
+                nxt = _log_bisect(surrogate, 1.0, r, False, inner_width)
+        else:
+            hi = r * 2.0
+            while hi <= ceiling and surrogate(hi) >= 0.0:
+                hi *= 2.0
+            if hi > ceiling:
+                raise RegionSolverError(hi)
+            nxt = _log_bisect(surrogate, r, hi, True, inner_width)
+        iterates.append(nxt)
+        gaps.append(rate_gap_at(gamma, nxt))
+        step = abs(nxt - r)
+        r = nxt
+        if step < TOLERANCE * max(1.0, abs(r)):
+            converged = True
+            break
+        inner_width = min(1e-3, max(inner_floor, 0.01 * (step / max(1.0, abs(r)))))
+    return r, iterates, gaps, converged
+
+
+def reference_oracle(gamma):
+    """oracle_region's (r_min, r_max), or None, by the generic route."""
+    seed = feasibility_scan(gamma)
+    if seed is None:
+        return None
+    gap = partial(rate_gap_at, gamma)
+    if gap(1.0) >= 0.0:
+        r_min = 1.0
+    else:
+        r_min = _log_bisect(gap, 1.0, seed, False, ORACLE_REL_WIDTH)
+    hi = max(seed * 2.0, SCAN_RANGE[1])
+    ceiling = _ratio_ceiling(gamma)
+    while hi <= ceiling and gap(hi) >= 0.0:
+        hi *= 4.0
+    if hi > ceiling:
+        raise RegionSolverError(hi)
+    return r_min, _log_bisect(gap, seed, hi, gap(seed) >= 0.0, ORACLE_REL_WIDTH)
+
+
+def fused_sca_solve(gamma, objective, seed):
+    r, trace = sca_solve(gamma, objective, seed)
+    return r, trace.iterates, trace.gaps, trace.converged
+
+
+def fused_oracle(gamma):
+    region = oracle_region(gamma)
+    return None if region.is_empty else (region.r_min, region.r_max)
+
+
+def outcome(fn, *args):
+    """fn's result, or the class of the solver error it raises."""
+    try:
+        return fn(*args)
+    except RegionSolverError as exc:
+        return type(exc)
+
+
+def assert_kernels_equal_reference(gamma):
+    try:
+        seed = feasibility_scan(gamma)
+    except RegionSolverError:  # the scan grid overflows: seed the solver by hand
+        seed = None
+    # with no feasible scan point, a seed of 10 has a negative gap
+    for objective in ("min", "max"):
+        solved = outcome(fused_sca_solve, gamma, objective, seed or 10.0)
+        assert solved == outcome(reference_sca_solve, gamma, objective, seed or 10.0), gamma
+    assert outcome(fused_oracle, gamma) == outcome(reference_oracle, gamma), gamma
+
+
+# -10..480 dB, where both routes give a region or an empty one, then the
+# SNRs past 485 dB whose r_max solve does not converge, and SNRs where
+# t*r*gamma leaves the float range in the solver's bracket and on the scan
+# grid.
+WIDE_SNR_DB = np.random.default_rng(11).uniform(-10.0, 480.0, 2000).tolist()
+EDGE_SNR_DB = [485.915, 486.37, 486.565, 489.0, 1000.0, 3000.0]
+
+
+def test_region_kernels_equal_the_generic_route():
+    for db in WIDE_SNR_DB + EDGE_SNR_DB:
+        assert_kernels_equal_reference(10.0 ** (db / 10.0))
+
+
+def test_region_kernels_raise_where_the_generic_route_raises():
+    # the SNRs above reach every outcome besides a region: an unconverged
+    # solve, a bracket overflow and a scan-grid overflow
+    assert not fused_sca_solve(10.0 ** 48.5915, "max", 10.0)[3]
+    assert outcome(fused_sca_solve, 1e300, "max", 10.0) is RegionSolverError
+    assert outcome(fused_oracle, 1e300) is RegionSolverError
+    # a seed with a negative gap, at 0 dB (empty region) and at 20 dB (below r_min)
+    for gamma, seed in ((1.0, 10.0), (100.0, 2.0)):
+        for solve in (fused_sca_solve, reference_sca_solve):
+            assert outcome(solve, gamma, "max", seed) is InfeasibleSeedError
+
+
+def test_region_fails_at_the_same_snrs_past_480_db():
+    grid = [480.0 + i * 0.013 for i in range(770)]
+    failed = [db for db in grid
+              if outcome(region_for_snr, 10.0 ** (db / 10.0)) is RegionSolverError]
+    assert len(failed) == 26
+    for db in failed:
+        gamma = 10.0 ** (db / 10.0)
+        assert not reference_sca_solve(gamma, "max", feasibility_scan(gamma))[3], db
+
+
+def test_bisection_kernels_equal_the_generic_bisection_at_float_resolution():
+    # With rel_width 0 each bisection runs until its bracket ends are
+    # adjacent floats, where the sign of a step rests on the formula's last
+    # bit: a reordered or re-associated operation shows up here.
+    for db in np.random.default_rng(12).uniform(12.0, 480.0, 200).tolist():
+        gamma = 10.0 ** (db / 10.0)
+        seed = feasibility_scan(gamma)
+        ref = oracle_region(gamma)
+        gap = partial(rate_gap_at, gamma)
+        for lo, hi, lo_feasible in ((1.0, seed, False), (seed, 4.0 * ref.r_max, True)):
+            assert (_gap_root(gamma, lo, hi, lo_feasible, 0.0)
+                    == _log_bisect(gap, lo, hi, lo_feasible, 0.0)), (gamma, lo, hi)
+
+        q_r, q_slope = tdma_rate_at(gamma, seed), tdma_rate_slope(gamma, seed)
+
+        def surrogate(x):
+            return noma_rate_at(gamma, x) - (q_r + q_slope * (x - seed))
+
+        hi = 2.0 * seed
+        while surrogate(hi) >= 0.0:
+            hi *= 2.0
+        for lo, hi, lo_feasible in ((1.0, seed, False), (seed, hi, True)):
+            assert (_surrogate_root(gamma, q_r, q_slope, seed, lo, hi, lo_feasible, 0.0)
+                    == _log_bisect(surrogate, lo, hi, lo_feasible, 0.0)), (gamma, lo, hi)

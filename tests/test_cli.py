@@ -150,6 +150,19 @@ def test_degenerate_channel_configs_fail_cleanly(text, key, tmp_path, capsys):
     assert capsys.readouterr().err.startswith(f"error: {key} ")
 
 
+@pytest.mark.parametrize("text, key", [
+    ("snr_db_min = 3500\nsnr_db_max = 3500\n", "snr_db_max"),  # 10**350 overflows
+    ("snr_db_min = -4000\n", "snr_db_min"),                     # 10**-400 underflows to 0
+])
+def test_snr_grid_bounds_past_the_float_range_fail_cleanly(text, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["region", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {key} ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, command", [
     # t*r*gamma overflows the feasibility scan's grid at 3000 dB
     ("snr_db_min = 3000\nsnr_db_max = 3000\n", ["region"]),

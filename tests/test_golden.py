@@ -16,6 +16,10 @@ from vlc_noma.rates import noma_rate_at, noma_user_rates
 
 REGION_MAP = "4e3435b510220a648b55a504281445b17c19e5fa4b0a02ed8f7256a0276ad79a"
 SWEEP_POWER = "8c3fc59e584ac2a2c6eca4a0ae206d88846b9be22152fe74ce8037624e4130e1"
+# -10..480 dB at step 0.5 (981 rows), validated or not: unlike the default
+# 0..60 dB map it reaches the solver's high-SNR iteration counts and its
+# bracket growth.
+REGION_MAP_WIDE = "e66d952b10e07c5d733cc4d168243b087b237afda79a172502f51111ae755f58"
 PAIR = "819fe4d61368f5dc2ed4d35a2d8756fe3d4194488d20a38ed855fb5be4f05d66"
 SWEEP_USERS_200 = "19f2084c0ece2bab492ea352891d09d1acce06ad9727a9664dcde2c5a0a71257"
 # K = 2..3, the grid this digest was recorded at. Each worker runs one trial
@@ -31,6 +35,11 @@ def _sha(text: str) -> str:
 
 def test_region_map_bytes():
     assert _sha(run_region_map(ExperimentConfig(), validate=True).csv_text()) == REGION_MAP
+
+
+def test_wide_region_map_bytes():
+    cfg = ExperimentConfig(snr_db_min=-10.0, snr_db_max=480.0, snr_db_step=0.5)
+    assert _sha(run_region_map(cfg, validate=True).csv_text()) == REGION_MAP_WIDE
 
 
 def test_sweep_power_bytes():

@@ -155,6 +155,22 @@ def test_region_empty_outcomes():
         region_for_snr(0.0)
 
 
+@pytest.mark.parametrize("entry", [
+    feasibility_scan, oracle_region, region_for_snr,
+    lambda gamma: sca_solve(gamma, "max", 10.0),
+], ids=["feasibility_scan", "oracle_region", "region_for_snr", "sca_solve"])
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0])
+def test_region_api_rejects_a_gamma_that_is_not_finite_and_positive(entry, gamma):
+    with pytest.raises(ValueError, match="gamma must be finite and positive"):
+        entry(gamma)
+
+
+@pytest.mark.parametrize("seed", [math.nan, math.inf])
+def test_sca_solve_rejects_a_seed_that_is_not_finite(seed):
+    with pytest.raises(ValueError, match="seed must be finite"):
+        sca_solve(100.0, "max", seed)
+
+
 def test_region_validate_against_oracle():
     region = region_for_snr(100.0, validate=True)
     assert not region.is_empty
@@ -214,13 +230,14 @@ def test_region_cache_miss_equals_a_fresh_solve():
 
 
 def test_region_cache_validate_cross_checks_the_oracle(monkeypatch):
-    true_oracle = oracle_region
+    # region_for_snr(validate=True) runs the oracle from its own scan seed
+    true_oracle = region_module._oracle_region
 
-    def skewed_oracle(gamma):
-        ref = true_oracle(gamma)
+    def skewed_oracle(gamma, seed):
+        ref = true_oracle(gamma, seed)
         return NomaRegion(gamma, ref.r_min, ref.r_max * 1.01)
 
-    monkeypatch.setattr(region_module, "oracle_region", skewed_oracle)
+    monkeypatch.setattr(region_module, "_oracle_region", skewed_oracle)
     RegionCache().region_of(100.0)  # no cross-check without validate
     with pytest.raises(OracleMismatchError):
         RegionCache(validate=True).region_of(100.0)
