@@ -2,8 +2,9 @@
 
 Submodules: channel (LoS gains and SNR), rates (pair rates and the decision
 gap), region (beneficial-ratio interval solver and oracle), scheduler
-(pairing plans and evaluation), streams (batched seeded uniforms),
-config/experiments/cli (reproducible studies).
+(pairing plans and evaluation), streams and batch (the user sweep's seeded
+uniforms and block kernels, the only numpy users), config/experiments/cli
+(reproducible studies). Importing the package loads no numpy.
 """
 
 from .channel import (

@@ -9,10 +9,7 @@ the electrical SNR is simply P_LED * h^2 / sigma^2.
 import functools
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import NamedTuple
-
-import numpy as np
 
 DEFAULT_NOISE_POWER = 1e-14  # W, combined shot + thermal noise
 
@@ -203,39 +200,6 @@ def floor_gains(link: LinkConstants, points) -> list[float]:
     """los_channel_gain's h for each floor point (x, y, ...), with the link
     constants computed once and no per-receiver objects."""
     return [_los_link(link, p[0], p[1], 0.0)[0] for p in points]
-
-
-def mapped(fn, values: np.ndarray, *args) -> np.ndarray:
-    """fn(v, *args) for each element v of a float array, by the scalar
-    function itself (math's or a builtin) mapped at C speed: numpy's own
-    transcendentals can differ from math's in the last bit."""
-    return np.fromiter(map(fn, values.ravel().tolist(), *args), float,
-                       count=values.size).reshape(values.shape)
-
-
-def block_floor_gains(link: LinkConstants, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """floor_gains over an array of floor points (x, y): equal (==) to it
-    element by element. _los_link's +, -, *, / and sqrt are IEEE-exact in
-    numpy in the same order; its acos and powers are math.acos and builtin
-    pow (what ** calls), mapped over the block."""
-    lx, ly, lz = link.led_position
-    dx = xs - lx
-    dy = ys - ly
-    dz = 0.0 - lz
-    distance = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if (distance == 0.0).any():
-        raise ValueError("receiver is collocated with the LED")
-    cos_angle = -dz / distance
-    angle = mapped(math.acos, np.maximum(-1.0, np.minimum(1.0, cos_angle)))
-    live = ~((cos_angle <= 0.0) | (angle > link.fov))
-    cos_live = cos_angle[live]
-    gains = np.zeros(distance.shape)
-    gains[live] = (
-        link.scale / (_TWO_PI * mapped(pow, distance[live], repeat(2)))
-        * mapped(pow, cos_live, repeat(link.m)) * link.filter_gain * link.concentrator
-        * cos_live
-    )
-    return gains
 
 
 def snr(link: LinkBudget, p_led: float) -> float:

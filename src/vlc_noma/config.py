@@ -11,7 +11,6 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .channel import LedConfig, LinkConstants, PhotodiodeConfig, RoomGeometry, floor_gains
-from .streams import TRIAL_LIMIT
 
 
 class ConfigError(ValueError):
@@ -19,6 +18,10 @@ class ConfigError(ValueError):
 
 
 DEFAULT_POWER_GRID = (0.25, 0.5, 1.0, 2.0, 4.0)  # W
+
+# Trials per user count stay at or below this: streams.uniform_streams keys
+# trial m by spawn_key (k, m), and index 2**32 would add a second key word.
+TRIAL_LIMIT = 2**32
 
 # SNR grid values are rounded to 9 decimals (1e-9 dB); a finer step would
 # round distinct grid points onto the same row.

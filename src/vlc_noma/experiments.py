@@ -6,40 +6,41 @@ at six fixed receiver positions. Every row is re-derivable by calling the
 library directly; the runners hold no hidden state, and a fixed seed yields
 byte-identical CSV output regardless of worker count.
 
+Only the user sweep loads numpy, when it runs: the region map, the power
+sweep and pair_once are scalar math from end to end, so they, and importing
+the package, start without it.
+
 The user sweep evaluates a block of trials at a time. Each block's
 positions come from one batch of uniforms (streams.uniform_streams): the
 SeedSequence/PCG64 chain is integer arithmetic, so numpy's uint32/uint64
 array operations reproduce every drop's stream exactly. Gains and rates are
-block-evaluated as well (channel.block_floor_gains,
-scheduler.block_sum_rates): + - * / and sqrt run as numpy array operations,
-which round as Python's floats do, while every transcendental is math's own
-function mapped over the block, since numpy's log2, arccos and power differ
-from math's in the last bit on some hosts. So each drop equals the per-drop
-route _simulate_drop: floor_gains, then scheme_sum_rates, which evaluates
-the public TDMA, forced and adaptive plans. Both sum-rate sweeps decide each
-pair by the sign of the rate gap at the weak user's exact SNR; with validate
-they only cross-check that the pairs lie in oracle-checked solver regions
-(scheduler.check_gap_sign_pairs). pair_once gates its pairs on a region.
+block-evaluated as well (batch.block_floor_gains, batch.block_sum_rates):
++ - * / and sqrt run as numpy array operations, which round as Python's
+floats do, while every transcendental is math's own function mapped over
+the block, since numpy's log2, arccos and power differ from math's in the
+last bit on some hosts. So each drop equals the per-drop route
+_simulate_drop: floor_gains, then scheme_sum_rates, which evaluates the
+public TDMA, forced and adaptive plans. Both sum-rate sweeps decide each
+pair by the sign of the rate gap at the weak user's exact SNR; with
+validate they only cross-check that the pairs lie in oracle-checked solver
+regions (scheduler.check_gap_sign_pairs). pair_once gates its pairs on a
+region.
 """
 
 import math
-import multiprocessing
+import numbers
 from dataclasses import dataclass
 
-import numpy as np
-
-from .channel import RoomGeometry, block_floor_gains, floor_gains, snr_db
+from .channel import RoomGeometry, floor_gains, snr_db
 from .config import ExperimentConfig
 from .region import RegionCache, region_for_snr
 from .scheduler import (
     UserChannelSet,
     adaptive_pairing,
-    block_sum_rates,
     check_gap_sign_pairs,
     evaluate_schedule,
     scheme_sum_rates,
 )
-from .streams import uniform_streams
 
 # Trials per block of the user sweep: a block's arrays and lists stay under
 # a megabyte whatever the trial count.
@@ -49,7 +50,7 @@ STREAM_BLOCK = 512
 def _fmt_cell(value) -> str:
     if isinstance(value, str):
         return value
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, numbers.Integral):  # int, bool and numpy's integers
         return str(int(value))
     return repr(float(value))  # round-trip-exact floats
 
@@ -71,8 +72,11 @@ class ResultTable:
             fh.write(self.csv_text())
 
 
-def sample_user_positions(rng: np.random.Generator, room: RoomGeometry, k: int) -> np.ndarray:
-    """k i.i.d. uniform points on the floor rectangle, as a (k, 3) array (z = 0)."""
+def sample_user_positions(rng, room: RoomGeometry, k: int):
+    """k i.i.d. uniform points on the floor rectangle, drawn from a
+    numpy.random.Generator, as a (k, 3) numpy array (z = 0)."""
+    import numpy as np
+
     xy = rng.random((k, 2))
     out = np.zeros((k, 3))
     out[:, 0] = xy[:, 0] * room.length
@@ -107,6 +111,8 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache
 
     Pairs are decided by the sign of the rate gap, so the rates need no
     region: a given cache is accepted and ignored."""
+    import numpy as np
+
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, trial))
     # The generator default_rng(seq) returns, without its argument dispatch.
     rng = np.random.Generator(np.random.PCG64(seq))
@@ -119,6 +125,9 @@ def _sweep_users_shard(args):
     """Worker entry: simulate trials [lo, hi) of every user count, drop for
     drop equal to _simulate_drop, a block of trials at a time. With
     validate, every drop is also cross-checked on one validating cache."""
+    from .batch import block_floor_gains, block_sum_rates
+    from .streams import uniform_streams
+
     cfg, lo, hi, validate = args
     cache = RegionCache(validate=True) if validate else None
     link, room = cfg.link(), cfg.room()
@@ -161,8 +170,12 @@ def run_sweep_users(
     if len(shards) == 1:
         outputs = [_sweep_users_shard(shards[0])]
     else:
+        import multiprocessing
+
         with multiprocessing.Pool(processes=min(workers, len(shards))) as pool:
             outputs = pool.map(_sweep_users_shard, shards)
+
+    import numpy as np
 
     rows = []
     for k_index, k in enumerate(cfg.user_counts()):

@@ -10,8 +10,6 @@ with unit exponent.
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 CAPACITY_SNR_FACTOR = math.e / (2.0 * math.pi)  # t in log2(1 + t * SNR)
 
 _LN2 = math.log(2.0)
@@ -110,8 +108,13 @@ def rate_gap_at(gamma: float, r: float) -> float:
     return noma_rate_at(gamma, r) - tdma_rate_at(gamma, r)
 
 
-def rate_gap_curve(gamma: float, r_values: np.ndarray) -> np.ndarray:
-    """Vectorized rate_gap_at over an array of ratios (any r > 0)."""
+def rate_gap_curve(gamma: float, r_values):
+    """Vectorized rate_gap_at over an array of ratios (any r > 0), as a numpy
+    array. numpy's log2 can differ from math's in the last bit, so no
+    published value comes from this curve; it serves diagnostics and tests.
+    """
+    import numpy as np
+
     r = np.asarray(r_values, dtype=float)
     x = _T * r * gamma
     p = np.log2(1.0 + x / (r + gamma + 1.0)) + np.log2(1.0 + x / (r + 1.0))

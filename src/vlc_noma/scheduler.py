@@ -10,12 +10,8 @@ system-level comparison.
 
 import math
 from dataclasses import dataclass
-from itertools import repeat
 from typing import Callable, Iterable, Sequence
 
-import numpy as np
-
-from .channel import mapped
 from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, rate_gap_at, squared_ratio
 from .region import NomaRegion, OracleMismatchError, RegionCache
 
@@ -232,11 +228,12 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
         per_user[uid] = rate
         groups.append(ScheduleGroup((uid,), tau, rate))
 
-    return ScheduleOutcome(
-        groups=tuple(groups),
-        per_user_rates=per_user,
-        sum_rate=sum(g.rate for g in groups),
-    )
+    # An explicit left-to-right fold from 0.0: CPython 3.11's builtin sum
+    # bit for bit, where 3.12 and later compensate a float sum.
+    sum_rate = 0.0
+    for group in groups:
+        sum_rate += group.rate
+    return ScheduleOutcome(groups=tuple(groups), per_user_rates=per_user, sum_rate=sum_rate)
 
 
 def scheme_sum_rates(
@@ -248,112 +245,3 @@ def scheme_sum_rates(
     users = UserChannelSet.from_gains(gains, p_led, noise_power)
     plans = (tdma_plan(users), forced_pairing(users), adaptive_pairing(users))
     return tuple(evaluate_schedule(plan, users).sum_rate for plan in plans)
-
-
-# Ratios below this square without overflow (sqrt of the float max is 1.34e154).
-_SAFE_RATIO = 1e154
-
-
-def _block_squared_ratios(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
-    """squared_ratio of each (strong, weak > 0) pair: builtin pow (what **
-    calls) mapped over the ratios that cannot overflow, squared_ratio
-    itself on the rest."""
-    ratio = strong / weak
-    safe = ratio < _SAFE_RATIO
-    r = np.empty(ratio.shape)
-    r[safe] = mapped(pow, ratio[safe], repeat(2.0))
-    for n in np.flatnonzero(~safe).tolist():
-        r[n] = squared_ratio(strong[n].item(), weak[n].item())
-    return r
-
-
-def _block_noma_logs(gamma: np.ndarray, r: np.ndarray):
-    """noma_user_rates(gamma, r) elementwise, and x = t*r*gamma."""
-    x = CAPACITY_SNR_FACTOR * r * gamma
-    return (mapped(math.log2, 1.0 + x / (r + gamma + 1.0)),
-            mapped(math.log2, 1.0 + x / (r + 1.0)),
-            x)
-
-
-def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.ndarray:
-    """scheme_sum_rates of each row of a (B, K) gain block, as a (B, 3)
-    array equal (==) to it row by row: the user sweep's batched form of the
-    public plans and evaluate_schedule.
-
-    The arithmetic runs in numpy in evaluate_schedule's order, and every
-    log2 and power is math.log2 or builtin pow mapped over the block (see
-    channel.mapped). The greedy runs as a walk over weak indices i: each
-    drop still looking for a partner of i tests its largest unpaired j > i,
-    takes it when the gap is >= 0 and otherwise moves to the next lower j,
-    so only the gaps adaptive_pairing reaches are evaluated. A weak user's
-    solo log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
-
-    Each scheme's group rates are summed by column-wise left-to-right adds
-    from 0.0, which is what CPython 3.11's builtin sum does with floats
-    (3.12 compensates its float sum). Adaptive's groups are laid out as
-    pairs by weak index, then singletons by index, with 0.0 in the columns
-    of indices that are not a pair's weak user or a singleton: adding 0.0
-    to a sum that starts from 0.0 changes no bit.
-    """
-    g = np.sort(np.asarray(gains, dtype=float), axis=1)
-    b, k = g.shape
-    if k == 0:
-        raise ValueError("need at least one user")
-    with np.errstate(all="ignore"):
-        snrs = p_led * g * g / noise_power
-        if not ((0.0 <= g) & (g < math.inf) & (0.0 <= snrs) & (snrs < math.inf)).all():
-            raise ValueError("gains and SNRs must be finite and non-negative")
-        solo_tau, pair_tau = 1.0 / k, 2.0 / k
-        units = mapped(math.log2, 1.0 + CAPACITY_SNR_FACTOR * snrs)
-        solo = solo_tau * units
-        out = np.zeros((b, 3))
-        for col in solo.T:
-            out[:, 0] += col
-
-        # Forced pairs (i, k - 1 - i): a dead weak user earns (0, 0), an
-        # overflowed ratio the r -> inf limit of both unit rates.
-        half = k // 2
-        weak, strong = g[:, :half], g[:, ::-1][:, :half]
-        forced = np.zeros((b, half))
-        live = weak > 0.0
-        r = _block_squared_ratios(strong[live], weak[live])
-        unit_weak, unit_strong, _ = _block_noma_logs(snrs[:, :half][live], r)
-        limit = r == math.inf
-        unit_weak[limit] = unit_strong[limit] = units[:, :half][live][limit]
-        forced[live] = pair_tau * unit_weak + pair_tau * unit_strong
-        for col in forced.T:
-            out[:, 1] += col
-        if k % 2:
-            out[:, 1] += solo[:, half]
-
-        # Adaptive: the greedy walk; a pair's rate sits in its weak user's
-        # column.
-        paired = np.zeros((b, k), dtype=bool)
-        pair_rates = np.zeros((b, k))
-        for i in range(k - 1):
-            drops = np.flatnonzero(~paired[:, i] & (g[:, i] > 0.0) & (snrs[:, i] > 0.0))
-            j = np.full(drops.size, k - 1)
-            while drops.size:
-                busy = paired[drops, j]
-                while busy.any():
-                    j[busy] -= 1
-                    busy[busy] = paired[drops[busy], j[busy]]
-                drops, j = drops[j > i], j[j > i]
-                if not drops.size:
-                    break
-                gamma = snrs[drops, i]
-                r = _block_squared_ratios(g[drops, j], g[drops, i])
-                unit_weak, unit_strong, x = _block_noma_logs(gamma, r)
-                gap = (unit_weak + unit_strong) - 0.5 * (
-                    units[drops, i] + mapped(math.log2, 1.0 + x))
-                # The gap tends to -inf as r grows, so an overflowed r never pairs.
-                take = ~((r == math.inf) | (gap < 0.0))
-                won, partner = drops[take], j[take]
-                paired[won, i] = paired[won, partner] = True
-                pair_rates[won, i] = pair_tau * unit_weak[take] + pair_tau * unit_strong[take]
-                drops, j = drops[~take], j[~take] - 1
-        for col in pair_rates.T:
-            out[:, 2] += col
-        for col in np.where(paired, 0.0, solo).T:
-            out[:, 2] += col
-    return out

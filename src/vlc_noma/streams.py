@@ -11,6 +11,8 @@ tests/test_streams.py compares them with numpy's own generators.
 
 import numpy as np
 
+from .config import TRIAL_LIMIT
+
 _M32 = 0xFFFFFFFF
 _POOL_SIZE = 4  # SeedSequence's default pool, in uint32 words
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix constants (mixing)
@@ -21,9 +23,6 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 _PCG_HI, _PCG_LO = 2549297995355413924, 4865540595714422341
 _PCG_LO_0, _PCG_LO_1 = _PCG_LO & _M32, _PCG_LO >> 32
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
-
-# Trial indices stay below this: index 2**32 would add a second spawn-key word.
-TRIAL_LIMIT = 2**32
 
 
 def _words(n: int) -> list[int]:

@@ -17,7 +17,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlc_noma.channel import UserPosition, block_floor_gains, floor_gains, los_channel_gain
+from vlc_noma.batch import block_floor_gains, block_sum_rates
+from vlc_noma.channel import UserPosition, floor_gains, los_channel_gain
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import (
     STREAM_BLOCK,
@@ -47,12 +48,7 @@ from vlc_noma.region import (
     region_for_snr,
     sca_solve,
 )
-from vlc_noma.scheduler import (
-    UserChannelSet,
-    adaptive_pairing,
-    block_sum_rates,
-    scheme_sum_rates,
-)
+from vlc_noma.scheduler import UserChannelSet, adaptive_pairing, scheme_sum_rates
 from vlc_noma.streams import uniform_streams
 
 DEFAULT = ExperimentConfig()

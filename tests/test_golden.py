@@ -5,10 +5,18 @@ leave these digests alone; a deliberate change to the numbers updates them
 and says why in CHANGES.md.
 """
 
+import builtins
 import hashlib
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 
+import vlc_noma
 from vlc_noma.cli import main
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import run_region_map, run_sweep_power, run_sweep_users
@@ -21,6 +29,7 @@ SWEEP_POWER = "8c3fc59e584ac2a2c6eca4a0ae206d88846b9be22152fe74ce8037624e4130e1"
 # bracket growth.
 REGION_MAP_WIDE = "e66d952b10e07c5d733cc4d168243b087b237afda79a172502f51111ae755f58"
 PAIR = "819fe4d61368f5dc2ed4d35a2d8756fe3d4194488d20a38ed855fb5be4f05d66"
+PAIR_GAINS = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
 SWEEP_USERS_200 = "19f2084c0ece2bab492ea352891d09d1acce06ad9727a9664dcde2c5a0a71257"
 # K = 2..3, the grid this digest was recorded at. Each worker runs one trial
 # range across every K, so its output depends only on that range.
@@ -52,9 +61,59 @@ def test_sweep_power_bytes_with_the_region_cross_check():
 
 
 def test_pair_bytes(capsys):
-    gains = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
-    assert main(["pair", "--gains", gains]) == 0
+    assert main(["pair", "--gains", PAIR_GAINS]) == 0
     assert _sha(capsys.readouterr().out) == PAIR
+
+
+def test_sum_rate_bytes_do_not_depend_on_builtin_sum(monkeypatch, capsys):
+    # CPython 3.12 compensates a float sum(); math.fsum stands in for it.
+    # The sum-rates fold their group rates explicitly, so no byte moves.
+    plain_sum = builtins.sum
+
+    def compensated_sum(iterable, start=0):
+        items = list(iterable)
+        if items and all(type(v) is float for v in items):
+            return math.fsum([start, *items])
+        return plain_sum(items, start)
+
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
+    assert sum([0.1, 0.2, 0.3]) == 0.6  # 0.6000000000000001 uncompensated
+    assert _sha(run_sweep_power(ExperimentConfig()).csv_text()) == SWEEP_POWER
+    assert main(["pair", "--gains", PAIR_GAINS]) == 0
+    assert _sha(capsys.readouterr().out) == PAIR
+
+
+# Runs with numpy unimportable: importing the package, the validated region
+# map, pair and the validated power sweep are scalar math throughout.
+NUMPY_FREE_SCRIPT = """
+import sys
+sys.modules["numpy"] = None
+import contextlib, hashlib, io, json
+import vlc_noma
+from vlc_noma.cli import main
+from vlc_noma.experiments import run_region_map, run_sweep_power
+cfg = vlc_noma.ExperimentConfig()
+pair = io.StringIO()
+with contextlib.redirect_stdout(pair):
+    code = main(["pair", "--gains", sys.argv[1]])
+texts = {
+    "region": run_region_map(cfg, validate=True).csv_text(),
+    "pair": pair.getvalue(),
+    "sweep_power": run_sweep_power(cfg, validate=True).csv_text(),
+}
+print(json.dumps({"code": code, **{name: hashlib.sha256(text.encode()).hexdigest()
+                                   for name, text in texts.items()}}))
+"""
+
+
+def test_region_pair_and_power_sweep_run_without_numpy():
+    src = str(Path(vlc_noma.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-s", "-c", NUMPY_FREE_SCRIPT, PAIR_GAINS],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {
+        "code": 0, "region": REGION_MAP, "pair": PAIR, "sweep_power": SWEEP_POWER}
 
 
 def test_sweep_users_bytes_serial():

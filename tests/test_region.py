@@ -1,20 +1,24 @@
 """Region solver vs the bisection oracle, plus solver-specific behaviour."""
 
 import csv
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from vlc_noma import region as region_module
-from vlc_noma.rates import rate_gap_at
+from vlc_noma.rates import rate_gap_at, rate_gap_curve
 from vlc_noma.region import (
+    SCAN_POINTS,
+    SCAN_RANGE,
     InfeasibleSeedError,
     NomaRegion,
     OracleMismatchError,
     TOLERANCE,
     RegionCache,
     RegionSolverError,
+    _SCAN_GRID,
     feasibility_scan,
     oracle_region,
     region_for_snr,
@@ -37,6 +41,48 @@ def test_feasibility_scan_finds_positive_gap_at_100():
 
 def test_feasibility_scan_empty_at_unit_snr():
     assert feasibility_scan(1.0) is None
+
+
+# sha256 of ",".join(repr(v) for v in _SCAN_GRID): the grid np.logspace(0,
+# 12, 256) gave when the published maps were recorded.
+SCAN_GRID_SHA = "c77348f958d94cb905a6aa86e70fbf6d3f1e6b66b5bda619857969744dcb4f33"
+
+
+def test_scan_grid_is_the_frozen_logspace():
+    grid = _SCAN_GRID
+    assert len(grid) == SCAN_POINTS
+    assert all(type(v) is float for v in grid)
+    assert all(a < b for a, b in zip(grid, grid[1:]))
+    assert (grid[0], grid[-1]) == SCAN_RANGE == (1.0, 1e12)
+    # linspace's exponent i * step, step = 12 / 255; libm's pow of it may
+    # differ in the last bit, which is why the grid is frozen
+    step = 12 / 255
+    for i, v in enumerate(grid):
+        assert abs(v - 10.0 ** (i * step)) <= math.ulp(v), i
+    digest = hashlib.sha256(",".join(repr(v) for v in grid).encode()).hexdigest()
+    assert digest == SCAN_GRID_SHA
+
+
+def reference_scan(gamma, grid=np.array(_SCAN_GRID)):
+    """The scan as it was: numpy's gap curve over the whole grid, its first
+    argmax, and None when that gap is <= 0."""
+    gaps = rate_gap_curve(gamma, grid)
+    best = int(np.argmax(gaps))
+    return None if gaps[best] <= 0.0 else float(grid[best])
+
+
+def test_scalar_scan_equals_the_argmax_of_the_gap_curve():
+    # -10..480 dB, then the band where regions first appear (10.1334 dB)
+    # and are narrower than the grid step
+    dense = [-10.0 + 0.0233 * i for i in range(21_031)]
+    band = [10.1334 + 0.0005 * i for i in range(1_201)]
+    seeds = set()
+    for db in dense + band:
+        gamma = 10.0 ** (db / 10.0)
+        seed = feasibility_scan(gamma)
+        assert seed == reference_scan(gamma), db
+        seeds.add(seed)
+    assert None in seeds and len(seeds) > 200  # empty maps and nearly every grid point
 
 
 def test_oracle_region_at_100():
