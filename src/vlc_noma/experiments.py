@@ -22,11 +22,18 @@ last bit on some hosts. So each drop equals the per-drop route
 _simulate_drop: floor_gains, then scheme_sum_rates, which evaluates the
 public TDMA, forced and adaptive plans. Both sum-rate sweeps decide each
 pair by the sign of the rate gap at the weak user's exact SNR; with
-validate they only cross-check that the pairs lie in oracle-checked solver
-regions (scheduler.check_gap_sign_pairs). pair_once gates its pairs on a
-region.
+validate they only cross-check that each pair lies in the oracle-checked
+solver region at its weak user's SNR (scheduler.check_gap_sign_pairs).
+pair_once gates its pairs on the solver region at the weak user's SNR.
+Every region is solved at the exact SNR that asks for it, and none is
+cached, so no result depends on the order of the lookups or on the worker
+count.
+
+The user sweep's mean and standard error are explicit left-to-right folds,
+so its bytes do not depend on numpy's choice of reduction order.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -124,12 +131,12 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache
 def _sweep_users_shard(args):
     """Worker entry: simulate trials [lo, hi) of every user count, drop for
     drop equal to _simulate_drop, a block of trials at a time. With
-    validate, every drop is also cross-checked on one validating cache."""
+    validate, every drop's pairs are also cross-checked against their
+    oracle-checked regions."""
     from .batch import block_floor_gains, block_sum_rates
     from .streams import uniform_streams
 
     cfg, lo, hi, validate = args
-    cache = RegionCache(validate=True) if validate else None
     link, room = cfg.link(), cfg.room()
     out = []
     for k in cfg.user_counts():
@@ -139,9 +146,9 @@ def _sweep_users_shard(args):
             # sample_user_positions' multiplies, on the same uniforms
             gains = block_floor_gains(link, u[:, 0::2] * room.length, u[:, 1::2] * room.width)
             drops += map(tuple, block_sum_rates(gains, cfg.led_power, cfg.noise_power).tolist())
-            if cache is not None:
+            if validate:
                 for row in gains.tolist():
-                    check_gap_sign_pairs(row, cfg.led_power, cfg.noise_power, cache)
+                    check_gap_sign_pairs(row, cfg.led_power, cfg.noise_power)
         out.append(drops)
     return out
 
@@ -175,20 +182,33 @@ def run_sweep_users(
         with multiprocessing.Pool(processes=min(workers, len(shards))) as pool:
             outputs = pool.map(_sweep_users_shard, shards)
 
-    import numpy as np
-
     rows = []
     for k_index, k in enumerate(cfg.user_counts()):
-        arr = np.asarray([drop for out in outputs for drop in out[k_index]])
-        means = arr.mean(axis=0)
-        if len(arr) > 1:
-            ses = arr.std(axis=0, ddof=1) / math.sqrt(len(arr))
-        else:
-            ses = np.zeros(3)
-        rows.append((
-            k, means[0], ses[0], means[1], ses[1], means[2], ses[2],
-        ))
+        drops = [drop for out in outputs for drop in out[k_index]]
+        cells = []
+        for column in zip(*drops):
+            mean, se = _mean_and_se(column)
+            cells += (mean, se)
+        rows.append((k, *cells))
     return ResultTable(columns, rows)
+
+
+def _mean_and_se(values: tuple[float, ...]) -> tuple[float, float]:
+    """Sample mean and standard error, as left-to-right folds from 0.0:
+    the sample standard deviation (n - 1 denominator) over sqrt(n), and 0.0
+    for a single value."""
+    n = len(values)
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
+    if n == 1:
+        return mean, 0.0
+    squares = 0.0
+    for v in values:
+        dev = v - mean
+        squares += dev * dev
+    return mean, math.sqrt(squares / (n - 1)) / math.sqrt(n)
 
 
 def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTable:
@@ -196,12 +216,11 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
     cluster, per LED power; validate cross-checks as run_sweep_users does."""
     columns = ("p_led", "tdma", "forced", "adaptive", "adaptive_minus_forced")
     gains = floor_gains(cfg.link(), cfg.fixed_positions)
-    cache = RegionCache(validate=True) if validate else None
     rows = []
     for p_led in cfg.power_grid:
         rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(gains, p_led, cfg.noise_power)
-        if cache is not None:
-            check_gap_sign_pairs(gains, p_led, cfg.noise_power, cache)
+        if validate:
+            check_gap_sign_pairs(gains, p_led, cfg.noise_power)
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,
@@ -210,8 +229,8 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
 
 
 def pair_once(gains, cfg: ExperimentConfig, validate: bool = False):
-    """One-shot adaptive pairing for explicit gains; returns (plan, outcome)."""
+    """One-shot adaptive pairing for explicit gains, gated on the solver
+    region at each weak user's SNR; returns (plan, outcome)."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    cache = RegionCache(validate)
-    plan = adaptive_pairing(users, cache.region_of)
+    plan = adaptive_pairing(users, functools.partial(region_for_snr, validate=validate))
     return plan, evaluate_schedule(plan, users)

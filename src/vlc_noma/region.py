@@ -37,7 +37,6 @@ MAX_ITERATIONS = 60
 SCAN_POINTS = 256             # log-spaced feasibility grid over SCAN_RANGE
 SCAN_RANGE = (1.0, 1e12)
 ORACLE_REL_WIDTH = 1e-8       # bracket width at which the oracle's bisection stops
-CACHE_BUCKET = 1e-3           # RegionCache key width in log(gamma)
 
 
 class RegionSolverError(RuntimeError):
@@ -427,29 +426,26 @@ def write_trace_csv(trace: ScaTrace, path: str) -> None:
 
 
 class RegionCache:
-    """Memoizes solver regions per SNR bucket (1e-3 relative in log space).
+    """Memoizes solver regions per exact SNR.
 
     A miss runs region_for_snr at the SNR that missed, so every cached
-    region equals a fresh region_for_snr call at that SNR; with validate on,
-    each miss is also cross-checked against the oracle.
-
-    A bucket serves the region of the first SNR that filled it, so a test
-    on a cached region depends on the lookup order near the region's ends.
+    region equals a fresh region_for_snr call at the SNR that asks for it;
+    with validate on, each miss is also cross-checked against the oracle.
     Lookups from threads may race but at worst recompute the same value.
-    pair_once gates on a cache; the sweeps use one only to cross-check.
+    No route of the package uses one: pair_once and the validated sweeps
+    solve each region at the weak user's own SNR.
     """
 
     def __init__(self, validate: bool = False):
         self.validate = validate
-        self._regions: dict[int, NomaRegion] = {}
+        self._regions: dict[float, NomaRegion] = {}
 
     def __len__(self) -> int:
         return len(self._regions)
 
     def region_of(self, gamma: float) -> NomaRegion:
-        key = round(math.log(gamma) / CACHE_BUCKET)
-        hit = self._regions.get(key)
+        hit = self._regions.get(gamma)
         if hit is None:
             hit = region_for_snr(gamma, self.validate)
-            self._regions[key] = hit
+            self._regions[gamma] = hit
         return hit

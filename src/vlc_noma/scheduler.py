@@ -8,12 +8,14 @@ group size, which makes the per-pair unit-slot gap comparison exactly the
 system-level comparison.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
+from . import region as region_module
 from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, rate_gap_at, squared_ratio
-from .region import NomaRegion, OracleMismatchError, RegionCache
+from .region import NomaRegion, OracleMismatchError
 
 
 @dataclass(frozen=True)
@@ -152,22 +154,29 @@ def adaptive_pairing(
 
 
 def check_gap_sign_pairs(
-    gains: Sequence[float], p_led: float, noise_power: float, cache: RegionCache
+    gains: Sequence[float],
+    p_led: float,
+    noise_power: float,
+    region_of: Callable[[float], NomaRegion] | None = None,
 ) -> None:
-    """Raise OracleMismatchError unless the gap-sign plan of these gains,
-    adaptive_pairing(users), equals adaptive_pairing(users, cache.region_of):
-    exactly when every pair it takes lies in region_of(weak SNR), looked up
-    in take order as the gated greedy looks them up."""
+    """Raise OracleMismatchError unless every pair of the gap-sign plan of
+    these gains, adaptive_pairing(users), lies in region_of(weak SNR): the
+    region at the weak user's own SNR, by default the oracle-checked
+    region_for_snr(gamma, validate=True). The plan then equals
+    adaptive_pairing(users, region_of)."""
+    if region_of is None:
+        # looked up per call, so a substituted region_for_snr is honoured
+        region_of = functools.partial(region_module.region_for_snr, validate=True)
     users = UserChannelSet.from_gains(gains, p_led, noise_power)
     lookup = {u.user_id: u for u in users}
     for weak_id, strong_id in adaptive_pairing(users).pairs:
         weak = lookup[weak_id]
-        region = cache.region_of(weak.snr)
+        region = region_of(weak.snr)
         r = squared_ratio(lookup[strong_id].gain, weak.gain)
         if not region.contains(r):
-            bounds = "empty" if region.is_empty else f"[{region.r_min:g}, {region.r_max:g}]"
+            bounds = "empty" if region.is_empty else f"[{region.r_min!r}, {region.r_max!r}]"
             raise OracleMismatchError(
-                f"the gap sign pairs r={r:g} at gamma={weak.snr:g}, "
+                f"the gap sign pairs r={r!r} at gamma={weak.snr!r}, "
                 f"outside the solver region {bounds}")
 
 

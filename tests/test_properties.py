@@ -15,7 +15,6 @@ from hypothesis import given, settings, strategies as st
 
 from vlc_noma.rates import rate_gap_at
 from vlc_noma.region import (
-    CACHE_BUCKET,
     NomaRegion,
     OracleMismatchError,
     RegionCache,
@@ -47,19 +46,6 @@ def users_of(gains, ids=None) -> UserChannelSet:
     return UserChannelSet.from_gains(gains, 1.0, NOISE, ids=ids)
 
 
-def oracle_region_of():
-    """RegionCache's bucketing, filled by oracle_region instead of the solver."""
-    regions = {}
-
-    def region_of(gamma):
-        key = round(math.log(gamma) / CACHE_BUCKET)
-        if key not in regions:
-            regions[key] = oracle_region(gamma)
-        return regions[key]
-
-    return region_of
-
-
 def gap_sign_plan(users: UserChannelSet) -> PairingPlan:
     """adaptive_pairing's greedy with no region at all: pair on the sign of
     the rate gap at the exact SNR."""
@@ -85,22 +71,21 @@ def test_plan_does_not_depend_on_the_region_route(gains):
     by_gap = adaptive_pairing(users)
     assert gap_sign_plan(users) == by_gap
     assert adaptive_pairing(users, RegionCache().region_of) == by_gap
-    assert adaptive_pairing(users, oracle_region_of()) == by_gap
+    assert adaptive_pairing(users, oracle_region) == by_gap
 
 
 @PROPERTY
 @given(user_gains, st.floats(1.0, 1e3), st.floats(0.0, 1e4))
 def test_cross_check_fails_exactly_when_a_region_changes_the_plan(gains, r_min, width):
-    class FixedRegions(RegionCache):
-        def region_of(self, gamma):
-            return NomaRegion(gamma, r_min, r_min + width)
+    def fixed_region(gamma):
+        return NomaRegion(gamma, r_min, r_min + width)
 
-    users, cache = users_of(gains), FixedRegions()
-    if adaptive_pairing(users, cache.region_of) == adaptive_pairing(users):
-        check_gap_sign_pairs(gains, 1.0, NOISE, cache)
+    users = users_of(gains)
+    if adaptive_pairing(users, fixed_region) == adaptive_pairing(users):
+        check_gap_sign_pairs(gains, 1.0, NOISE, fixed_region)
     else:
         with pytest.raises(OracleMismatchError, match="outside the solver region"):
-            check_gap_sign_pairs(gains, 1.0, NOISE, cache)
+            check_gap_sign_pairs(gains, 1.0, NOISE, fixed_region)
 
 
 @settings(PROPERTY, max_examples=300)  # about half the SNRs drawn have no region

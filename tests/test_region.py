@@ -258,14 +258,17 @@ def test_write_trace_csv(tmp_path):
     assert float(rows[-1][1]) == pytest.approx(trace.iterates[-1])
 
 
-def test_region_cache_quantizes_lookups():
+def test_region_cache_solves_each_lookup_at_its_own_snr():
+    # A gap-sign pair of the seed-3 user sweep (K=6, trial 6510); a region
+    # solved at the nearby SNR of K=2, trial 927 starts just above its r.
+    gamma, r = 326.7925876006048, 3.071063161588703
     cache = RegionCache()
-    first = cache.region_of(100.0)
-    again = cache.region_of(100.00001)  # same 1e-3-relative bucket
-    assert again is first
-    assert len(cache) == 1
-    other = cache.region_of(200.0)
-    assert other is not first
+    first = cache.region_of(326.6070345154696)
+    assert not first.contains(r)
+    region = cache.region_of(gamma)
+    assert region == region_for_snr(gamma)
+    assert region.contains(r)
+    assert cache.region_of(gamma) is region
     assert len(cache) == 2
 
 

@@ -6,12 +6,13 @@ import numpy as np
 import pytest
 
 from vlc_noma.rates import noma_rate_at, rate_gap_at
-from vlc_noma.region import RegionCache, region_for_snr
+from vlc_noma.region import NomaRegion, OracleMismatchError, RegionCache, region_for_snr
 from vlc_noma.scheduler import (
     PairingPlan,
     UserChannel,
     UserChannelSet,
     adaptive_pairing,
+    check_gap_sign_pairs,
     evaluate_schedule,
     forced_pairing,
     tdma_plan,
@@ -138,6 +139,21 @@ def test_adaptive_skips_the_region_when_no_candidate_beats_tdma():
         raise AssertionError("region_of called with no candidate past the gap test")
 
     assert adaptive_pairing(users, region_of) == tdma_plan(users)
+
+
+def test_gap_sign_cross_check_error_prints_exact_values():
+    # A region that starts one part in 1e9 above the pair's r: six
+    # significant digits would print r and r_min as the same number.
+    gains = [1e-6, 2e-6]
+    users = users_from_gains(gains)
+    weak, strong = users.users
+    r = (strong.gain / weak.gain) ** 2
+    r_min = r * (1.0 + 1e-9)
+    with pytest.raises(OracleMismatchError) as err:
+        check_gap_sign_pairs(gains, 1.0, NOISE, lambda gamma: NomaRegion(gamma, r_min, 1e3))
+    assert str(err.value) == (
+        f"the gap sign pairs r={r!r} at gamma={weak.snr!r}, "
+        f"outside the solver region [{r_min!r}, 1000.0]")
 
 
 def test_adaptive_pairs_lie_in_exact_region():
