@@ -114,6 +114,9 @@ class ExperimentConfig:
         for pos in self.fixed_positions:
             if not room.contains_floor_point(pos[0], pos[1]):
                 raise ConfigError(f"fixed position {pos} lies outside the room")
+            # floor_gains evaluates every receiver at z = 0, as UserPosition requires
+            if pos[2] != 0.0:
+                raise ConfigError(f"fixed_positions must lie on the floor (z = 0), got {pos}")
         self._check_link_under_led()
 
     def _check_link_under_led(self) -> None:

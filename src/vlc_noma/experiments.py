@@ -20,14 +20,14 @@ floats do, while every transcendental is math's own function mapped over
 the block, since numpy's log2, arccos and power differ from math's in the
 last bit on some hosts. So each drop equals the per-drop route
 _simulate_drop: floor_gains, then scheme_sum_rates, which evaluates the
-public TDMA, forced and adaptive plans. Both sum-rate sweeps decide each
-pair by the sign of the rate gap at the weak user's exact SNR; with
-validate they only cross-check that each pair lies in the oracle-checked
-solver region at its weak user's SNR (scheduler.check_gap_sign_pairs).
-pair_once gates its pairs on the solver region at the weak user's SNR.
-Every region is solved at the exact SNR that asks for it, and none is
-cached, so no result depends on the order of the lookups or on the worker
-count.
+public TDMA, forced and adaptive plans. Every route decides each pair by
+the sign of the rate gap at the weak user's exact SNR. A solver region only
+cross-checks a plan: adaptive_pairing(users, region_of) raises if a pair
+lies outside the region at its weak user's SNR. pair_once always
+cross-checks its plan, and the sum-rate sweeps do so with validate, against
+oracle-checked regions. Every region is solved at the exact SNR that asks
+for it, and none is cached, so no result depends on the order of the
+lookups or on the worker count.
 
 The user sweep's mean and standard error are explicit left-to-right folds,
 so its bytes do not depend on numpy's choice of reduction order.
@@ -38,16 +38,11 @@ import math
 import numbers
 from dataclasses import dataclass
 
+from . import region as region_module
 from .channel import RoomGeometry, floor_gains, snr_db
 from .config import ExperimentConfig
 from .region import RegionCache, region_for_snr
-from .scheduler import (
-    UserChannelSet,
-    adaptive_pairing,
-    check_gap_sign_pairs,
-    evaluate_schedule,
-    scheme_sum_rates,
-)
+from .scheduler import UserChannelSet, adaptive_pairing, evaluate_schedule, scheme_sum_rates
 
 # Trials per block of the user sweep: a block's arrays and lists stay under
 # a megabyte whatever the trial count.
@@ -138,6 +133,7 @@ def _sweep_users_shard(args):
 
     cfg, lo, hi, validate = args
     link, room = cfg.link(), cfg.room()
+    region_of = functools.partial(region_module.region_for_snr, validate=True)
     out = []
     for k in cfg.user_counts():
         drops = []
@@ -148,7 +144,8 @@ def _sweep_users_shard(args):
             drops += map(tuple, block_sum_rates(gains, cfg.led_power, cfg.noise_power).tolist())
             if validate:
                 for row in gains.tolist():
-                    check_gap_sign_pairs(row, cfg.led_power, cfg.noise_power)
+                    users = UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power)
+                    adaptive_pairing(users, region_of)
         out.append(drops)
     return out
 
@@ -216,11 +213,12 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
     cluster, per LED power; validate cross-checks as run_sweep_users does."""
     columns = ("p_led", "tdma", "forced", "adaptive", "adaptive_minus_forced")
     gains = floor_gains(cfg.link(), cfg.fixed_positions)
+    region_of = functools.partial(region_module.region_for_snr, validate=True)
     rows = []
     for p_led in cfg.power_grid:
         rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(gains, p_led, cfg.noise_power)
         if validate:
-            check_gap_sign_pairs(gains, p_led, cfg.noise_power)
+            adaptive_pairing(UserChannelSet.from_gains(gains, p_led, cfg.noise_power), region_of)
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,
@@ -229,8 +227,10 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
 
 
 def pair_once(gains, cfg: ExperimentConfig, validate: bool = False):
-    """One-shot adaptive pairing for explicit gains, gated on the solver
-    region at each weak user's SNR; returns (plan, outcome)."""
+    """One-shot adaptive pairing for explicit gains, each pair cross-checked
+    against the solver region at its weak user's SNR (oracle-checked with
+    validate); returns (plan, outcome)."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    plan = adaptive_pairing(users, functools.partial(region_for_snr, validate=validate))
+    region_of = functools.partial(region_module.region_for_snr, validate=validate)
+    plan = adaptive_pairing(users, region_of)
     return plan, evaluate_schedule(plan, users)

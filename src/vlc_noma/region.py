@@ -429,15 +429,13 @@ class RegionCache:
     """Memoizes solver regions per exact SNR.
 
     A miss runs region_for_snr at the SNR that missed, so every cached
-    region equals a fresh region_for_snr call at the SNR that asks for it;
-    with validate on, each miss is also cross-checked against the oracle.
+    region equals a fresh region_for_snr call at the SNR that asks for it.
     Lookups from threads may race but at worst recompute the same value.
     No route of the package uses one: pair_once and the validated sweeps
     solve each region at the weak user's own SNR.
     """
 
-    def __init__(self, validate: bool = False):
-        self.validate = validate
+    def __init__(self):
         self._regions: dict[float, NomaRegion] = {}
 
     def __len__(self) -> int:
@@ -446,6 +444,6 @@ class RegionCache:
     def region_of(self, gamma: float) -> NomaRegion:
         hit = self._regions.get(gamma)
         if hit is None:
-            hit = region_for_snr(gamma, self.validate)
+            hit = region_for_snr(gamma)
             self._regions[gamma] = hit
         return hit

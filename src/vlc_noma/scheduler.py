@@ -1,19 +1,19 @@
 """User grouping schemes and their sum-rate evaluation.
 
 Three plans are supported for a set of downlink users: adaptive pairing
-(pair weakest-with-strongest only when the gain ratio falls in the weak
-user's beneficial region), the forced strongest-weakest baseline that always
-pairs, and plain one-user-per-slot TDMA. Slot durations are proportional to
-group size, which makes the per-pair unit-slot gap comparison exactly the
-system-level comparison.
+(pair weakest-with-strongest only when the rate gap at the weak user's SNR
+is non-negative, which is the same as the gain ratio lying in that user's
+beneficial region; a solver region may only cross-check the pairs), the
+forced strongest-weakest baseline that always pairs, and plain
+one-user-per-slot TDMA. Slot durations are proportional to group size,
+which makes the per-pair unit-slot gap comparison exactly the system-level
+comparison.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from . import region as region_module
 from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, rate_gap_at, squared_ratio
 from .region import NomaRegion, OracleMismatchError
 
@@ -52,12 +52,13 @@ class UserChannelSet:
         noise_power: float,
         ids: Sequence[int] | None = None,
     ) -> "UserChannelSet":
-        """Build the set from raw gains; SNR = P * h^2 / sigma^2."""
+        """Build the set from raw gains; SNR = P * h^2 / sigma^2. Given ids
+        must match the gains one for one."""
         if ids is None:
             ids = range(1, len(gains) + 1)
         return cls(
             UserChannel(uid, h, p_led * h * h / noise_power)
-            for uid, h in zip(ids, gains)
+            for uid, h in zip(ids, gains, strict=True)
         )
 
     def __len__(self) -> int:
@@ -120,10 +121,9 @@ def adaptive_pairing(
     [r_min, r_max] at that SNR, and no region is needed. Users with zero gain
     or zero SNR (a gain so small that P * h^2 underflows) are never paired.
 
-    A given region_of is an extra gate after the gap test: the pair must
-    also lie in region_of(weak SNR), which is looked up only once some
-    candidate passes the gap test, so a weak user whose candidates all lose
-    to time-splitting never costs a region solve.
+    A given region_of only cross-checks the plan: it is called once per pair
+    formed, at the weak user's SNR, and a pair outside that region raises
+    OracleMismatchError. It never changes the plan.
     """
     order = users.users
     k = len(order)
@@ -133,7 +133,6 @@ def adaptive_pairing(
         weak = order[i]
         if paired[i] or weak.gain <= 0.0 or weak.snr <= 0.0:
             continue
-        region = None
         for j in range(k - 1, i, -1):
             if paired[j]:
                 continue
@@ -142,42 +141,18 @@ def adaptive_pairing(
             if r == math.inf or rate_gap_at(weak.snr, r) < 0.0:
                 continue
             if region_of is not None:
-                if region is None:
-                    region = region_of(weak.snr)
+                region = region_of(weak.snr)
                 if not region.contains(r):
-                    continue
+                    bounds = ("empty" if region.is_empty
+                              else f"[{region.r_min!r}, {region.r_max!r}]")
+                    raise OracleMismatchError(
+                        f"the gap sign pairs r={r!r} at gamma={weak.snr!r}, "
+                        f"outside the solver region {bounds}")
             pairs.append((weak.user_id, order[j].user_id))
             paired[i] = paired[j] = True
             break
     return PairingPlan(
         tuple(pairs), tuple(u.user_id for u, done in zip(order, paired) if not done))
-
-
-def check_gap_sign_pairs(
-    gains: Sequence[float],
-    p_led: float,
-    noise_power: float,
-    region_of: Callable[[float], NomaRegion] | None = None,
-) -> None:
-    """Raise OracleMismatchError unless every pair of the gap-sign plan of
-    these gains, adaptive_pairing(users), lies in region_of(weak SNR): the
-    region at the weak user's own SNR, by default the oracle-checked
-    region_for_snr(gamma, validate=True). The plan then equals
-    adaptive_pairing(users, region_of)."""
-    if region_of is None:
-        # looked up per call, so a substituted region_for_snr is honoured
-        region_of = functools.partial(region_module.region_for_snr, validate=True)
-    users = UserChannelSet.from_gains(gains, p_led, noise_power)
-    lookup = {u.user_id: u for u in users}
-    for weak_id, strong_id in adaptive_pairing(users).pairs:
-        weak = lookup[weak_id]
-        region = region_of(weak.snr)
-        r = squared_ratio(lookup[strong_id].gain, weak.gain)
-        if not region.contains(r):
-            bounds = "empty" if region.is_empty else f"[{region.r_min!r}, {region.r_max!r}]"
-            raise OracleMismatchError(
-                f"the gap sign pairs r={r!r} at gamma={weak.snr!r}, "
-                f"outside the solver region {bounds}")
 
 
 def forced_pairing(users: UserChannelSet) -> PairingPlan:

@@ -108,8 +108,9 @@ def test_an_overflowed_ratio_never_pairs_and_forces_the_limit(gains, p_led, nois
 
 
 # With validate the shard also cross-checks every drop's pairs against
-# solver regions (region_gate), which must pass and change no rate.
-@pytest.mark.parametrize("validate", [False, True], ids=["gap_sign", "region_gate"])
+# oracle-checked solver regions (cross_check), which must pass and change no
+# rate.
+@pytest.mark.parametrize("validate", [False, True], ids=["gap_sign", "cross_check"])
 @pytest.mark.parametrize("cfg", [DEFAULT, NARROW_FOV], ids=["default", "narrow_fov"])
 def test_batched_shard_equals_simulate_drop(cfg, validate):
     cfg = dataclasses.replace(cfg, users_min=1, users_max=11)

@@ -142,12 +142,15 @@ def test_zero_noise_power_fails_cleanly(tmp_path, capsys):
 @pytest.mark.parametrize("text, key", [
     ("room_height = 1e-300\n", "room_height"),
     ("noise_power = 1e-320\n", "noise_power"),
+    # receivers off the floor, which floor_gains would evaluate at z = 0
+    ("fixed_positions = 2.5,5.5,1; 4,0,2.9\n", "fixed_positions"),
 ])
 def test_degenerate_channel_configs_fail_cleanly(text, key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert main(["sweep-users", "--config", str(cfg), "--trials", "5"]) == 2
-    assert capsys.readouterr().err.startswith(f"error: {key} ")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {key} ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text, key", [
@@ -166,7 +169,7 @@ def test_snr_grid_bounds_past_the_float_range_fail_cleanly(text, key, tmp_path, 
 @pytest.mark.parametrize("text, command", [
     # t*r*gamma overflows the feasibility scan's grid at 3000 dB
     ("snr_db_min = 3000\nsnr_db_max = 3000\n", ["region"]),
-    # a 1e301 weak-user SNR: the pair gate's region solve fails
+    # a 1e301 weak-user SNR: the region solve of pair's cross-check fails
     ("led_power = 1e9\nnoise_power = 1e-20\n", ["pair", "--gains", "1e136,2e136"]),
     # SNRs of about 1e240, through the user sweep's region cross-check
     ("noise_power = 1e-250\n", ["sweep-users", "--trials", "20", "--validate-oracle"]),
@@ -196,13 +199,30 @@ def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
     assert captured.err == "" and "inf" not in captured.out
 
 
-@pytest.mark.parametrize("command", ["sweep-users", "sweep-power"])
+@pytest.mark.parametrize("command", [
+    pytest.param(["sweep-users", "--trials", "20", "--validate-oracle"], id="sweep-users"),
+    pytest.param(["sweep-power", "--validate-oracle"], id="sweep-power"),
+    # pair cross-checks its plan with or without the oracle
+    pytest.param(["pair", "--gains", "1e-6,2e-6"], id="pair"),
+    pytest.param(["pair", "--gains", "1e-6,2e-6", "--validate-oracle"], id="pair-validated"),
+])
 def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
         command, monkeypatch, capsys):
     monkeypatch.setattr(region, "region_for_snr",
                         lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
-    assert main([command, "--trials", "20", "--validate-oracle"]) == 2
+    assert main(command) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the gap sign pairs r=")
     assert captured.err.count("\n") == 1
+
+
+def test_pair_exits_2_where_the_scan_misses_a_gap_sign_pair(capsys):
+    # The weak user sits at 10.1344 dB, where the feasibility scan finds no
+    # positive gap on its grid although the gap at this pair's r is positive.
+    assert main(["pair", "--gains", "3.211589282887969e-07,8.616109156911085e-07"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: the gap sign pairs r=7.197511786541628 at gamma=10.31430572196086, "
+        "outside the solver region empty\n")

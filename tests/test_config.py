@@ -126,6 +126,14 @@ def test_semantic_validation():
         parse_config_text("fixed_positions = 7,1,0\n")
 
 
+@pytest.mark.parametrize("z", ["1", "-0.5", "2.9", "nan"])
+def test_fixed_positions_must_lie_on_the_floor(z):
+    # floor_gains evaluates every receiver at z = 0
+    with pytest.raises(ConfigError, match="^fixed_positions "):
+        parse_config_text(f"fixed_positions = 2.5,5.5,0; 4,0,{z}\n")
+    parse_config_text("fixed_positions = 2.5,5.5,-0.0\n")
+
+
 @pytest.mark.parametrize("text, key", [
     ("room_height = 1e-300\n", "room_height"),   # every link would be dead
     ("noise_power = 1e-320\n", "noise_power"),   # the SNR under the LED overflows

@@ -1,8 +1,8 @@
 """Property tests: the rate gap is non-negative exactly inside the region,
 the solver agrees with the oracle, the pairing plan does not depend on how
-regions are found or on input order, the sweeps' region cross-check fails
-exactly when a region would change the plan, adaptive pairing never loses
-to TDMA, and oracle endpoints are feasible.
+regions are found or on input order, a region cross-check fails exactly
+when a gap-sign pair lies outside it and otherwise leaves the plan as it is,
+adaptive pairing never loses to TDMA, and oracle endpoints are feasible.
 
 Examples are derandomized, so a run is reproducible; each example builds
 fresh region caches.
@@ -25,7 +25,6 @@ from vlc_noma.scheduler import (
     PairingPlan,
     UserChannelSet,
     adaptive_pairing,
-    check_gap_sign_pairs,
     evaluate_schedule,
     tdma_plan,
 )
@@ -76,16 +75,19 @@ def test_plan_does_not_depend_on_the_region_route(gains):
 
 @PROPERTY
 @given(user_gains, st.floats(1.0, 1e3), st.floats(0.0, 1e4))
-def test_cross_check_fails_exactly_when_a_region_changes_the_plan(gains, r_min, width):
+def test_cross_check_fails_exactly_when_a_gap_sign_pair_leaves_the_region(gains, r_min, width):
     def fixed_region(gamma):
         return NomaRegion(gamma, r_min, r_min + width)
 
     users = users_of(gains)
-    if adaptive_pairing(users, fixed_region) == adaptive_pairing(users):
-        check_gap_sign_pairs(gains, 1.0, NOISE, fixed_region)
+    by_id = {u.user_id: u for u in users}
+    plan = gap_sign_plan(users)
+    if all(fixed_region(by_id[w].snr).contains((by_id[s].gain / by_id[w].gain) ** 2)
+           for w, s in plan.pairs):
+        assert adaptive_pairing(users, fixed_region) == plan
     else:
         with pytest.raises(OracleMismatchError, match="outside the solver region"):
-            check_gap_sign_pairs(gains, 1.0, NOISE, fixed_region)
+            adaptive_pairing(users, fixed_region)
 
 
 @settings(PROPERTY, max_examples=300)  # about half the SNRs drawn have no region

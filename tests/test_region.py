@@ -287,6 +287,6 @@ def test_region_cache_validate_cross_checks_the_oracle(monkeypatch):
         return NomaRegion(gamma, ref.r_min, ref.r_max * 1.01)
 
     monkeypatch.setattr(region_module, "_oracle_region", skewed_oracle)
-    RegionCache().region_of(100.0)  # no cross-check without validate
+    region_for_snr(100.0)  # no cross-check without validate
     with pytest.raises(OracleMismatchError):
-        RegionCache(validate=True).region_of(100.0)
+        region_for_snr(100.0, validate=True)

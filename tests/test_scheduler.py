@@ -12,7 +12,6 @@ from vlc_noma.scheduler import (
     UserChannel,
     UserChannelSet,
     adaptive_pairing,
-    check_gap_sign_pairs,
     evaluate_schedule,
     forced_pairing,
     tdma_plan,
@@ -56,6 +55,12 @@ def test_from_gains_computes_snr():
     by_id = {u.user_id: u for u in users}
     assert by_id[1].snr == pytest.approx(100.0, rel=1e-12)
     assert by_id[2].snr == pytest.approx(400.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("ids", [[1, 2], [1, 2, 3, 4]])
+def test_from_gains_rejects_ids_that_do_not_match_the_gains(ids):
+    with pytest.raises(ValueError):
+        UserChannelSet.from_gains([1e-6, 2e-6, 3e-6], 1.0, NOISE, ids=ids)
 
 
 def test_forced_pairing_even_count():
@@ -105,9 +110,18 @@ def test_adaptive_textbook_four_users():
     # r(2,3) = 1.2 outside every region
     h1 = 1e-6
     gains = [h1, 1.05e-6, 1.05e-6 * math.sqrt(1.2), h1 * math.sqrt(10.0)]
-    plan = adaptive_pairing(users_from_gains(gains), CACHE.region_of)
+    users = users_from_gains(gains)
+    asked = []
+
+    def region_of(gamma):
+        asked.append(gamma)
+        return CACHE.region_of(gamma)
+
+    plan = adaptive_pairing(users, region_of)
     assert plan.pairs == ((1, 4),)
     assert set(plan.singletons) == {2, 3}
+    # a region is asked for once per pair formed, at the weak user's SNR
+    assert asked == [users.users[0].snr]
 
 
 def test_adaptive_zero_gain_users_stay_solo():
@@ -144,13 +158,12 @@ def test_adaptive_skips_the_region_when_no_candidate_beats_tdma():
 def test_gap_sign_cross_check_error_prints_exact_values():
     # A region that starts one part in 1e9 above the pair's r: six
     # significant digits would print r and r_min as the same number.
-    gains = [1e-6, 2e-6]
-    users = users_from_gains(gains)
+    users = users_from_gains([1e-6, 2e-6])
     weak, strong = users.users
     r = (strong.gain / weak.gain) ** 2
     r_min = r * (1.0 + 1e-9)
     with pytest.raises(OracleMismatchError) as err:
-        check_gap_sign_pairs(gains, 1.0, NOISE, lambda gamma: NomaRegion(gamma, r_min, 1e3))
+        adaptive_pairing(users, lambda gamma: NomaRegion(gamma, r_min, 1e3))
     assert str(err.value) == (
         f"the gap sign pairs r={r!r} at gamma={weak.snr!r}, "
         f"outside the solver region [{r_min!r}, 1000.0]")
