@@ -23,8 +23,8 @@ class RoomGeometry:
     height: float = 3.0  # m, ceiling z
 
     def __post_init__(self):
-        if min(self.length, self.width, self.height) <= 0.0:
-            raise ValueError("room dimensions must be positive")
+        if not all(0.0 < v < math.inf for v in (self.length, self.width, self.height)):
+            raise ValueError("room dimensions must be finite and positive")
 
     def led_position(self) -> tuple[float, float, float]:
         """Ceiling center, where the transmitter is mounted."""
@@ -39,13 +39,11 @@ class LedConfig:
     """Transmitter parameters."""
 
     position: tuple[float, float, float] = (3.0, 3.0, 3.0)  # m
-    transmit_power: float = 1.0                   # W, P_LED
     semi_angle: float = math.radians(60.0)        # rad, half-illuminance semi-angle
-    dc_offset: float = 0.0                        # W, brightness bias; no rate effect
 
     def __post_init__(self):
-        if self.transmit_power <= 0.0:
-            raise ValueError("transmit_power must be positive")
+        if not all(map(math.isfinite, self.position)):
+            raise ValueError("LED position must be finite")
         if not 0.0 < self.semi_angle < 0.5 * math.pi:
             raise ValueError("semi_angle must lie in (0, pi/2)")
 
@@ -59,19 +57,15 @@ class PhotodiodeConfig:
     fov: float = math.radians(60.0)               # rad, field of view
     filter_gain: float = 1.0                      # optical filter, dimensionless
     concentrator_index: float = 1.5               # refractive index of concentrator
-    conversion_efficiency: float = 0.44           # stored only; SNR uses P*h^2/sigma^2
 
     def __post_init__(self):
-        if self.active_area <= 0.0:
-            raise ValueError("active_area must be positive")
-        if self.responsivity <= 0.0:
-            raise ValueError("responsivity must be positive")
+        for name in ("active_area", "responsivity", "filter_gain"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and positive")
         if not 0.0 < self.fov <= 0.5 * math.pi:
             raise ValueError("fov must lie in (0, pi/2]")
-        if self.filter_gain <= 0.0:
-            raise ValueError("filter_gain must be positive")
-        if self.concentrator_index < 1.0:
-            raise ValueError("concentrator_index must be >= 1")
+        if not 1.0 <= self.concentrator_index < math.inf:
+            raise ValueError("concentrator_index must be finite and >= 1")
 
 
 @dataclass(frozen=True)
@@ -83,6 +77,8 @@ class UserPosition:
     def __post_init__(self):
         if self.position[2] != 0.0:
             raise ValueError("receivers sit on the z = 0 plane")
+        if not all(map(math.isfinite, self.position)):
+            raise ValueError("receiver position must be finite")
 
     @classmethod
     def at(cls, x: float, y: float) -> "UserPosition":
@@ -100,10 +96,10 @@ class LinkBudget:
     noise_power: float      # W
 
     def __post_init__(self):
-        if self.channel_gain < 0.0:
-            raise ValueError("channel gain cannot be negative")
-        if self.noise_power <= 0.0:
-            raise ValueError("noise power must be positive")
+        if not 0.0 <= self.channel_gain < math.inf:
+            raise ValueError("channel gain must be finite and non-negative")
+        if not 0.0 < self.noise_power < math.inf:
+            raise ValueError("noise power must be finite and positive")
 
 
 def lambertian_order(semi_angle: float) -> float:

@@ -13,13 +13,10 @@ from .region import RegionSolverError
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH",
                         help="key = value config file (defaults otherwise)")
-    parser.add_argument("--seed", type=int, metavar="N", help="RNG seed override")
-    parser.add_argument("--trials", type=int, metavar="M",
-                        help="Monte Carlo trials override")
     parser.add_argument("--out", metavar="PATH",
                         help="output file (stdout if omitted)")
     parser.add_argument("--validate-oracle", action="store_true",
-                        help="check solver results against the oracle, sweep pairs against them")
+                        help="check solver regions against the oracle, and pairs against them")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,6 +31,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_users = sub.add_parser("sweep-users", help="mean sum-rate vs number of users")
     _add_common(p_users)
+    p_users.add_argument("--seed", type=int, metavar="N",
+                         help="RNG seed (overrides the config's seed)")
+    p_users.add_argument("--trials", type=int, metavar="M",
+                         help="Monte Carlo drops per user count (overrides the config's trials)")
     p_users.add_argument("--workers", type=int, default=1, metavar="N",
                          help="parallel worker processes (output bytes unaffected)")
 
@@ -53,8 +54,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _load(args) -> ExperimentConfig:
     cfg = load_config(args.config) if args.config else ExperimentConfig()
-    overrides = {name: value for name, value in (("seed", args.seed), ("trials", args.trials))
-                 if value is not None}
+    # only sweep-users has --seed and --trials
+    overrides = {name: getattr(args, name) for name in ("seed", "trials")
+                 if getattr(args, name, None) is not None}
     return dataclasses.replace(cfg, **overrides)  # re-runs the config's validation
 
 
@@ -81,7 +83,10 @@ def main(argv=None) -> int:
             table = run_sweep_power(cfg, validate=args.validate_oracle)
             _emit(table.csv_text(), args.out)
         elif args.command == "pair":
-            gains = [float(tok) for tok in args.gains.split(",") if tok.strip()]
+            try:
+                gains = [float(tok) for tok in args.gains.split(",") if tok.strip()]
+            except ValueError as exc:
+                raise ConfigError(f"--gains has a bad value: {exc}") from None
             if not gains:
                 raise ConfigError("--gains needs at least one value")
             plan, outcome = pair_once(gains, cfg, validate=args.validate_oracle)

@@ -49,8 +49,8 @@ class ExperimentConfig:
     room_height: float = 3.0          # m
     led_power: float = 1.0            # W
     semi_angle_deg: float = 60.0      # LED semi-angle at half illuminance
-    dc_offset: float = 0.0            # W, brightness bias (no rate effect)
-    conversion_efficiency: float = 0.44  # stored only, excluded from SNR
+    dc_offset: float = 0.0            # W, brightness bias; stored only, no rate effect
+    conversion_efficiency: float = 0.44  # stored only; SNR is P*h^2/sigma^2
     pd_area: float = 1e-4             # m^2
     pd_responsivity: float = 0.54     # A/W
     fov_deg: float = 60.0             # photodiode field of view
@@ -91,12 +91,13 @@ class ExperimentConfig:
             raise ConfigError("semi_angle_deg is too small: its cosine rounds to 1")
         if math.sin(math.radians(self.fov_deg)) ** 2 == 0.0:
             raise ConfigError("fov_deg is too small: the square of its sine underflows to 0")
-        if not (math.isfinite(self.snr_db_min) and math.isfinite(self.snr_db_max)):
-            raise ConfigError("SNR grid bounds must be finite")
+        for name in ("snr_db_min", "snr_db_max"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if not SNR_DB_RESOLUTION <= self.snr_db_step < math.inf:
             raise ConfigError(f"snr_db_step must be finite and >= {SNR_DB_RESOLUTION:g}")
         if self.snr_db_max < self.snr_db_min:
-            raise ConfigError("SNR grid must be non-empty and ascending")
+            raise ConfigError("snr_db_max must be >= snr_db_min")
         # The region map solves at the linear SNR 10**(dB/10) of each grid point.
         try:
             10.0 ** (self.snr_db_max / 10.0)
@@ -105,15 +106,17 @@ class ExperimentConfig:
         if 10.0 ** (self.snr_db_min / 10.0) == 0.0:
             raise ConfigError("snr_db_min is too small: its linear SNR underflows to 0")
         if not 1 <= self.users_min <= self.users_max:
-            raise ConfigError("user-count grid must satisfy 1 <= min <= max")
+            raise ConfigError("users_min and users_max must satisfy 1 <= users_min <= users_max")
         if not self.power_grid or list(self.power_grid) != sorted(self.power_grid):
             raise ConfigError("power_grid must be non-empty and sorted")
         if not all(0.0 < p < math.inf for p in self.power_grid):
             raise ConfigError("power_grid values must be finite and > 0")
+        if not self.fixed_positions:
+            raise ConfigError("fixed_positions needs at least one position")
         room = self.room()
         for pos in self.fixed_positions:
             if not room.contains_floor_point(pos[0], pos[1]):
-                raise ConfigError(f"fixed position {pos} lies outside the room")
+                raise ConfigError(f"fixed_positions point {pos} lies outside the room")
             # floor_gains evaluates every receiver at z = 0, as UserPosition requires
             if pos[2] != 0.0:
                 raise ConfigError(f"fixed_positions must lie on the floor (z = 0), got {pos}")
@@ -157,9 +160,7 @@ class ExperimentConfig:
     def _led(self) -> LedConfig:
         return LedConfig(
             position=self.room().led_position(),
-            transmit_power=self.led_power,
             semi_angle=math.radians(self.semi_angle_deg),
-            dc_offset=self.dc_offset,
         )
 
     @cached_property
@@ -170,7 +171,6 @@ class ExperimentConfig:
             fov=math.radians(self.fov_deg),
             filter_gain=self.filter_gain,
             concentrator_index=self.refractive_index,
-            conversion_efficiency=self.conversion_efficiency,
         )
 
     @cached_property

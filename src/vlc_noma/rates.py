@@ -32,10 +32,10 @@ class PairState:
     r: float
 
     def __post_init__(self):
-        if self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
-        if self.r < 1.0:
-            raise ValueError("r must be >= 1 (pair is sorted weak/strong)")
+        if not 0.0 < self.gamma < math.inf:
+            raise ValueError("gamma must be finite and positive")
+        if not 1.0 <= self.r < math.inf:
+            raise ValueError("r must be finite and >= 1 (pair is sorted weak/strong)")
 
     @classmethod
     def from_gains(cls, h_a: float, h_b: float, p_led: float, noise_power: float) -> "PairState":

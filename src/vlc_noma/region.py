@@ -24,7 +24,7 @@ import math
 import sys
 from dataclasses import dataclass, field
 
-from .rates import _LN2, CAPACITY_SNR_FACTOR, rate_gap_at
+from .rates import _LN2, CAPACITY_SNR_FACTOR
 
 # Abort geometric bracket growth beyond EXPANSION_GUARD * max(1, gamma^2):
 # r_max grows as about 0.19 * gamma^2.
@@ -283,11 +283,8 @@ def _oracle_region(gamma: float, seed: float | None) -> NomaRegion:
     if seed is None:
         return NomaRegion.empty(gamma)
 
-    floor = max(1.0, SCAN_RANGE[0])
-    if rate_gap_at(gamma, floor) >= 0.0:
-        r_min = floor  # region reaches the canonical lower bound r = 1
-    else:
-        r_min = _gap_root(gamma, floor, seed, False, ORACLE_REL_WIDTH)
+    # The gap at r = 1 is negative at every SNR (t < 1), so r_min lies above 1.
+    r_min = _gap_root(gamma, 1.0, seed, False, ORACLE_REL_WIDTH)
 
     log2, t = math.log2, _T
     log_1tg = log2(1.0 + t * gamma)
@@ -301,7 +298,7 @@ def _oracle_region(gamma: float, seed: float | None) -> NomaRegion:
         hi *= 4.0
     if hi > ceiling:
         raise RegionSolverError(f"upper bracket exceeded {ceiling:g} at gamma={gamma:g}")
-    r_max = _gap_root(gamma, seed, hi, rate_gap_at(gamma, seed) >= 0.0, ORACLE_REL_WIDTH)
+    r_max = _gap_root(gamma, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
     return NomaRegion(gamma, r_min, r_max)
 
 

@@ -161,8 +161,6 @@ def test_room_geometry_led_position_and_bounds():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LedConfig(transmit_power=0.0)
-    with pytest.raises(ValueError):
         LedConfig(semi_angle=math.pi / 2)
     with pytest.raises(ValueError):
         PhotodiodeConfig(concentrator_index=0.5)
@@ -172,6 +170,36 @@ def test_config_validation():
         LinkBudget(-1e-9, 3.0, 0.0, 0.0, 1e-14)
     with pytest.raises(ValueError):
         LinkBudget(1e-6, 3.0, 0.0, 0.0, 0.0)
+    with pytest.raises(ValueError, match="finite"):  # d^2 is subnormal, so h overflows
+        los_channel_gain(LedConfig(position=(3.0, 3.0, 1e-160)), PD, UserPosition.at(3.0, 3.0))
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("build", [
+    lambda v: PhotodiodeConfig(active_area=v),
+    lambda v: PhotodiodeConfig(responsivity=v),
+    lambda v: PhotodiodeConfig(filter_gain=v),
+    lambda v: PhotodiodeConfig(concentrator_index=v),
+    lambda v: RoomGeometry(length=v),
+    lambda v: RoomGeometry(width=v),
+    lambda v: RoomGeometry(height=v),
+    lambda v: LedConfig(position=(3.0, v, 3.0)),
+    lambda v: UserPosition.at(v, 3.0),
+    lambda v: UserPosition.at(3.0, v),
+    lambda v: LinkBudget(v, 3.0, 0.0, 0.0, 1e-14),
+    lambda v: los_channel_gain(LED, PD, UserPosition.at(4.0, 4.0), noise_power=v),
+], ids=["active_area", "responsivity", "filter_gain", "concentrator_index", "length",
+        "width", "height", "led_position", "user_x", "user_y", "channel_gain", "noise_power"])
+def test_device_fields_must_be_finite(build, value):
+    with pytest.raises(ValueError, match="finite"):
+        build(value)
+
+
+@pytest.mark.parametrize("field", ["active_area", "responsivity", "filter_gain"])
+@pytest.mark.parametrize("value", [0.0, -1e-4])
+def test_photodiode_fields_must_be_positive(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite and positive"):
+        PhotodiodeConfig(**{field: value})
 
 
 def test_link_constants_are_built_once_per_device_pair():

@@ -1,5 +1,6 @@
 """End-to-end CLI checks through the argparse entry point."""
 
+import hashlib
 import math
 
 import pytest
@@ -86,6 +87,13 @@ def test_bad_gains_fail_cleanly(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("gains, token", [("abc", "abc"), ("1e-6,x", "x")])
+def test_unparsable_gains_name_the_option(gains, token, capsys):
+    assert main(["pair", "--gains", gains]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --gains has a bad value: could not convert string to float: '{token}'\n")
+
+
 @pytest.mark.parametrize("gains", ["inf,1e-6", "nan,1e-6", "1e200,1e-6"])
 def test_non_finite_gains_fail_cleanly(gains, capsys):
     assert main(["pair", "--gains", gains]) == 2
@@ -111,7 +119,7 @@ def test_trials_override_is_validated(capsys):
     assert capsys.readouterr().err == "error: trials must be >= 1\n"
 
 
-@pytest.mark.parametrize("command", [["sweep-users"], ["region"], ["pair", "--gains", "1e-6"]])
+@pytest.mark.parametrize("command", [["sweep-users"]])
 @pytest.mark.parametrize("option, value, message", [
     ("--seed", "-1", "seed must be >= 0"),
     ("--trials", str(2**32 + 1), "trials must be <= 2**32"),
@@ -119,6 +127,26 @@ def test_trials_override_is_validated(capsys):
 def test_seed_and_trial_bounds_are_config_errors(command, option, value, message, capsys):
     assert main([*command, option, value]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["region", "--seed", "1"],
+    ["sweep-power", "--trials", "5"],
+    ["pair", "--gains", "1e-6", "--seed", "1"],
+])
+def test_seed_and_trials_are_usage_errors_outside_sweep_users(argv, capsys):
+    # only sweep-users draws random drops; the other commands have no use for either
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + " ".join(argv[-2:]) in capsys.readouterr().err
+
+
+def test_single_trial_sweep_has_zero_standard_errors(capsys):
+    assert main(["sweep-users", "--trials", "1"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "be976faab085d6518b431227708d89e0aac2565f9df241632e480daecb6ea678")
 
 
 def test_narrow_beam_sweep_has_finite_cells(tmp_path, capsys):
@@ -144,6 +172,10 @@ def test_zero_noise_power_fails_cleanly(tmp_path, capsys):
     ("noise_power = 1e-320\n", "noise_power"),
     # receivers off the floor, which floor_gains would evaluate at z = 0
     ("fixed_positions = 2.5,5.5,1; 4,0,2.9\n", "fixed_positions"),
+    ("fixed_positions =\n", "fixed_positions"),
+    ("fixed_positions = 7,1,0\n", "fixed_positions"),
+    ("users_min = 5\nusers_max = 3\n", "users_min"),
+    ("users_min = 0\n", "users_min"),
 ])
 def test_degenerate_channel_configs_fail_cleanly(text, key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -156,6 +188,9 @@ def test_degenerate_channel_configs_fail_cleanly(text, key, tmp_path, capsys):
 @pytest.mark.parametrize("text, key", [
     ("snr_db_min = 3500\nsnr_db_max = 3500\n", "snr_db_max"),  # 10**350 overflows
     ("snr_db_min = -4000\n", "snr_db_min"),                     # 10**-400 underflows to 0
+    ("snr_db_max = inf\n", "snr_db_max"),
+    ("snr_db_min = nan\n", "snr_db_min"),
+    ("snr_db_min = 20\nsnr_db_max = 10\n", "snr_db_max"),
 ])
 def test_snr_grid_bounds_past_the_float_range_fail_cleanly(text, key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"

@@ -28,11 +28,17 @@ def test_derived_objects_mirror_scalars():
     cfg = ExperimentConfig(led_power=2.0, fov_deg=45.0)
     assert cfg.room().led_position() == (3.0, 3.0, 3.0)
     led = cfg.led()
-    assert led.transmit_power == 2.0
     assert led.semi_angle == pytest.approx(math.radians(60.0))
     pd = cfg.photodiode()
     assert pd.fov == pytest.approx(math.radians(45.0))
     assert pd.concentrator_index == 1.5
+
+
+def test_stored_only_keys_reach_no_device():
+    plain = ExperimentConfig()
+    stored = parse_config_text("dc_offset = 0.5\nconversion_efficiency = 0.1\n")
+    assert (stored.dc_offset, stored.conversion_efficiency) == (0.5, 0.1)
+    assert (stored.led(), stored.photodiode()) == (plain.led(), plain.photodiode())
 
 
 def test_grids():

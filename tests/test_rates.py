@@ -101,6 +101,9 @@ def test_pair_state_validation():
         PairState(10.0, 0.5)
     with pytest.raises(ValueError):
         PairState.from_gains(0.0, 1e-6, 1.0, 1e-14)
+    for gamma, r in [(math.nan, 2.0), (math.inf, 2.0), (10.0, math.nan), (10.0, math.inf)]:
+        with pytest.raises(ValueError, match="finite"):
+            PairState(gamma, r)
 
 
 def _central_difference(gamma, r):

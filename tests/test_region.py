@@ -217,6 +217,20 @@ def test_sca_solve_rejects_a_seed_that_is_not_finite(seed):
         sca_solve(100.0, "max", seed)
 
 
+def test_sca_solve_min_reaches_one_where_every_gap_rounds_to_zero():
+    # At gamma = 1e-17 each gap is 0.0, so the surrogate holds at x = 1 and
+    # the r_min run stops there; the root bisection alone would end above 1.
+    r, trace = sca_solve(1e-17, "min", 5.0)
+    assert r == 1.0 and trace.converged
+
+
+def test_oracle_raises_past_its_upper_bracket():
+    # at 1040 dB, r_max (about 0.19 * gamma^2) lies past the ratio ceiling, where
+    # t*r*gamma would overflow
+    with pytest.raises(RegionSolverError, match="upper bracket exceeded"):
+        oracle_region(1e104)
+
+
 def test_region_validate_against_oracle():
     region = region_for_snr(100.0, validate=True)
     assert not region.is_empty
