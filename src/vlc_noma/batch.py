@@ -87,17 +87,20 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
 
     The arithmetic runs in numpy in evaluate_schedule's order, and every
     log2 and power is math.log2 or builtin pow mapped over the block (see
-    mapped). The greedy runs as a walk over weak indices i: each drop
-    still looking for a partner of i tests its largest unpaired j > i,
-    takes it when the gap is >= 0 and otherwise moves to the next lower j,
-    so only the gaps adaptive_pairing reaches are evaluated. A weak user's
-    solo log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
+    mapped). The greedy is adaptive_pairing's own two loops, run over
+    every drop of the block at once: for weak index i ascending, the drops
+    whose user i is unpaired and live search j from K-1 down to i+1; at
+    each j the drops still searching whose j is unpaired test the gap, and
+    those with gap >= 0 pair (i, j) and stop searching. So each drop
+    evaluates exactly the gaps the scalar greedy reaches, in its order. A
+    weak user's solo log2(1 + t*gamma) is tdma_rate_at's first term, bit
+    for bit.
 
     Each scheme's group rates are summed by column-wise left-to-right adds
-    from 0.0, as evaluate_schedule folds them. Adaptive's groups are laid
-    out as pairs by weak index, then singletons by index, with 0.0 in the
-    columns of indices that are not a pair's weak user or a singleton:
-    adding 0.0 to a sum that starts from 0.0 changes no bit.
+    from 0.0, as evaluate_schedule folds them. Adaptive adds each weak
+    index's pair rates after its search, then the singletons by index,
+    with 0.0 for a drop that has no such pair or singleton: adding 0.0 to
+    a sum that starts from 0.0 changes no bit.
     """
     g = np.sort(np.asarray(gains, dtype=float), axis=1)
     b, k = g.shape
@@ -130,21 +133,13 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
         if k % 2:
             out[:, 1] += solo[:, half]
 
-        # Adaptive: the greedy walk; a pair's rate sits in its weak user's
-        # column.
+        # Adaptive: adaptive_pairing's two loops over the whole block.
         paired = np.zeros((b, k), dtype=bool)
-        pair_rates = np.zeros((b, k))
         for i in range(k - 1):
-            drops = np.flatnonzero(~paired[:, i] & (g[:, i] > 0.0) & (snrs[:, i] > 0.0))
-            j = np.full(drops.size, k - 1)
-            while drops.size:
-                busy = paired[drops, j]
-                while busy.any():
-                    j[busy] -= 1
-                    busy[busy] = paired[drops[busy], j[busy]]
-                drops, j = drops[j > i], j[j > i]
-                if not drops.size:
-                    break
+            searching = ~paired[:, i] & (g[:, i] > 0.0) & (snrs[:, i] > 0.0)
+            pair_rates = np.zeros(b)
+            for j in range(k - 1, i, -1):
+                drops = np.flatnonzero(searching & ~paired[:, j])
                 gamma = snrs[drops, i]
                 r = _block_squared_ratios(g[drops, j], g[drops, i])
                 unit_weak, unit_strong, x = _block_noma_logs(gamma, r)
@@ -152,12 +147,11 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
                     units[drops, i] + mapped(math.log2, 1.0 + x))
                 # The gap tends to -inf as r grows, so an overflowed r never pairs.
                 take = ~((r == math.inf) | (gap < 0.0))
-                won, partner = drops[take], j[take]
-                paired[won, i] = paired[won, partner] = True
-                pair_rates[won, i] = pair_tau * unit_weak[take] + pair_tau * unit_strong[take]
-                drops, j = drops[~take], j[~take] - 1
-        for col in pair_rates.T:
-            out[:, 2] += col
+                won = drops[take]
+                paired[won, i] = paired[won, j] = True
+                searching[won] = False
+                pair_rates[won] = pair_tau * unit_weak[take] + pair_tau * unit_strong[take]
+            out[:, 2] += pair_rates
         for col in np.where(paired, 0.0, solo).T:
             out[:, 2] += col
     return out

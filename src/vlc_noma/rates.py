@@ -70,10 +70,6 @@ class QuarticCoefficients:
     def as_tuple(self) -> tuple[float, float, float, float, float]:
         return (self.f1, self.f2, self.f3, self.f4, self.f5)
 
-    def evaluate(self, r: float) -> float:
-        """Horner evaluation of the quartic at r."""
-        return (((self.f1 * r + self.f2) * r + self.f3) * r + self.f4) * r + self.f5
-
 
 def noma_user_rates(gamma: float, r: float) -> tuple[float, float]:
     """Unit-slot (weak, strong) rates when both users share the slot.
@@ -132,12 +128,7 @@ def rate_gap_derivative(state: PairState) -> float:
     Agrees with central finite differences of rate_gap_at to better than 1e-6
     relative error; see rate_gap_derivative_variant for the superseded form.
     """
-    g, r = state.gamma, state.r
-    tg = _T * g
-    a = 1.0 / ((1.0 + r + tg * r) * (1.0 + r))
-    b = (1.0 + g) / ((1.0 + r + g + tg * r) * (1.0 + r + g))
-    c = 0.5 / (1.0 + tg * r)
-    return tg * (a + b - c) / _LN2
+    return _gap_derivative(state, 1.0 + state.gamma)
 
 
 def rate_gap_derivative_variant(state: PairState) -> float:
@@ -145,10 +136,15 @@ def rate_gap_derivative_variant(state: PairState) -> float:
     instead of (1 + g). Finite differences contradict it; kept only so the
     discrepancy stays measurable in diagnostics.
     """
+    return _gap_derivative(state, 1.0 + _T * state.gamma)
+
+
+def _gap_derivative(state: PairState, middle: float) -> float:
+    """rate_gap_derivative's form with the given middle numerator."""
     g, r = state.gamma, state.r
     tg = _T * g
     a = 1.0 / ((1.0 + r + tg * r) * (1.0 + r))
-    b = (1.0 + tg) / ((1.0 + r + g + tg * r) * (1.0 + r + g))
+    b = middle / ((1.0 + r + g + tg * r) * (1.0 + r + g))
     c = 0.5 / (1.0 + tg * r)
     return tg * (a + b - c) / _LN2
 

@@ -14,9 +14,10 @@ the rates functions give; tests/test_bit_identity.py pins the kernels == to
 that generic route.
 
 The feasibility scan that seeds both routes is scalar too: a bisection on
-the sign of the gap's forward difference over a frozen 256-point grid,
-with math.log2 in rates' operation order. So the module needs no numpy, and
-its results do not depend on which of numpy's SIMD loops a CPU gets.
+the sign of the gap's forward difference over a frozen 256-point grid, and
+near the threshold a golden-section refine between grid points, with
+math.log2 in rates' operation order. So the module needs no numpy, and its
+results do not depend on which of numpy's SIMD loops a CPU gets.
 """
 
 import csv
@@ -37,6 +38,8 @@ MAX_ITERATIONS = 60
 SCAN_POINTS = 256             # log-spaced feasibility grid over SCAN_RANGE
 SCAN_RANGE = (1.0, 1e12)
 ORACLE_REL_WIDTH = 1e-8       # bracket width at which the oracle's bisection stops
+_INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step of the scan's refine
+_REFINE_WIDTH = 1e-12         # ln r bracket width at which the scan's refine stops
 
 
 class RegionSolverError(RuntimeError):
@@ -198,9 +201,10 @@ _SCAN_GRID = (
 
 
 def feasibility_scan(gamma: float) -> float | None:
-    """Best (largest-gap, first on ties) ratio on a log-spaced grid, or None
-    if the gap is nowhere positive at scan resolution. A gamma that is not
-    finite and positive raises ValueError.
+    """Best (largest-gap, first on ties) ratio on a log-spaced grid; where
+    that gap is not positive, a ratio between grid points with a positive
+    gap, or None if the refine finds none. A gamma that is not finite and
+    positive raises ValueError.
 
     The gap is unimodal in r, so its first maximum on the grid is where the
     forward difference first stops rising: a bisection on that sign finds
@@ -227,7 +231,32 @@ def feasibility_scan(gamma: float) -> float | None:
         else:
             hi = mid
     best = grid[lo]
-    return best if gap(best) > 0.0 else None
+    best_gap = gap(best)
+    if best_gap > 0.0:
+        return best
+    # Just above the threshold (10.13 dB) a region can be narrower than the
+    # grid step, where the grid maximum falls short of the gap's own by at
+    # most 6.4e-5; every empty row of the published maps reads <= -8e-3.
+    # So a golden-section search on the unimodal gap in ln r between the
+    # argmax's neighbours runs only near the threshold, and returns the
+    # first ratio it meets with a positive gap.
+    if best_gap <= -1e-3:
+        return None
+    a = math.log(grid[max(lo - 1, 0)])
+    b = math.log(grid[min(lo + 1, SCAN_POINTS - 1)])
+    while b - a > _REFINE_WIDTH:
+        c, d = b - _INV_PHI * (b - a), a + _INV_PHI * (b - a)
+        r_c, r_d = math.exp(c), math.exp(d)
+        gap_c, gap_d = gap(r_c), gap(r_d)
+        if gap_c > 0.0:
+            return r_c
+        if gap_d > 0.0:
+            return r_d
+        if gap_c < gap_d:
+            a = c
+        else:
+            b = d
+    return None
 
 
 # The two bisections below are log-space root searches inside [lo, hi],

@@ -188,10 +188,23 @@ def test_a_zero_gap_pairs(weak, strong):
     ([2e-6], 1.0, 1e-14),
     ([1e-158, 1e-6, 2e-6], 1.0, 1e10),                 # 1e-316 / 1e10: the weakest SNR is 0
     ([1e-160, 1e-160, 3e-6, 1e-5], 1.0, 1e-14),
+    # user 1 takes user 4, so user 2 skips it and pairs with user 3
+    ([1e-6, 1.1e-6, 5e-6, 1e-5], 1.0, 1e-14),
 ])
 def test_block_sum_rates_edge_rows(row, p_led, noise_power):
     # the row, its reverse and a rotation: the kernel sorts each row
     assert_rows_equal([row, row[::-1], row[1:] + row[:1]], p_led, noise_power)
+
+
+# Two drops of one block: at weak index 0 the first (6 dB) tries every j
+# without pairing while the second pairs at j = 3; later, each has a taken
+# partner whose gap is non-negative.
+EDGE_BLOCK = [[2e-7, 1e-6, 2e-6, 1e-5], [1e-6, 1.5e-6, 2e-6, 1e-5]]
+
+
+@pytest.mark.parametrize("block", [EDGE_BLOCK, EDGE_BLOCK[::-1]])
+def test_block_sum_rates_edge_block(block):
+    assert_rows_equal(block, 1.0, 1e-14)
 
 
 # Live gains of 0..50 dB weak-user SNR at 1 W, a dead link, an underflowing

@@ -252,12 +252,13 @@ def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
     assert captured.err.count("\n") == 1
 
 
-def test_pair_exits_2_where_the_scan_misses_a_gap_sign_pair(capsys):
-    # The weak user sits at 10.1344 dB, where the feasibility scan finds no
-    # positive gap on its grid although the gap at this pair's r is positive.
-    assert main(["pair", "--gains", "3.211589282887969e-07,8.616109156911085e-07"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == (
-        "error: the gap sign pairs r=7.197511786541628 at gamma=10.31430572196086, "
-        "outside the solver region empty\n")
+def test_pair_takes_a_gap_sign_pair_whose_region_is_narrower_than_the_scan_grid(capsys):
+    # The weak user sits at 10.1344 dB, where the feasibility scan's grid
+    # finds no positive gap although the gap at this pair's r is positive:
+    # its refine finds the region, and the pair lies inside it.
+    for flags in ([], ["--validate-oracle"]):
+        assert main(["pair", "--gains", "3.211589282887969e-07,8.616109156911085e-07",
+                     *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "PAIR 1 2\nSUM_RATE 3.749563150320988\n"
+        assert captured.err == ""

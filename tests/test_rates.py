@@ -181,13 +181,6 @@ def test_quartic_sign_pattern():
         assert c.f4 > 0.0 and c.f5 > 0.0
 
 
-def test_quartic_evaluate_is_polynomial():
-    c = quartic_coefficients(37.0)
-    for r in (0.0, 1.0, 2.5, 100.0):
-        expect = np.polyval(c.as_tuple(), r)
-        assert c.evaluate(r) == pytest.approx(expect, rel=1e-12)
-
-
 def test_quartic_rejects_nonpositive_snr():
     with pytest.raises(ValueError):
         quartic_coefficients(0.0)

@@ -76,13 +76,21 @@ def test_scalar_scan_equals_the_argmax_of_the_gap_curve():
     # and are narrower than the grid step
     dense = [-10.0 + 0.0233 * i for i in range(21_031)]
     band = [10.1334 + 0.0005 * i for i in range(1_201)]
-    seeds = set()
+    seeds, refined = set(), []
     for db in dense + band:
         gamma = 10.0 ** (db / 10.0)
         seed = feasibility_scan(gamma)
-        assert seed == reference_scan(gamma), db
+        expected = reference_scan(gamma)
+        if expected is None and seed is not None:
+            # the refine found a region between grid points
+            assert seed not in _SCAN_GRID and rate_gap_at(gamma, seed) > 0.0, db
+            assert region_for_snr(gamma, validate=True).contains(seed), db
+            refined.append(db)
+        else:
+            assert seed == expected, db
         seeds.add(seed)
     assert None in seeds and len(seeds) > 200  # empty maps and nearly every grid point
+    assert refined == band[:3]  # 10.1334, 10.1339 and 10.1344 dB
 
 
 def test_oracle_region_at_100():
