@@ -3,10 +3,36 @@ block of drops at once, equal (==) to the scalar route drop by drop.
 
 channel.floor_gains and scheduler.scheme_sum_rates are the reference: the
 kernels run their + - * / and sqrt as numpy array operations in the same
-order, which round as Python's floats do, and map math's own acos and log2
-and builtin pow over the block, since numpy's arccos, log2 and power can
-differ from math's in the last bit. tests/test_bit_identity.py pins both
-kernels == to the scalar route.
+order, which round as Python's floats do. Every log2 or power whose value
+reaches an output is math.log2 or builtin pow, mapped over the block (see
+mapped), since numpy's log2 and power can differ from math's in the last
+bit. A transcendental that only decides a comparison is replaced by
+IEEE-basic arithmetic wherever a proven margin settles the comparison, and
+is evaluated as the scalar route does inside the margin.
+tests/test_bit_identity.py pins both kernels == to the scalar route.
+
+The two margins, with u = 2**-53 the unit roundoff:
+
+* Field of view. A receiver is outside when acos(c) > fov, with c its
+  cosine. acos falls with slope at least 1 in magnitude, math.cos(fov) is
+  within an ulp of cos(fov) and math.acos within an ulp of acos, so where
+  |c - math.cos(fov)| > FOV_MARGIN (1e-12) the test is c < math.cos(fov),
+  and math.acos decides only inside that band.
+* Pairing. The gap is 0.5*log2((A*B)**2 / (C*D)), with x = t*r*gamma,
+  A = 1 + x/(r+gamma+1), B = 1 + x/(r+1), C = 1 + t*gamma and D = 1 + x,
+  the arguments of its four log2 calls. So rho = (A*B)**2/(C*D) - 1 has
+  the gap's sign and needs only * and /. Computed at r = ratio*ratio in
+  place of pow(ratio, 2), which may differ by an ulp, 1 + rho carries a
+  relative error of at most about 70u (8e-15): five roundings of its own,
+  plus those of x, A, B and D and the ulp in r, each squared where A and
+  B are. |rho| > RHO_MARGIN (1e-9) therefore puts the exact gap at the
+  float arguments beyond 7e-10 in magnitude, while the float gap, four
+  log2 values below 1024 of an ulp each and three roundings, lies within
+  2e-12 of it: the float gap is non-zero and has rho's sign. Where
+  |rho| <= RHO_MARGIN, where A*B or C*D overflows, or where the ratio
+  may overflow its square, the float gap decides as the scalar greedy
+  does. Over all 1.65M live pairs of the default 10**4-drop sweep the
+  smallest |rho| was 3.4e-7, so the fallback never runs there.
 
 This is the only module besides streams that imports numpy at load time,
 and only the user sweep imports it, so the region map, the power sweep and
@@ -30,11 +56,16 @@ def mapped(fn, values: np.ndarray, *args) -> np.ndarray:
                        count=values.size).reshape(values.shape)
 
 
+FOV_MARGIN = 1e-12
+RHO_MARGIN = 1e-9
+
+
 def block_floor_gains(link: LinkConstants, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """channel.floor_gains over an array of floor points (x, y): equal (==)
     to it element by element. channel._los_link's +, -, *, / and sqrt are
-    IEEE-exact in numpy in the same order; its acos and powers are
-    math.acos and builtin pow (what ** calls), mapped over the block."""
+    IEEE-exact in numpy in the same order; its powers are builtin pow (what
+    ** calls) mapped over the block, and its acos > fov test compares the
+    cosines outside FOV_MARGIN and takes math.acos inside it."""
     lx, ly, lz = link.led_position
     dx = xs - lx
     dy = ys - ly
@@ -43,8 +74,12 @@ def block_floor_gains(link: LinkConstants, xs: np.ndarray, ys: np.ndarray) -> np
     if (distance == 0.0).any():
         raise ValueError("receiver is collocated with the LED")
     cos_angle = -dz / distance
-    angle = mapped(math.acos, np.maximum(-1.0, np.minimum(1.0, cos_angle)))
-    live = ~((cos_angle <= 0.0) | (angle > link.fov))
+    cos_fov = math.cos(link.fov)
+    outside = cos_angle < cos_fov
+    band = np.abs(cos_angle - cos_fov) <= FOV_MARGIN
+    outside[band] = mapped(
+        math.acos, np.maximum(-1.0, np.minimum(1.0, cos_angle[band]))) > link.fov
+    live = ~((cos_angle <= 0.0) | outside)
     cos_live = cos_angle[live]
     gains = np.zeros(distance.shape)
     gains[live] = (
@@ -80,21 +115,48 @@ def _block_noma_logs(gamma: np.ndarray, r: np.ndarray):
             x)
 
 
+def _gap_non_negative(gamma, strong, weak) -> np.ndarray:
+    """Whether rate_gap_at(gamma, squared_ratio(strong, weak)) >= 0 for each
+    pair with weak > 0 and gamma > 0, an overflowed squared ratio never
+    passing: the sign of rho where |rho| > RHO_MARGIN, else the float gap
+    (see the module docstring)."""
+    ratio = strong / weak
+    rr = ratio * ratio
+    x = CAPACITY_SNR_FACTOR * rr * gamma
+    solo = 1.0 + CAPACITY_SNR_FACTOR * gamma
+    ab = (1.0 + x / (rr + gamma + 1.0)) * (1.0 + x / (rr + 1.0))
+    num = ab * ab
+    den = solo * (1.0 + x)
+    rho = num / den - 1.0
+    take = rho > 0.0
+    near = np.flatnonzero(~((np.abs(rho) > RHO_MARGIN) & (num < math.inf)
+                            & (den < math.inf) & (ratio < _SAFE_RATIO)))
+    if near.size:
+        r = _block_squared_ratios(strong[near], weak[near])
+        unit_weak, unit_strong, x = _block_noma_logs(gamma[near], r)
+        gap = (unit_weak + unit_strong) - 0.5 * (
+            mapped(math.log2, solo[near]) + mapped(math.log2, 1.0 + x))
+        # The gap tends to -inf as r grows, so an overflowed r never pairs.
+        take[near] = ~((r == math.inf) | (gap < 0.0))
+    return take
+
+
 def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.ndarray:
     """scheduler.scheme_sum_rates of each row of a (B, K) gain block, as a
     (B, 3) array equal (==) to it row by row: the user sweep's batched form
     of the public plans and evaluate_schedule.
 
     The arithmetic runs in numpy in evaluate_schedule's order, and every
-    log2 and power is math.log2 or builtin pow mapped over the block (see
-    mapped). The greedy is adaptive_pairing's own two loops, run over
-    every drop of the block at once: for weak index i ascending, the drops
-    whose user i is unpaired and live search j from K-1 down to i+1; at
-    each j the drops still searching whose j is unpaired test the gap, and
-    those with gap >= 0 pair (i, j) and stop searching. So each drop
-    evaluates exactly the gaps the scalar greedy reaches, in its order. A
-    weak user's solo log2(1 + t*gamma) is tdma_rate_at's first term, bit
-    for bit.
+    log2 and power that reaches the output is math.log2 or builtin pow
+    mapped over the block (see mapped). The greedy is adaptive_pairing's
+    own two loops, run over every drop of the block at once: for weak index
+    i ascending, the drops whose user i is unpaired and live search j from
+    K-1 down to i+1; at each j the drops still searching whose j is
+    unpaired test the gap (_gap_non_negative), and those with gap >= 0
+    pair (i, j) and stop searching. So each drop tests exactly the pairs
+    the scalar greedy reaches, in its order, and only the pairs formed
+    have their rates computed, after each i's search. A weak user's solo
+    log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
 
     Each scheme's group rates are summed by column-wise left-to-right adds
     from 0.0, as evaluate_schedule folds them. Adaptive adds each weak
@@ -137,20 +199,18 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
         paired = np.zeros((b, k), dtype=bool)
         for i in range(k - 1):
             searching = ~paired[:, i] & (g[:, i] > 0.0) & (snrs[:, i] > 0.0)
-            pair_rates = np.zeros(b)
+            partner = np.zeros(b, dtype=np.intp)  # 0: no partner, as j > i >= 0
             for j in range(k - 1, i, -1):
                 drops = np.flatnonzero(searching & ~paired[:, j])
-                gamma = snrs[drops, i]
-                r = _block_squared_ratios(g[drops, j], g[drops, i])
-                unit_weak, unit_strong, x = _block_noma_logs(gamma, r)
-                gap = (unit_weak + unit_strong) - 0.5 * (
-                    units[drops, i] + mapped(math.log2, 1.0 + x))
-                # The gap tends to -inf as r grows, so an overflowed r never pairs.
-                take = ~((r == math.inf) | (gap < 0.0))
-                won = drops[take]
+                won = drops[_gap_non_negative(snrs[drops, i], g[drops, j], g[drops, i])]
                 paired[won, i] = paired[won, j] = True
                 searching[won] = False
-                pair_rates[won] = pair_tau * unit_weak[take] + pair_tau * unit_strong[take]
+                partner[won] = j
+            won = np.flatnonzero(partner)
+            r = _block_squared_ratios(g[won, partner[won]], g[won, i])
+            unit_weak, unit_strong, _ = _block_noma_logs(snrs[won, i], r)
+            pair_rates = np.zeros(b)
+            pair_rates[won] = pair_tau * unit_weak + pair_tau * unit_strong
             out[:, 2] += pair_rates
         for col in np.where(paired, 0.0, solo).T:
             out[:, 2] += col

@@ -36,7 +36,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_users.add_argument("--trials", type=int, metavar="M",
                          help="Monte Carlo drops per user count (overrides the config's trials)")
     p_users.add_argument("--workers", type=int, default=1, metavar="N",
-                         help="parallel worker processes (output bytes unaffected)")
+                         help="parallel worker processes, at most the CPU count "
+                              "(output bytes unaffected)")
 
     p_power = sub.add_parser("sweep-power", help="sum-rate vs LED power, fixed users")
     _add_common(p_power)

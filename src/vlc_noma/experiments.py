@@ -10,32 +10,38 @@ Only the user sweep loads numpy, when it runs: the region map, the power
 sweep and pair_once are scalar math from end to end, so they, and importing
 the package, start without it.
 
-The user sweep evaluates a block of trials at a time. Each block's
-positions come from one batch of uniforms (streams.uniform_streams): the
-SeedSequence/PCG64 chain is integer arithmetic, so numpy's uint32/uint64
-array operations reproduce every drop's stream exactly. Gains and rates are
-block-evaluated as well (batch.block_floor_gains, batch.block_sum_rates):
-+ - * / and sqrt run as numpy array operations, which round as Python's
-floats do, while every transcendental is math's own function mapped over
-the block, since numpy's log2, arccos and power differ from math's in the
-last bit on some hosts. So each drop equals the per-drop route
-_simulate_drop: floor_gains, then scheme_sum_rates, which evaluates the
-public TDMA, forced and adaptive plans. Every route decides each pair by
-the sign of the rate gap at the weak user's exact SNR. A solver region only
-cross-checks a plan: adaptive_pairing(users, region_of) raises if a pair
-lies outside the region at its weak user's SNR. pair_once always
-cross-checks its plan, and the sum-rate sweeps do so with validate, against
-oracle-checked regions. Every region is solved at the exact SNR that asks
-for it, and none is cached, so no result depends on the order of the
-lookups or on the worker count.
+The user sweep evaluates a block of STREAM_BLOCK trials at a time. Each
+block's positions come from one batch of uniforms
+(streams.uniform_streams): the SeedSequence/PCG64 chain is integer
+arithmetic, so numpy's uint32/uint64 array operations reproduce every
+drop's stream exactly. Gains and rates are block-evaluated as well
+(batch.block_floor_gains, batch.block_sum_rates): + - * / and sqrt run as
+numpy array operations, which round as Python's floats do; every
+transcendental whose value reaches the output is math's own function
+mapped over the block, since numpy's log2 and power differ from math's in
+the last bit on some hosts; and the field-of-view and pairing tests are
+decided by + - * / outside a proven margin, by the scalar value inside it.
+So each drop equals the per-drop route _simulate_drop: floor_gains, then
+scheme_sum_rates, which evaluates the public TDMA, forced and adaptive
+plans.
 
-The user sweep's mean and standard error are explicit left-to-right folds,
-so its bytes do not depend on numpy's choice of reduction order.
+Every route decides each pair by the sign of the rate gap at the weak
+user's exact SNR. A solver region only cross-checks a plan:
+adaptive_pairing(users, region_of) raises if a pair lies outside the region
+at its weak user's SNR. pair_once always cross-checks its plan, and the
+sum-rate sweeps do so with validate, against oracle-checked regions. Every
+region is solved at the exact SNR that asks for it, and none is cached, so
+no result depends on the order of the lookups or on the worker count.
+
+A shard returns each user count's sum-rates as one (n, 3) array. The user
+sweep's mean and standard error are explicit left-to-right folds over each
+column, so its bytes do not depend on numpy's choice of reduction order.
 """
 
 import functools
 import math
 import numbers
+import os
 from dataclasses import dataclass
 
 from . import region as region_module
@@ -44,9 +50,10 @@ from .config import ExperimentConfig
 from .region import RegionCache, region_for_snr
 from .scheduler import UserChannelSet, adaptive_pairing, evaluate_schedule, scheme_sum_rates
 
-# Trials per block of the user sweep: a block's arrays and lists stay under
-# a megabyte whatever the trial count.
-STREAM_BLOCK = 512
+# Trials per block of the user sweep: enough that numpy's per-call overhead
+# is a small part of each call, while a K = 10 block holds 2048 x 20
+# uniforms (320 kB), so memory stays bounded whatever the trial count.
+STREAM_BLOCK = 2048
 
 
 def _fmt_cell(value) -> str:
@@ -125,9 +132,12 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache
 
 def _sweep_users_shard(args):
     """Worker entry: simulate trials [lo, hi) of every user count, drop for
-    drop equal to _simulate_drop, a block of trials at a time. With
-    validate, every drop's pairs are also cross-checked against their
-    oracle-checked regions."""
+    drop equal to _simulate_drop, a block of trials at a time; returns one
+    (hi - lo, 3) array of (tdma, forced, adaptive) sum-rates per user
+    count. With validate, every drop's pairs are also cross-checked against
+    their oracle-checked regions."""
+    import numpy as np
+
     from .batch import block_floor_gains, block_sum_rates
     from .streams import uniform_streams
 
@@ -136,17 +146,17 @@ def _sweep_users_shard(args):
     region_of = functools.partial(region_module.region_for_snr, validate=True)
     out = []
     for k in cfg.user_counts():
-        drops = []
+        blocks = []
         for start in range(lo, hi, STREAM_BLOCK):
             u = uniform_streams(cfg.seed, k, start, min(start + STREAM_BLOCK, hi))
             # sample_user_positions' multiplies, on the same uniforms
             gains = block_floor_gains(link, u[:, 0::2] * room.length, u[:, 1::2] * room.width)
-            drops += map(tuple, block_sum_rates(gains, cfg.led_power, cfg.noise_power).tolist())
+            blocks.append(block_sum_rates(gains, cfg.led_power, cfg.noise_power))
             if validate:
                 for row in gains.tolist():
                     users = UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power)
                     adaptive_pairing(users, region_of)
-        out.append(drops)
+        out.append(np.concatenate(blocks))
     return out
 
 
@@ -158,17 +168,20 @@ def run_sweep_users(
     Trials are independent with per-trial RNG streams keyed by (K, trial),
     and each shard of trials depends only on its range, so parallel
     execution cannot change any drawn value; shards are reduced in trial
-    order to keep the output bytes identical for any worker count. With
-    validate, every drop is also cross-checked against solver regions
-    that are checked against the oracle, which adds no byte.
+    order to keep the output bytes identical for any worker count. Trials
+    are split into at most min(workers, os.cpu_count()) shards, one worker
+    process each. With validate, every drop is also cross-checked against
+    solver regions that are checked against the oracle, which adds no byte.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
+    import numpy as np
+
     columns = (
         "k", "tdma_mean", "tdma_se", "forced_mean", "forced_se",
         "adaptive_mean", "adaptive_se",
     )
-    chunk = math.ceil(cfg.trials / workers)
+    chunk = math.ceil(cfg.trials / min(workers, os.cpu_count() or 1))
     shards = [(cfg, lo, min(lo + chunk, cfg.trials), validate)
               for lo in range(0, cfg.trials, chunk)]
     if len(shards) == 1:
@@ -176,21 +189,21 @@ def run_sweep_users(
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=min(workers, len(shards))) as pool:
+        with multiprocessing.Pool(processes=len(shards)) as pool:
             outputs = pool.map(_sweep_users_shard, shards)
 
     rows = []
     for k_index, k in enumerate(cfg.user_counts()):
-        drops = [drop for out in outputs for drop in out[k_index]]
+        drops = np.concatenate([out[k_index] for out in outputs])
         cells = []
-        for column in zip(*drops):
-            mean, se = _mean_and_se(column)
+        for column in drops.T:
+            mean, se = _mean_and_se(column.tolist())
             cells += (mean, se)
         rows.append((k, *cells))
     return ResultTable(columns, rows)
 
 
-def _mean_and_se(values: tuple[float, ...]) -> tuple[float, float]:
+def _mean_and_se(values: list[float]) -> tuple[float, float]:
     """Sample mean and standard error, as left-to-right folds from 0.0:
     the sample standard deviation (n - 1 denominator) over sqrt(n), and 0.0
     for a single value."""

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from vlc_noma import batch
 from vlc_noma.batch import block_floor_gains, block_sum_rates
 from vlc_noma.channel import UserPosition, floor_gains, los_channel_gain
 from vlc_noma.config import ExperimentConfig
@@ -117,7 +118,9 @@ def test_batched_shard_equals_simulate_drop(cfg, validate):
     lo, hi = STREAM_BLOCK - 15, STREAM_BLOCK + 15  # spans a block boundary
     shard = _sweep_users_shard((cfg, lo, hi, validate))
     for k, drops in zip(cfg.user_counts(), shard):
-        assert drops == [_simulate_drop(cfg, k, m) for m in range(lo, hi)], k
+        assert drops.shape == (hi - lo, 3)
+        assert list(map(tuple, drops.tolist())) == [
+            _simulate_drop(cfg, k, m) for m in range(lo, hi)], k
 
 
 def block_gains(cfg, k, trials):
@@ -147,6 +150,33 @@ def test_block_floor_gains_equal_floor_gains(cfg):
     assert (block == 0.0).any() == (cfg is not DEFAULT)
 
 
+# Floor points within 200 ulps of the cone edge's radius, in four
+# directions: each cosine lies within batch.FOV_MARGIN of cos(fov), so
+# math.acos decides. At 75 degrees, comparing the cosines alone would kill
+# receivers whose math.acos equals the fov.
+EDGE_DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-1.0, 0.0)]
+
+
+@pytest.mark.parametrize("fov_deg", [30.0, 75.0])
+def test_block_floor_gains_equal_floor_gains_on_the_fov_edge(fov_deg):
+    link = dataclasses.replace(DEFAULT, fov_deg=fov_deg).link()
+    lx, ly, lz = link.led_position
+    radius = lz * math.tan(link.fov)
+    for _ in range(200):
+        radius = math.nextafter(radius, 0.0)
+    radii = [radius]
+    while len(radii) < 401:
+        radii.append(math.nextafter(radii[-1], math.inf))
+    xs = np.array([[lx + c * d for d in radii] for c, _ in EDGE_DIRECTIONS])
+    ys = np.array([[ly + s * d for d in radii] for _, s in EDGE_DIRECTIONS])
+    cos_angle = lz / np.sqrt((xs - lx) ** 2 + (ys - ly) ** 2 + lz * lz)
+    assert (np.abs(cos_angle - math.cos(link.fov)) <= batch.FOV_MARGIN).all()
+    block = block_floor_gains(link, xs, ys)
+    for x, y, got in zip(xs.tolist(), ys.tolist(), block.tolist()):
+        assert got == floor_gains(link, zip(x, y))
+    assert (block == 0.0).any() and (block > 0.0).any()
+
+
 def test_block_floor_gains_rejects_a_receiver_at_the_led():
     lx, ly, _ = DEFAULT.link().led_position
     floor_led = DEFAULT.link()._replace(led_position=(lx, ly, 0.0))
@@ -174,6 +204,51 @@ def test_a_zero_gap_pairs(weak, strong):
     assert adaptive_pairing(users).pairs == ((1, 2),)
 
 
+# Pairs whose rho lies inside batch.RHO_MARGIN but outside 1e-12 (|gap| about
+# 1e-10): the first takes its partner, the second does not.
+NEAR_ZERO_GAP_PAIRS = [[1e-6, 1.768351350096378e-06], [2e-6, 0.0003444656120533563]]
+
+
+def log2_count(monkeypatch):
+    """Count the elements batch.mapped passes to math.log2 from here on."""
+    counted = [0]
+    mapped = batch.mapped
+
+    def spy(fn, values, *args):
+        if fn is math.log2:
+            counted[0] += values.size
+        return mapped(fn, values, *args)
+
+    monkeypatch.setattr(batch, "mapped", spy)
+    return counted
+
+
+@pytest.mark.parametrize("pair, rho_range, paired", [
+    (ZERO_GAP_PAIRS[0], (1e-17, 1e-14), True),
+    (ZERO_GAP_PAIRS[1], (1e-17, 1e-14), True),
+    (NEAR_ZERO_GAP_PAIRS[0], (1e-12, batch.RHO_MARGIN), True),
+    (NEAR_ZERO_GAP_PAIRS[1], (1e-12, batch.RHO_MARGIN), False),
+    ([1e-6, 2e-6], (batch.RHO_MARGIN, math.inf), True),
+    ([1e-6, 1e-3], (batch.RHO_MARGIN, math.inf), False),
+])
+def test_only_pairs_inside_the_rho_margin_take_the_float_gap(monkeypatch, pair, rho_range,
+                                                              paired):
+    weak, strong = pair
+    gamma = weak * weak / 1e-14
+    r = (strong / weak) ** 2
+    x = CAPACITY_SNR_FACTOR * r * gamma
+    rho = ((1.0 + x / (r + gamma + 1.0)) * (1.0 + x / (r + 1.0))) ** 2 / (
+        (1.0 + CAPACITY_SNR_FACTOR * gamma) * (1.0 + x)) - 1.0
+    assert rho_range[0] < abs(rho) <= rho_range[1]
+    assert (rate_gap_at(gamma, r) >= 0.0) == paired
+    counted = log2_count(monkeypatch)
+    rates = block_sum_rates(np.array([pair]), 1.0, 1e-14)
+    assert tuple(rates[0].tolist()) == scheme_sum_rates(pair, 1.0, 1e-14)
+    # two solo units and the forced pair's two logs, the gap's four inside
+    # the margin only, and the adaptive pair's two if it pairs
+    assert counted[0] == 2 + 2 + 4 * (abs(rho) <= batch.RHO_MARGIN) + 2 * paired
+
+
 @pytest.mark.parametrize("row, p_led, noise_power", [
     *((pair, 1.0, 1e-14) for pair in ZERO_GAP_PAIRS),
     ([0.0, 0.0, 0.0, 0.0], 1.0, 1e-14),                # every link dead
@@ -190,6 +265,7 @@ def test_a_zero_gap_pairs(weak, strong):
     ([1e-160, 1e-160, 3e-6, 1e-5], 1.0, 1e-14),
     # user 1 takes user 4, so user 2 skips it and pairs with user 3
     ([1e-6, 1.1e-6, 5e-6, 1e-5], 1.0, 1e-14),
+    *((pair, 1.0, 1e-14) for pair in NEAR_ZERO_GAP_PAIRS),
 ])
 def test_block_sum_rates_edge_rows(row, p_led, noise_power):
     # the row, its reverse and a rotation: the kernel sorts each row

@@ -1,7 +1,9 @@
 """Experiment runners: reproducibility, row semantics, statistics."""
 
+import hashlib
 import math
 import multiprocessing
+import os
 
 import numpy as np
 import pytest
@@ -81,7 +83,10 @@ def test_sweep_users_byte_identical_across_runs_and_workers():
     assert parallel == serial
 
 
-def test_sweep_users_pool_is_sized_by_its_shards(monkeypatch):
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replace multiprocessing.Pool by a pool that records its size and maps
+    in this process, so no worker process starts; return the sizes."""
     sizes = []
 
     class SerialPool:
@@ -98,12 +103,40 @@ def test_sweep_users_pool_is_sized_by_its_shards(monkeypatch):
             return [fn(item) for item in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    return sizes
+
+
+def test_sweep_users_pool_is_sized_by_its_shards(pool_sizes, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
     cfg = small_cfg(trials=10)
     table = run_sweep_users(cfg, workers=64)
-    assert sizes == [10]  # one trial per shard, ten shards
+    assert pool_sizes == [10]  # one trial per shard, ten shards
     assert table.csv_text() == run_sweep_users(cfg).csv_text()
     run_sweep_users(cfg, workers=4)
-    assert sizes == [10, 4]
+    assert pool_sizes == [10, 4]
+
+
+@pytest.mark.parametrize("cpus, processes", [(3, [3]), (1, []), (None, [])])
+def test_sweep_users_starts_at_most_one_process_per_cpu(pool_sizes, monkeypatch,
+                                                         cpus, processes):
+    # 100,000 workers over 1,000 trials used to ask for 1,000 processes
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    cfg = small_cfg(trials=1000)
+    table = run_sweep_users(cfg, workers=100_000)
+    assert pool_sizes == processes  # no pool at all where one shard is left
+    assert table.csv_text() == run_sweep_users(cfg).csv_text()
+
+
+# Seed 2, 3,000 trials: the serial run ends inside its second 2048-drop
+# block, and three shards of 1,000 trials (or two of 1,500 on a 2-CPU host)
+# start and end inside blocks.
+SWEEP_USERS_SEED2_3000 = "d868b0e96283f4f4a4531691f83453564016cdc256731ae40a8b3126985d7261"
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_sweep_users_digest_with_partial_blocks(workers):
+    text = run_sweep_users(ExperimentConfig(seed=2, trials=3000), workers=workers).csv_text()
+    assert hashlib.sha256(text.encode()).hexdigest() == SWEEP_USERS_SEED2_3000
 
 
 @pytest.mark.parametrize("workers", [0, -3])
