@@ -9,7 +9,8 @@ mapped), since numpy's log2 and power can differ from math's in the last
 bit. A transcendental that only decides a comparison is replaced by
 IEEE-basic arithmetic wherever a proven margin settles the comparison, and
 is evaluated as the scalar route does inside the margin.
-tests/test_bit_identity.py pins both kernels == to the scalar route.
+tests/test_bit_identity.py pins both kernels == to the scalar route, and
+mean_and_se == to left-to-right Python loops.
 
 The two margins, with u = 2**-53 the unit roundoff:
 
@@ -33,6 +34,21 @@ The two margins, with u = 2**-53 the unit roundoff:
   may overflow its square, the float gap decides as the scalar greedy
   does. Over all 1.65M live pairs of the default 10**4-drop sweep the
   smallest |rho| was 3.4e-7, so the fallback never runs there.
+
+Every sum of the user sweep is np.add.accumulate along one axis, its last
+partial sum kept. That is the loops' fold from 0.0, bit for bit:
+
+* numpy defines accumulate on a 1-D array as t = op(t, A[i]) for i
+  ascending, applied along the chosen axis: evaluate_schedule's order, and
+  the order of a loop over a column.
+* Every term is >= +0.0 (slot fractions times log2 of values >= 1, and
+  squared deviations), so starting from the first term instead of 0.0
+  changes no bit.
+* numpy's * / and sqrt are IEEE correctly rounded, as Python's are.
+
+np.sum and np.mean add pairwise along a contiguous axis: summed column by
+column, the default 10**4-drop sweep's 27 columns give 24 sums that differ
+from the fold's, so neither may reach an output.
 
 This is the only module besides streams that imports numpy at load time,
 and only the user sweep imports it, so the region map, the power sweep and
@@ -158,11 +174,12 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
     have their rates computed, after each i's search. A weak user's solo
     log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
 
-    Each scheme's group rates are summed by column-wise left-to-right adds
-    from 0.0, as evaluate_schedule folds them. Adaptive adds each weak
-    index's pair rates after its search, then the singletons by index,
-    with 0.0 for a drop that has no such pair or singleton: adding 0.0 to
-    a sum that starts from 0.0 changes no bit.
+    Each scheme's group rates are laid out in evaluate_schedule's group
+    order and summed once by np.add.accumulate: TDMA's solo rates; forced's
+    pair rates, then the median's solo rate when K is odd; adaptive's pair
+    rate per weak index (0.0 where the drop formed none there), then each
+    user's solo rate where it stayed single (0.0 where it paired). A 0.0
+    term adds no bit to a sum of terms >= +0.0.
     """
     g = np.sort(np.asarray(gains, dtype=float), axis=1)
     b, k = g.shape
@@ -175,9 +192,6 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
         solo_tau, pair_tau = 1.0 / k, 2.0 / k
         units = mapped(math.log2, 1.0 + CAPACITY_SNR_FACTOR * snrs)
         solo = solo_tau * units
-        out = np.zeros((b, 3))
-        for col in solo.T:
-            out[:, 0] += col
 
         # Forced pairs (i, k - 1 - i): a dead weak user earns (0, 0), an
         # overflowed ratio the r -> inf limit of both unit rates.
@@ -190,13 +204,10 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
         limit = r == math.inf
         unit_weak[limit] = unit_strong[limit] = units[:, :half][live][limit]
         forced[live] = pair_tau * unit_weak + pair_tau * unit_strong
-        for col in forced.T:
-            out[:, 1] += col
-        if k % 2:
-            out[:, 1] += solo[:, half]
 
         # Adaptive: adaptive_pairing's two loops over the whole block.
         paired = np.zeros((b, k), dtype=bool)
+        pair_rates = np.zeros((b, k - 1))  # column i: weak index i's pair
         for i in range(k - 1):
             searching = ~paired[:, i] & (g[:, i] > 0.0) & (snrs[:, i] > 0.0)
             partner = np.zeros(b, dtype=np.intp)  # 0: no partner, as j > i >= 0
@@ -209,9 +220,21 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
             won = np.flatnonzero(partner)
             r = _block_squared_ratios(g[won, partner[won]], g[won, i])
             unit_weak, unit_strong, _ = _block_noma_logs(snrs[won, i], r)
-            pair_rates = np.zeros(b)
-            pair_rates[won] = pair_tau * unit_weak + pair_tau * unit_strong
-            out[:, 2] += pair_rates
-        for col in np.where(paired, 0.0, solo).T:
-            out[:, 2] += col
-    return out
+            pair_rates[won, i] = pair_tau * unit_weak + pair_tau * unit_strong
+    return np.stack([np.add.accumulate(terms, axis=1)[:, -1] for terms in (
+        solo,
+        np.hstack((forced, solo[:, half:half + k % 2])),
+        np.hstack((pair_rates, np.where(paired, 0.0, solo))),
+    )], axis=1)
+
+
+def mean_and_se(drops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sample means and standard errors of the columns of an (n, 3) array
+    of sum-rates, each sum by np.add.accumulate: the sample standard
+    deviation (n - 1 denominator) over sqrt(n), and 0.0 for a single drop."""
+    n = len(drops)
+    means = np.add.accumulate(drops)[-1] / n
+    if n == 1:
+        return means, np.zeros(3)
+    dev = drops - means
+    return means, np.sqrt(np.add.accumulate(dev * dev)[-1] / (n - 1)) / math.sqrt(n)

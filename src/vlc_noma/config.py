@@ -138,8 +138,9 @@ class ExperimentConfig:
         if max(self.led_power, *self.power_grid) * gain * gain / self.noise_power == math.inf:
             raise ConfigError("noise_power is too small: the SNR under the LED overflows")
 
-    # The devices are built once per config: drops reach them thousands of
-    # times, and a frozen config cannot make them stale.
+    # The devices are built once per config, and their link constants once
+    # per device pair (LinkConstants.of's cache): drops reach them thousands
+    # of times, and a frozen config cannot make them stale.
     def room(self) -> RoomGeometry:
         return self._room
 
@@ -150,7 +151,7 @@ class ExperimentConfig:
         return self._photodiode
 
     def link(self) -> LinkConstants:
-        return self._link
+        return LinkConstants.of(self.led(), self.photodiode())
 
     @cached_property
     def _room(self) -> RoomGeometry:
@@ -173,10 +174,6 @@ class ExperimentConfig:
             concentrator_index=self.refractive_index,
         )
 
-    @cached_property
-    def _link(self) -> LinkConstants:
-        return LinkConstants.of(self.led(), self.photodiode())
-
     def snr_db_grid(self) -> tuple[float, ...]:
         """snr_db_min + i * snr_db_step up to snr_db_max, rounded to
         SNR_DB_RESOLUTION. Built by index, so no rounding error accumulates;
@@ -186,10 +183,6 @@ class ExperimentConfig:
 
     def user_counts(self) -> tuple[int, ...]:
         return tuple(range(self.users_min, self.users_max + 1))
-
-
-def _parse_float(raw: str) -> float:
-    return float(raw)
 
 
 def _parse_int(raw: str) -> int:
@@ -240,7 +233,7 @@ def parse_config_text(text: str) -> ExperimentConfig:
         raw = raw.strip()
         if key in overrides:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
-        parser = _PARSERS.get(key, _parse_float if key in _SCALAR_KEYS else None)
+        parser = _PARSERS.get(key, float if key in _SCALAR_KEYS else None)
         if parser is None:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
         try:

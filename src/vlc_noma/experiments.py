@@ -33,9 +33,10 @@ sum-rate sweeps do so with validate, against oracle-checked regions. Every
 region is solved at the exact SNR that asks for it, and none is cached, so
 no result depends on the order of the lookups or on the worker count.
 
-A shard returns each user count's sum-rates as one (n, 3) array. The user
-sweep's mean and standard error are explicit left-to-right folds over each
-column, so its bytes do not depend on numpy's choice of reduction order.
+A shard returns each user count's sum-rates as one (n, 3) array, and each
+user count's drops stay one array up to the CSV: batch.mean_and_se sums
+them with np.add.accumulate, a left-to-right fold, never with numpy's
+pairwise np.sum or np.mean (batch's docstring says why the bytes hold).
 """
 
 import functools
@@ -75,10 +76,6 @@ class ResultTable:
         lines = [",".join(self.columns)]
         lines += [",".join(_fmt_cell(v) for v in row) for row in self.rows]
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(self.csv_text())
 
 
 def sample_user_positions(rng, room: RoomGeometry, k: int):
@@ -177,6 +174,8 @@ def run_sweep_users(
         raise ValueError("workers must be >= 1")
     import numpy as np
 
+    from .batch import mean_and_se
+
     columns = (
         "k", "tdma_mean", "tdma_se", "forced_mean", "forced_se",
         "adaptive_mean", "adaptive_se",
@@ -194,31 +193,9 @@ def run_sweep_users(
 
     rows = []
     for k_index, k in enumerate(cfg.user_counts()):
-        drops = np.concatenate([out[k_index] for out in outputs])
-        cells = []
-        for column in drops.T:
-            mean, se = _mean_and_se(column.tolist())
-            cells += (mean, se)
-        rows.append((k, *cells))
+        means, ses = mean_and_se(np.concatenate([out[k_index] for out in outputs]))
+        rows.append((k, *np.stack((means, ses), axis=1).ravel().tolist()))
     return ResultTable(columns, rows)
-
-
-def _mean_and_se(values: list[float]) -> tuple[float, float]:
-    """Sample mean and standard error, as left-to-right folds from 0.0:
-    the sample standard deviation (n - 1 denominator) over sqrt(n), and 0.0
-    for a single value."""
-    n = len(values)
-    total = 0.0
-    for v in values:
-        total += v
-    mean = total / n
-    if n == 1:
-        return mean, 0.0
-    squares = 0.0
-    for v in values:
-        dev = v - mean
-        squares += dev * dev
-    return mean, math.sqrt(squares / (n - 1)) / math.sqrt(n)
 
 
 def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTable:

@@ -308,6 +308,54 @@ def test_block_sum_rates_rejects_what_scheme_sum_rates_rejects(gains):
     assert str(block.value) == str(lean.value)
 
 
+def fold_mean_and_se(values):
+    """The sweep's reduction as Python loops from 0.0, the reference
+    batch.mean_and_se must equal: the sample standard deviation (n - 1
+    denominator) over sqrt(n), and 0.0 for a single value."""
+    n = len(values)
+    total = 0.0
+    for v in values:
+        total += v
+    mean = total / n
+    if n == 1:
+        return mean, 0.0
+    squares = 0.0
+    for v in values:
+        dev = v - mean
+        squares += dev * dev
+    return mean, math.sqrt(squares / (n - 1)) / math.sqrt(n)
+
+
+def assert_mean_and_se_equal_the_folds(drops):
+    expected = [fold_mean_and_se(column) for column in drops.T.tolist()]
+    # In column-major order numpy's np.sum over axis 0 runs pairwise; in
+    # row-major order it adds row by row, so that layout alone would not
+    # tell an ordered sum from np.sum.
+    for layout in (drops, np.asfortranarray(drops)):
+        means, ses = batch.mean_and_se(layout)
+        assert list(zip(means.tolist(), ses.tolist())) == expected
+
+
+# a single drop, small samples, one full sweep block and one past it
+@pytest.mark.parametrize("n", [1, 2, 3, STREAM_BLOCK, STREAM_BLOCK + 1])
+def test_mean_and_se_equal_left_to_right_folds(n):
+    rng = np.random.default_rng(n)
+    assert_mean_and_se_equal_the_folds(rng.random((n, 3)) * rng.lognormal(0.0, 3.0, (n, 3)))
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(st.lists(st.tuples(*[st.floats(1e-300, 1e300)] * 3), min_size=1, max_size=40))
+def test_mean_and_se_equal_left_to_right_folds_on_random_columns(rows):
+    # a sum past the float max is inf in both routes
+    with np.errstate(over="ignore"):
+        assert_mean_and_se_equal_the_folds(np.array(rows))
+
+
+def test_sweep_users_mean_and_se_equal_left_to_right_folds():
+    drops = _sweep_users_shard((DEFAULT, 0, 2000, False))
+    for k_drops in drops:
+        assert_mean_and_se_equal_the_folds(k_drops)
+
 # The region solver's fused kernels (sca_solve's surrogate-root bisection and
 # the oracle's gap-root bisection) repeat rates' formulas inline. The
 # reference below is the generic route they replace: noma_rate_at,
