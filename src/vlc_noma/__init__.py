@@ -44,7 +44,6 @@ from .region import (
 )
 from .scheduler import (
     PairingPlan,
-    ScheduleGroup,
     ScheduleOutcome,
     UserChannel,
     UserChannelSet,

@@ -112,20 +112,17 @@ def lambertian_order(semi_angle: float) -> float:
     return -1.0 / math.log2(math.cos(semi_angle))
 
 
-def concentrator_gain(incidence: float, fov: float, concentrator_index: float) -> float:
-    """Non-imaging concentrator gain: kappa^2 / sin^2(FOV) inside the FOV, else 0.
+def concentrator_gain(fov: float, concentrator_index: float) -> float:
+    """Non-imaging concentrator gain kappa^2 / sin^2(FOV) of a receiver inside
+    the FOV; the links outside it are cut where the angle is known.
 
     The FOV-based constant is used rather than dividing by sin(incidence),
     which would diverge at normal incidence.
     """
-    if not 0.0 <= incidence <= 0.5 * math.pi:
-        raise ValueError("incidence must lie in [0, pi/2]")
     if not 0.0 < fov <= 0.5 * math.pi:
         raise ValueError("fov must lie in (0, pi/2]")
     if concentrator_index < 1.0:
         raise ValueError("concentrator_index must be >= 1")
-    if incidence > fov:
-        return 0.0
     return concentrator_index**2 / math.sin(fov) ** 2
 
 
@@ -146,7 +143,7 @@ class LinkConstants(NamedTuple):
         m = lambertian_order(led.semi_angle)
         return cls(
             led.position, pd.fov, m, (m + 1.0) * pd.active_area * pd.responsivity,
-            pd.filter_gain, concentrator_gain(0.0, pd.fov, pd.concentrator_index),
+            pd.filter_gain, concentrator_gain(pd.fov, pd.concentrator_index),
         )
 
 

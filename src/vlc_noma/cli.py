@@ -5,7 +5,7 @@ import dataclasses
 import re
 import sys
 
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, ExperimentConfig, load_config, parse_float_list
 from .experiments import pair_once, run_region_map, run_sweep_power, run_sweep_users
 from .region import RegionSolverError
 
@@ -85,11 +85,9 @@ def main(argv=None) -> int:
             _emit(table.csv_text(), args.out)
         elif args.command == "pair":
             try:
-                gains = [float(tok) for tok in args.gains.split(",") if tok.strip()]
+                gains = parse_float_list(args.gains)
             except ValueError as exc:
                 raise ConfigError(f"--gains has a bad value: {exc}") from None
-            if not gains:
-                raise ConfigError("--gains needs at least one value")
             plan, outcome = pair_once(gains, cfg, validate=args.validate_oracle)
             text = plan.serialize() + f"SUM_RATE {outcome.sum_rate!r}\n"
             _emit(text, args.out)

@@ -185,12 +185,11 @@ class ExperimentConfig:
         return tuple(range(self.users_min, self.users_max + 1))
 
 
-def _parse_int(raw: str) -> int:
-    return int(raw, 10)
-
-
-def _parse_float_list(raw: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in raw.split(",") if tok.strip())
+def parse_float_list(raw: str) -> tuple[float, ...]:
+    """Comma-separated floats, as power_grid and `pair --gains` take them.
+    An empty item is a bad value, not skipped: skipping one would renumber
+    the items after it."""
+    return tuple(map(float, raw.split(",")))
 
 
 def _parse_positions(raw: str) -> tuple[tuple[float, float, float], ...]:
@@ -207,12 +206,12 @@ def _parse_positions(raw: str) -> tuple[tuple[float, float, float], ...]:
 
 
 _PARSERS = {
-    "power_grid": _parse_float_list,
+    "power_grid": parse_float_list,
     "fixed_positions": _parse_positions,
-    "trials": _parse_int,
-    "seed": _parse_int,
-    "users_min": _parse_int,
-    "users_max": _parse_int,
+    "trials": int,
+    "seed": int,
+    "users_min": int,
+    "users_max": int,
 }
 _SCALAR_KEYS = {
     f.name for f in fields(ExperimentConfig) if f.name not in _PARSERS

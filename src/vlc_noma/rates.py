@@ -37,17 +37,6 @@ class PairState:
         if not 1.0 <= self.r < math.inf:
             raise ValueError("r must be finite and >= 1 (pair is sorted weak/strong)")
 
-    @classmethod
-    def from_gains(cls, h_a: float, h_b: float, p_led: float, noise_power: float) -> "PairState":
-        """Reduce raw link parameters (h1, h2, P, sigma^2) to (gamma, r)."""
-        lo, hi = sorted((h_a, h_b))
-        if lo <= 0.0:
-            raise ValueError("both gains must be positive to form a pair")
-        r = squared_ratio(hi, lo)
-        if r == math.inf:
-            raise ValueError("the squared gain ratio (h_strong / h_weak)**2 overflows")
-        return cls(gamma=p_led * lo * lo / noise_power, r=r)
-
 
 @dataclass(frozen=True)
 class QuarticCoefficients:
@@ -66,9 +55,6 @@ class QuarticCoefficients:
     f3: float
     f4: float
     f5: float
-
-    def as_tuple(self) -> tuple[float, float, float, float, float]:
-        return (self.f1, self.f2, self.f3, self.f4, self.f5)
 
 
 def noma_user_rates(gamma: float, r: float) -> tuple[float, float]:

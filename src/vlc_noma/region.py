@@ -99,7 +99,6 @@ class ScaTrace:
     """Iterate history of one solver run."""
 
     gamma: float
-    objective: str                      # "min" or "max"
     iterates: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
     converged: bool = False
@@ -362,7 +361,7 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
             f"seed r={seed:g} has gap {gap_seed:.3e} < 0 at gamma={gamma:g}"
         )
 
-    trace = ScaTrace(gamma=gamma, objective=objective)
+    trace = ScaTrace(gamma=gamma)
     trace.iterates.append(seed)
     trace.gaps.append(gap_seed)
 

@@ -61,9 +61,6 @@ class UserChannelSet:
             for uid, h in zip(ids, gains, strict=True)
         )
 
-    def __len__(self) -> int:
-        return len(self.users)
-
     def __iter__(self):
         return iter(self.users)
 
@@ -93,17 +90,7 @@ class PairingPlan:
 
 
 @dataclass(frozen=True)
-class ScheduleGroup:
-    """One TDMA slot: its members, slot fraction, and sum-rate."""
-
-    member_ids: tuple[int, ...]
-    slot_fraction: float
-    rate: float  # bits/s/Hz
-
-
-@dataclass(frozen=True)
 class ScheduleOutcome:
-    groups: tuple[ScheduleGroup, ...]
     per_user_rates: dict[int, float]
     sum_rate: float  # bits/s/Hz
 
@@ -183,8 +170,11 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
         raise ValueError("plan does not cover the user set exactly once")
 
     k = len(lookup)
-    groups: list[ScheduleGroup] = []
     per_user: dict[int, float] = {}
+    # Each group's rate joins an explicit left-to-right fold from 0.0, pairs
+    # first: CPython 3.11's builtin sum of the group rates bit for bit, where
+    # 3.12 and later compensate a float sum.
+    sum_rate = 0.0
 
     for weak_id, strong_id in plan.pairs:
         weak, strong = lookup[weak_id], lookup[strong_id]
@@ -204,20 +194,15 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
         rate_weak, rate_strong = tau * unit_weak, tau * unit_strong
         per_user[weak_id] = rate_weak
         per_user[strong_id] = rate_strong
-        groups.append(ScheduleGroup((weak_id, strong_id), tau, rate_weak + rate_strong))
+        sum_rate += rate_weak + rate_strong
 
     for uid in plan.singletons:
         tau = 1.0 / k
         rate = tau * math.log2(1.0 + CAPACITY_SNR_FACTOR * lookup[uid].snr)
         per_user[uid] = rate
-        groups.append(ScheduleGroup((uid,), tau, rate))
+        sum_rate += rate
 
-    # An explicit left-to-right fold from 0.0: CPython 3.11's builtin sum
-    # bit for bit, where 3.12 and later compensate a float sum.
-    sum_rate = 0.0
-    for group in groups:
-        sum_rate += group.rate
-    return ScheduleOutcome(groups=tuple(groups), per_user_rates=per_user, sum_rate=sum_rate)
+    return ScheduleOutcome(per_user_rates=per_user, sum_rate=sum_rate)
 
 
 def scheme_sum_rates(

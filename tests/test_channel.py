@@ -13,6 +13,7 @@ from vlc_noma.channel import (
     RoomGeometry,
     UserPosition,
     concentrator_gain,
+    floor_gains,
     lambertian_order,
     los_channel_gain,
     snr,
@@ -43,23 +44,30 @@ def test_lambertian_order_rejects_degenerate_angles():
 
 
 def test_concentrator_gain_inside_fov():
-    g = concentrator_gain(0.0, math.radians(60.0), 1.5)
+    g = concentrator_gain(math.radians(60.0), 1.5)
     assert g == pytest.approx(3.0, rel=1e-12)  # 2.25 / sin^2(60)
 
 
 def test_concentrator_gain_outside_fov_is_zero():
-    assert concentrator_gain(math.radians(70.0), math.radians(60.0), 1.5) == 0.0
+    # the concentrator constant holds inside the FOV; the link cuts the rest
+    narrow = PhotodiodeConfig(fov=math.radians(20.0))
+    link = LinkConstants.of(LED, narrow)
+    assert link.concentrator > 0.0
+    off_axis, nadir = floor_gains(link, [(5.0, 6.0), (3.0, 3.0)])
+    assert off_axis == 0.0  # 50 degrees off axis
+    assert nadir > 0.0
 
 
 def test_concentrator_gain_unit_index_full_fov():
-    assert concentrator_gain(math.radians(30.0), math.radians(90.0), 1.0) == pytest.approx(1.0)
+    assert concentrator_gain(math.radians(90.0), 1.0) == pytest.approx(1.0)
 
 
 def test_concentrator_gain_preconditions():
+    for fov in (0.0, -0.1, math.radians(91.0)):
+        with pytest.raises(ValueError):
+            concentrator_gain(fov, 1.5)
     with pytest.raises(ValueError):
-        concentrator_gain(-0.1, math.radians(60.0), 1.5)
-    with pytest.raises(ValueError):
-        concentrator_gain(0.0, math.radians(60.0), 0.9)
+        concentrator_gain(math.radians(60.0), 0.9)
 
 
 def test_nadir_gain_matches_hand_value():

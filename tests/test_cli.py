@@ -87,7 +87,10 @@ def test_bad_gains_fail_cleanly(capsys):
     assert "error" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("gains, token", [("abc", "abc"), ("1e-6,x", "x")])
+# An empty item is a bad value: skipping it would renumber the users after it.
+@pytest.mark.parametrize("gains, token", [
+    ("abc", "abc"), ("1e-6,x", "x"), ("1e-6,,2e-6", ""), ("1e-6,", ""), (",1e-6", ""),
+])
 def test_unparsable_gains_name_the_option(gains, token, capsys):
     assert main(["pair", "--gains", gains]) == 2
     assert capsys.readouterr().err == (

@@ -80,6 +80,13 @@ def test_readme_config_example_parses_to_defaults():
     assert parse_config_text(block) == ExperimentConfig()
 
 
+def test_readme_library_example_runs(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```python\n(.*?)```", readme, re.S).group(1)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.startswith(("PAIR ", "SOLO "))
+
+
 def test_parse_overrides_and_comments():
     cfg = parse_config_text(
         """
@@ -117,6 +124,9 @@ def test_bad_value_is_an_error():
         parse_config_text("led_power = bright\n")
     with pytest.raises(ConfigError, match="bad value"):
         parse_config_text("fixed_positions = 1,2\n")
+    for raw in ("1,,2", "1,", ",1"):  # an empty item is not skipped
+        with pytest.raises(ConfigError, match="bad value for 'power_grid'"):
+            parse_config_text(f"power_grid = {raw}\n")
     with pytest.raises(ConfigError):
         parse_config_text("just some words\n")
 

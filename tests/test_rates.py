@@ -1,5 +1,6 @@
 """Rate-model checks: pair rates, the gap, its derivative, the quartic."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -80,27 +81,11 @@ def test_rate_gap_curve_matches_scalar():
         assert v == pytest.approx(rate_gap_at(123.0, float(r)), rel=1e-12, abs=1e-15)
 
 
-def test_pair_state_from_gains_canonicalizes():
-    state = PairState.from_gains(2e-6, 1e-6, p_led=1.0, noise_power=1e-14)
-    assert state.gamma == pytest.approx(100.0, rel=1e-12)
-    assert state.r == pytest.approx(4.0, rel=1e-12)
-    flipped = PairState.from_gains(1e-6, 2e-6, p_led=1.0, noise_power=1e-14)
-    assert flipped == state
-
-
-@pytest.mark.parametrize("h_a, h_b", [(1e-160, 1e-5), (1e-314, 1e-5)])
-def test_pair_state_from_gains_rejects_an_overflowed_ratio(h_a, h_b):
-    with pytest.raises(ValueError, match="gain ratio"):
-        PairState.from_gains(h_a, h_b, p_led=1.0, noise_power=1e-14)
-
-
 def test_pair_state_validation():
     with pytest.raises(ValueError):
         PairState(0.0, 2.0)
     with pytest.raises(ValueError):
         PairState(10.0, 0.5)
-    with pytest.raises(ValueError):
-        PairState.from_gains(0.0, 1e-6, 1.0, 1e-14)
     for gamma, r in [(math.nan, 2.0), (math.inf, 2.0), (10.0, math.nan), (10.0, math.inf)]:
         with pytest.raises(ValueError, match="finite"):
             PairState(gamma, r)
@@ -170,7 +155,7 @@ def test_variant_derivative_disagrees_with_finite_difference():
 
 def test_quartic_values_at_unit_snr():
     coeffs = quartic_coefficients(1.0)
-    assert coeffs.as_tuple() == pytest.approx(QUARTIC_AT_1, rel=1e-12)
+    assert dataclasses.astuple(coeffs) == pytest.approx(QUARTIC_AT_1, rel=1e-12)
 
 
 def test_quartic_sign_pattern():
@@ -192,7 +177,7 @@ def test_quartic_has_single_positive_root_diagnostic():
     # displayed coefficients do not reproduce the verified derivative
     for g in (10.0, 100.0, 1e4):
         coeffs = quartic_coefficients(g)
-        roots = np.roots(coeffs.as_tuple())
+        roots = np.roots(dataclasses.astuple(coeffs))
         positive = [
             z.real for z in roots
             if abs(z.imag) < 1e-9 * max(1.0, abs(z.real)) and z.real > 0.0

@@ -5,7 +5,12 @@ import math
 import numpy as np
 import pytest
 
-from vlc_noma.rates import noma_rate_at, rate_gap_at
+from vlc_noma.rates import (
+    CAPACITY_SNR_FACTOR,
+    noma_user_rates,
+    rate_gap_at,
+    squared_ratio,
+)
 from vlc_noma.region import NomaRegion, OracleMismatchError, RegionCache, region_for_snr
 from vlc_noma.scheduler import (
     PairingPlan,
@@ -55,6 +60,10 @@ def test_from_gains_computes_snr():
     by_id = {u.user_id: u for u in users}
     assert by_id[1].snr == pytest.approx(100.0, rel=1e-12)
     assert by_id[2].snr == pytest.approx(400.0, rel=1e-12)
+    # given strong first, the set still orders the pair weak then strong
+    weak, strong = users_from_gains([2e-6, 1e-6]).users
+    assert (weak.user_id, strong.user_id) == (2, 1)
+    assert squared_ratio(strong.gain, weak.gain) == pytest.approx(4.0, rel=1e-12)
 
 
 @pytest.mark.parametrize("ids", [[1, 2], [1, 2, 3, 4]])
@@ -232,7 +241,10 @@ def test_evaluate_two_user_pair_example():
     users = users_from_gains([1e-6, 2e-6])  # gamma = 100, r = 4
     outcome = evaluate_schedule(PairingPlan(((1, 2),), ()), users)
     assert outcome.sum_rate == pytest.approx(6.559181434762474, rel=1e-12)
-    assert outcome.groups[0].slot_fraction == 1.0
+    # K = 2: the pair holds the whole frame, so its rates are the unit-slot ones
+    weak, strong = users.users
+    rates = noma_user_rates(weak.snr, squared_ratio(strong.gain, weak.gain))
+    assert outcome.per_user_rates == {1: rates[0], 2: rates[1]}
 
 
 def test_evaluate_two_singletons_example():
@@ -252,19 +264,28 @@ def test_evaluate_bookkeeping_consistency():
     gains = list(10.0 ** rng.uniform(-6.3, -5.2, size=8))
     users = users_from_gains(gains)
     plan = adaptive_pairing(users, CACHE.region_of)
+    assert plan.pairs and plan.singletons  # both kinds of group are checked
     outcome = evaluate_schedule(plan, users)
-    assert sum(g.slot_fraction for g in outcome.groups) == pytest.approx(1.0, rel=1e-12)
-    assert outcome.sum_rate == pytest.approx(
-        sum(outcome.per_user_rates.values()), rel=1e-12
-    )
-    assert all(rate >= 0.0 for rate in outcome.per_user_rates.values())
+    k = len(gains)
     by_id = {u.user_id: u for u in users}
-    for group in outcome.groups:
-        if len(group.member_ids) == 2:
-            weak, strong = (by_id[i] for i in group.member_ids)
-            r = (strong.gain / weak.gain) ** 2
-            expect = group.slot_fraction * noma_rate_at(weak.snr, r)
-            assert group.rate == pytest.approx(expect, rel=1e-12)
+    assert sorted(outcome.per_user_rates) == sorted(by_id)
+    group_rates = []
+    for weak_id, strong_id in plan.pairs:
+        weak, strong = by_id[weak_id], by_id[strong_id]
+        unit_weak, unit_strong = noma_user_rates(weak.snr, squared_ratio(strong.gain, weak.gain))
+        assert outcome.per_user_rates[weak_id] == (2 / k) * unit_weak
+        assert outcome.per_user_rates[strong_id] == (2 / k) * unit_strong
+        group_rates.append((2 / k) * unit_weak + (2 / k) * unit_strong)
+    for uid in plan.singletons:
+        rate = (1 / k) * math.log2(1.0 + CAPACITY_SNR_FACTOR * by_id[uid].snr)
+        assert outcome.per_user_rates[uid] == rate
+        group_rates.append(rate)
+    # the sum-rate folds the group rates left to right from 0.0, pairs first
+    fold = 0.0
+    for rate in group_rates:
+        fold += rate
+    assert outcome.sum_rate == fold
+    assert all(rate >= 0.0 for rate in outcome.per_user_rates.values())
 
 
 def test_evaluate_rejects_inconsistent_plans():
