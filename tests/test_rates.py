@@ -15,8 +15,10 @@ from vlc_noma.rates import (
     rate_gap_curve,
     rate_gap_derivative,
     rate_gap_derivative_variant,
+    squared_ratio,
     tdma_rate_at,
 )
+from vlc_noma.scheduler import UserChannelSet
 
 # Frozen from direct evaluation of the closed forms with t = e/(2*pi).
 NOMA_100_1 = 5.01035002753258
@@ -79,6 +81,19 @@ def test_rate_gap_curve_matches_scalar():
     curve = rate_gap_curve(123.0, rs)
     for r, v in zip(rs, curve):
         assert v == pytest.approx(rate_gap_at(123.0, float(r)), rel=1e-12, abs=1e-15)
+
+
+def _pair_state(gains):
+    weak, strong = UserChannelSet.from_gains(gains, p_led=1.0, noise_power=1e-14).users
+    return PairState(weak.snr, squared_ratio(strong.gain, weak.gain))
+
+
+def test_pair_state_from_gains_canonicalizes():
+    state = _pair_state([2e-6, 1e-6])
+    assert state.gamma == pytest.approx(100.0, rel=1e-12)
+    assert state.r == pytest.approx(4.0, rel=1e-12)
+    flipped = _pair_state([1e-6, 2e-6])
+    assert flipped == state
 
 
 def test_pair_state_validation():
