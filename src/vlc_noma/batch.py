@@ -31,9 +31,10 @@ The two margins, with u = 2**-53 the unit roundoff:
   log2 values below 1024 of an ulp each and three roundings, lies within
   2e-12 of it: the float gap is non-zero and has rho's sign. Where
   |rho| <= RHO_MARGIN, where A*B or C*D overflows, or where the ratio
-  may overflow its square, the float gap decides as the scalar greedy
-  does. Over all 1.65M live pairs of the default 10**4-drop sweep the
-  smallest |rho| was 3.4e-7, so the fallback never runs there.
+  may overflow its square, rates.squared_ratio and rates.rate_gap_at,
+  mapped over those pairs, decide as in the scalar greedy. Over all 1.65M
+  live pairs of the default 10**4-drop sweep the smallest |rho| was
+  3.4e-7, so the fallback never runs there.
 
 Every sum of the user sweep is np.add.accumulate along one axis, its last
 partial sum kept. That is the loops' fold from 0.0, bit for bit:
@@ -61,7 +62,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import _TWO_PI, LinkConstants
-from .rates import CAPACITY_SNR_FACTOR, squared_ratio
+from .rates import CAPACITY_SNR_FACTOR, rate_gap_at, squared_ratio
 
 
 def mapped(fn, values: np.ndarray, *args) -> np.ndarray:
@@ -110,50 +111,44 @@ def block_floor_gains(link: LinkConstants, xs: np.ndarray, ys: np.ndarray) -> np
 _SAFE_RATIO = 1e154
 
 
-def _block_squared_ratios(strong: np.ndarray, weak: np.ndarray) -> np.ndarray:
-    """squared_ratio of each (strong, weak > 0) pair: builtin pow (what **
-    calls) mapped over the ratios that cannot overflow, squared_ratio
-    itself on the rest."""
+def _block_pair_rates(weak, strong, gamma, solo_unit, tau) -> np.ndarray:
+    """evaluate_schedule's sum-rate of each pair with weak > 0: tau times
+    each of noma_user_rates(gamma, r), at r = squared_ratio(strong, weak)
+    (builtin pow, what ** calls, mapped over the ratios that cannot
+    overflow, squared_ratio itself on the rest), and an overflowed r earning
+    the r -> inf limit of both unit rates, the weak user's solo_unit."""
     ratio = strong / weak
     safe = ratio < _SAFE_RATIO
     r = np.empty(ratio.shape)
     r[safe] = mapped(pow, ratio[safe], repeat(2.0))
-    for n in np.flatnonzero(~safe).tolist():
-        r[n] = squared_ratio(strong[n].item(), weak[n].item())
-    return r
-
-
-def _block_noma_logs(gamma: np.ndarray, r: np.ndarray):
-    """noma_user_rates(gamma, r) elementwise, and x = t*r*gamma."""
+    r[~safe] = mapped(squared_ratio, strong[~safe], weak[~safe].tolist())
     x = CAPACITY_SNR_FACTOR * r * gamma
-    return (mapped(math.log2, 1.0 + x / (r + gamma + 1.0)),
-            mapped(math.log2, 1.0 + x / (r + 1.0)),
-            x)
+    unit_weak = mapped(math.log2, 1.0 + x / (r + gamma + 1.0))
+    unit_strong = mapped(math.log2, 1.0 + x / (r + 1.0))
+    limit = r == math.inf
+    unit_weak[limit] = unit_strong[limit] = solo_unit[limit]
+    return tau * unit_weak + tau * unit_strong
 
 
 def _gap_non_negative(gamma, strong, weak) -> np.ndarray:
     """Whether rate_gap_at(gamma, squared_ratio(strong, weak)) >= 0 for each
     pair with weak > 0 and gamma > 0, an overflowed squared ratio never
-    passing: the sign of rho where |rho| > RHO_MARGIN, else the float gap
-    (see the module docstring)."""
+    passing: the sign of rho where |rho| > RHO_MARGIN, else the scalar
+    functions themselves (see the module docstring)."""
     ratio = strong / weak
     rr = ratio * ratio
     x = CAPACITY_SNR_FACTOR * rr * gamma
-    solo = 1.0 + CAPACITY_SNR_FACTOR * gamma
     ab = (1.0 + x / (rr + gamma + 1.0)) * (1.0 + x / (rr + 1.0))
     num = ab * ab
-    den = solo * (1.0 + x)
+    den = (1.0 + CAPACITY_SNR_FACTOR * gamma) * (1.0 + x)
     rho = num / den - 1.0
     take = rho > 0.0
     near = np.flatnonzero(~((np.abs(rho) > RHO_MARGIN) & (num < math.inf)
                             & (den < math.inf) & (ratio < _SAFE_RATIO)))
     if near.size:
-        r = _block_squared_ratios(strong[near], weak[near])
-        unit_weak, unit_strong, x = _block_noma_logs(gamma[near], r)
-        gap = (unit_weak + unit_strong) - 0.5 * (
-            mapped(math.log2, solo[near]) + mapped(math.log2, 1.0 + x))
+        r = mapped(squared_ratio, strong[near], weak[near].tolist())
         # The gap tends to -inf as r grows, so an overflowed r never pairs.
-        take[near] = ~((r == math.inf) | (gap < 0.0))
+        take[near] = ~((r == math.inf) | (mapped(rate_gap_at, gamma[near], r.tolist()) < 0.0))
     return take
 
 
@@ -171,7 +166,9 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
     unpaired test the gap (_gap_non_negative), and those with gap >= 0
     pair (i, j) and stop searching. So each drop tests exactly the pairs
     the scalar greedy reaches, in its order, and only the pairs formed
-    have their rates computed, after each i's search. A weak user's solo
+    have their rates computed, after each i's search. The forced pairs of
+    live weak users and the greedy's winners are rated by one kernel,
+    _block_pair_rates: evaluate_schedule's pair branch. A weak user's solo
     log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
 
     Each scheme's group rates are laid out in evaluate_schedule's group
@@ -193,17 +190,13 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
         units = mapped(math.log2, 1.0 + CAPACITY_SNR_FACTOR * snrs)
         solo = solo_tau * units
 
-        # Forced pairs (i, k - 1 - i): a dead weak user earns (0, 0), an
-        # overflowed ratio the r -> inf limit of both unit rates.
+        # Forced pairs (i, k - 1 - i): a dead weak user earns (0, 0).
         half = k // 2
         weak, strong = g[:, :half], g[:, ::-1][:, :half]
         forced = np.zeros((b, half))
         live = weak > 0.0
-        r = _block_squared_ratios(strong[live], weak[live])
-        unit_weak, unit_strong, _ = _block_noma_logs(snrs[:, :half][live], r)
-        limit = r == math.inf
-        unit_weak[limit] = unit_strong[limit] = units[:, :half][live][limit]
-        forced[live] = pair_tau * unit_weak + pair_tau * unit_strong
+        forced[live] = _block_pair_rates(weak[live], strong[live], snrs[:, :half][live],
+                                         units[:, :half][live], pair_tau)
 
         # Adaptive: adaptive_pairing's two loops over the whole block.
         paired = np.zeros((b, k), dtype=bool)
@@ -218,9 +211,8 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
                 searching[won] = False
                 partner[won] = j
             won = np.flatnonzero(partner)
-            r = _block_squared_ratios(g[won, partner[won]], g[won, i])
-            unit_weak, unit_strong, _ = _block_noma_logs(snrs[won, i], r)
-            pair_rates[won, i] = pair_tau * unit_weak + pair_tau * unit_strong
+            pair_rates[won, i] = _block_pair_rates(g[won, i], g[won, partner[won]],
+                                                   snrs[won, i], units[won, i], pair_tau)
     return np.stack([np.add.accumulate(terms, axis=1)[:, -1] for terms in (
         solo,
         np.hstack((forced, solo[:, half:half + k % 2])),

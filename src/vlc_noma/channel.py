@@ -196,8 +196,10 @@ def floor_gains(link: LinkConstants, points) -> list[float]:
 
 
 def snr(link: LinkBudget, p_led: float) -> float:
-    """Electrical SNR of the link: P_LED * h^2 / sigma^2 (linear)."""
-    return p_led * link.channel_gain**2 / link.noise_power
+    """Electrical SNR of the link: P_LED * h^2 / sigma^2 (linear), in
+    UserChannelSet.from_gains' operations and order, so both agree bit for
+    bit."""
+    return p_led * link.channel_gain * link.channel_gain / link.noise_power
 
 
 def snr_db(gamma: float) -> float:

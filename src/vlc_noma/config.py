@@ -193,15 +193,19 @@ def parse_float_list(raw: str) -> tuple[float, ...]:
 
 
 def _parse_positions(raw: str) -> tuple[tuple[float, float, float], ...]:
-    """Semicolon-separated x,y,z triplets: '2.5,5.5,0; 4,0,0'."""
+    """Semicolon-separated x,y,z triplets: '2.5,5.5,0; 4,0,0'. An empty
+    group is a bad value, not skipped: skipping one would renumber the
+    positions after it. A blank value is no positions at all."""
+    if not raw:
+        return ()
     out = []
     for group in raw.split(";"):
         if not group.strip():
-            continue
-        parts = [float(tok) for tok in group.split(",")]
+            raise ValueError(f"empty position in {raw!r}")
+        parts = parse_float_list(group)
         if len(parts) != 3:
             raise ValueError(f"position needs 3 coordinates, got {group!r}")
-        out.append(tuple(parts))
+        out.append(parts)
     return tuple(out)
 
 

@@ -10,11 +10,11 @@ Only the user sweep loads numpy, when it runs: the region map, the power
 sweep and pair_once are scalar math from end to end, so they, and importing
 the package, start without it.
 
-The user sweep evaluates a block of STREAM_BLOCK trials at a time. Each
-block's positions come from one batch of uniforms
-(streams.uniform_streams): the SeedSequence/PCG64 chain is integer
-arithmetic, so numpy's uint32/uint64 array operations reproduce every
-drop's stream exactly. Gains and rates are block-evaluated as well
+The user sweep's only unit of work is a block: one user count and a range
+of at most STREAM_BLOCK trials. Each block's positions come from one batch
+of uniforms (streams.uniform_streams): the SeedSequence/PCG64 chain is
+integer arithmetic, so numpy's uint32/uint64 array operations reproduce
+every drop's stream exactly. Gains and rates are block-evaluated as well
 (batch.block_floor_gains, batch.block_sum_rates): + - * / and sqrt run as
 numpy array operations, which round as Python's floats do; every
 transcendental whose value reaches the output is math's own function
@@ -33,14 +33,14 @@ sum-rate sweeps do so with validate, against oracle-checked regions. Every
 region is solved at the exact SNR that asks for it, and none is cached, so
 no result depends on the order of the lookups or on the worker count.
 
-A shard returns each user count's sum-rates as one (n, 3) array, and each
-user count's drops stay one array up to the CSV: batch.mean_and_se sums
-them with np.add.accumulate, a left-to-right fold, never with numpy's
-pairwise np.sum or np.mean (batch's docstring says why the bytes hold).
+A block's sum-rates come back as one (n, 3) array. Each user count's
+blocks are joined in trial order and stay one array up to the CSV:
+batch.mean_and_se sums them with np.add.accumulate, a left-to-right fold,
+never with numpy's pairwise np.sum or np.mean (batch's docstring says why
+the bytes hold).
 """
 
 import functools
-import math
 import numbers
 import os
 from dataclasses import dataclass
@@ -127,34 +127,26 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache
     return scheme_sum_rates(gains, cfg.led_power, cfg.noise_power)
 
 
-def _sweep_users_shard(args):
-    """Worker entry: simulate trials [lo, hi) of every user count, drop for
-    drop equal to _simulate_drop, a block of trials at a time; returns one
-    (hi - lo, 3) array of (tdma, forced, adaptive) sum-rates per user
-    count. With validate, every drop's pairs are also cross-checked against
-    their oracle-checked regions."""
-    import numpy as np
-
+def _sweep_users_block(args):
+    """Worker entry: simulate trials [lo, hi) of user count k, drop for drop
+    equal to _simulate_drop; returns one (hi - lo, 3) array of (tdma,
+    forced, adaptive) sum-rates. With validate, every drop's pairs are also
+    cross-checked against their oracle-checked regions."""
     from .batch import block_floor_gains, block_sum_rates
     from .streams import uniform_streams
 
-    cfg, lo, hi, validate = args
+    cfg, k, lo, hi, validate = args
     link, room = cfg.link(), cfg.room()
-    region_of = functools.partial(region_module.region_for_snr, validate=True)
-    out = []
-    for k in cfg.user_counts():
-        blocks = []
-        for start in range(lo, hi, STREAM_BLOCK):
-            u = uniform_streams(cfg.seed, k, start, min(start + STREAM_BLOCK, hi))
-            # sample_user_positions' multiplies, on the same uniforms
-            gains = block_floor_gains(link, u[:, 0::2] * room.length, u[:, 1::2] * room.width)
-            blocks.append(block_sum_rates(gains, cfg.led_power, cfg.noise_power))
-            if validate:
-                for row in gains.tolist():
-                    users = UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power)
-                    adaptive_pairing(users, region_of)
-        out.append(np.concatenate(blocks))
-    return out
+    u = uniform_streams(cfg.seed, k, lo, hi)
+    # sample_user_positions' multiplies, on the same uniforms
+    gains = block_floor_gains(link, u[:, 0::2] * room.length, u[:, 1::2] * room.width)
+    rates = block_sum_rates(gains, cfg.led_power, cfg.noise_power)
+    if validate:
+        region_of = functools.partial(region_module.region_for_snr, validate=True)
+        for row in gains.tolist():
+            adaptive_pairing(UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power),
+                             region_of)
+    return rates
 
 
 def run_sweep_users(
@@ -162,12 +154,13 @@ def run_sweep_users(
 ) -> ResultTable:
     """Mean sum-rate (and standard error) of the three schemes per user count.
 
-    Trials are independent with per-trial RNG streams keyed by (K, trial),
-    and each shard of trials depends only on its range, so parallel
-    execution cannot change any drawn value; shards are reduced in trial
-    order to keep the output bytes identical for any worker count. Trials
-    are split into at most min(workers, os.cpu_count()) shards, one worker
-    process each. With validate, every drop is also cross-checked against
+    Trials are independent with per-trial RNG streams keyed by (K, trial).
+    The work is a list of blocks, trials [m * STREAM_BLOCK, (m + 1) *
+    STREAM_BLOCK) of each K, and each block's rates depend only on its K and
+    range, which no worker count moves. The blocks run serially, or in a pool
+    of min(workers, os.cpu_count(), number of blocks) processes, and each K's
+    blocks are joined in trial order, so the output bytes are identical for
+    any worker count. With validate, every drop is also cross-checked against
     solver regions that are checked against the oracle, which adds no byte.
     """
     if workers < 1:
@@ -180,20 +173,21 @@ def run_sweep_users(
         "k", "tdma_mean", "tdma_se", "forced_mean", "forced_se",
         "adaptive_mean", "adaptive_se",
     )
-    chunk = math.ceil(cfg.trials / min(workers, os.cpu_count() or 1))
-    shards = [(cfg, lo, min(lo + chunk, cfg.trials), validate)
-              for lo in range(0, cfg.trials, chunk)]
-    if len(shards) == 1:
-        outputs = [_sweep_users_shard(shards[0])]
+    starts = range(0, cfg.trials, STREAM_BLOCK)
+    blocks = [(cfg, k, lo, min(lo + STREAM_BLOCK, cfg.trials), validate)
+              for k in cfg.user_counts() for lo in starts]
+    processes = min(workers, os.cpu_count() or 1, len(blocks))
+    if processes == 1:
+        outputs = list(map(_sweep_users_block, blocks))
     else:
         import multiprocessing
 
-        with multiprocessing.Pool(processes=len(shards)) as pool:
-            outputs = pool.map(_sweep_users_shard, shards)
+        with multiprocessing.Pool(processes=processes) as pool:
+            outputs = pool.map(_sweep_users_block, blocks)
 
     rows = []
-    for k_index, k in enumerate(cfg.user_counts()):
-        means, ses = mean_and_se(np.concatenate([out[k_index] for out in outputs]))
+    for n, k in enumerate(cfg.user_counts()):
+        means, ses = mean_and_se(np.concatenate(outputs[n * len(starts):(n + 1) * len(starts)]))
         rows.append((k, *np.stack((means, ses), axis=1).ravel().tolist()))
     return ResultTable(columns, rows)
 

@@ -4,13 +4,14 @@ the public route bit for bit.
 floor_gains must give each user's los_channel_gain(...).channel_gain, the
 block kernels block_floor_gains and block_sum_rates must give floor_gains and
 scheme_sum_rates (evaluate_schedule over the TDMA, forced and adaptive plans)
-row by row, a batched sweep shard must give _simulate_drop's rates for every
-drop, and sca_solve and oracle_region must give what the rates functions
-through a generic bisection give, compared with ==, never approximately.
+row by row, a sweep block must give _simulate_drop's rates for every drop,
+and sca_solve and oracle_region must give what the rates functions through
+a generic bisection give, compared with ==, never approximately.
 """
 
 import dataclasses
 import math
+from collections import Counter
 from functools import partial
 
 import numpy as np
@@ -24,7 +25,7 @@ from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import (
     STREAM_BLOCK,
     _simulate_drop,
-    _sweep_users_shard,
+    _sweep_users_block,
     sample_user_positions,
 )
 from vlc_noma.rates import (
@@ -108,19 +109,19 @@ def test_an_overflowed_ratio_never_pairs_and_forces_the_limit(gains, p_led, nois
     assert forced == unit + unit
 
 
-# With validate the shard also cross-checks every drop's pairs against
+# With validate the block also cross-checks every drop's pairs against
 # oracle-checked solver regions (cross_check), which must pass and change no
-# rate.
+# rate. The trial ranges span a block boundary of the sweep and end at the
+# last trial the streams take.
 @pytest.mark.parametrize("validate", [False, True], ids=["gap_sign", "cross_check"])
 @pytest.mark.parametrize("cfg", [DEFAULT, NARROW_FOV], ids=["default", "narrow_fov"])
 def test_batched_shard_equals_simulate_drop(cfg, validate):
-    cfg = dataclasses.replace(cfg, users_min=1, users_max=11)
-    lo, hi = STREAM_BLOCK - 15, STREAM_BLOCK + 15  # spans a block boundary
-    shard = _sweep_users_shard((cfg, lo, hi, validate))
-    for k, drops in zip(cfg.user_counts(), shard):
-        assert drops.shape == (hi - lo, 3)
-        assert list(map(tuple, drops.tolist())) == [
-            _simulate_drop(cfg, k, m) for m in range(lo, hi)], k
+    for lo, hi in [(STREAM_BLOCK - 15, STREAM_BLOCK + 15), (2**32 - 15, 2**32)]:
+        for k in range(1, 12):
+            drops = _sweep_users_block((cfg, k, lo, hi, validate))
+            assert drops.shape == (hi - lo, 3)
+            assert list(map(tuple, drops.tolist())) == [
+                _simulate_drop(cfg, k, m) for m in range(lo, hi)], (k, lo)
 
 
 def block_gains(cfg, k, trials):
@@ -209,14 +210,13 @@ def test_a_zero_gap_pairs(weak, strong):
 NEAR_ZERO_GAP_PAIRS = [[1e-6, 1.768351350096378e-06], [2e-6, 0.0003444656120533563]]
 
 
-def log2_count(monkeypatch):
-    """Count the elements batch.mapped passes to math.log2 from here on."""
-    counted = [0]
+def mapped_count(monkeypatch):
+    """Count the elements batch.mapped passes to each function from here on."""
+    counted = Counter()
     mapped = batch.mapped
 
     def spy(fn, values, *args):
-        if fn is math.log2:
-            counted[0] += values.size
+        counted[fn] += values.size
         return mapped(fn, values, *args)
 
     monkeypatch.setattr(batch, "mapped", spy)
@@ -241,12 +241,13 @@ def test_only_pairs_inside_the_rho_margin_take_the_float_gap(monkeypatch, pair, 
         (1.0 + CAPACITY_SNR_FACTOR * gamma) * (1.0 + x)) - 1.0
     assert rho_range[0] < abs(rho) <= rho_range[1]
     assert (rate_gap_at(gamma, r) >= 0.0) == paired
-    counted = log2_count(monkeypatch)
+    counted = mapped_count(monkeypatch)
     rates = block_sum_rates(np.array([pair]), 1.0, 1e-14)
     assert tuple(rates[0].tolist()) == scheme_sum_rates(pair, 1.0, 1e-14)
-    # two solo units and the forced pair's two logs, the gap's four inside
-    # the margin only, and the adaptive pair's two if it pairs
-    assert counted[0] == 2 + 2 + 4 * (abs(rho) <= batch.RHO_MARGIN) + 2 * paired
+    # two solo units, the forced pair's two logs and the adaptive pair's two
+    # if it pairs; rate_gap_at itself decides inside the margin only
+    assert counted[math.log2] == 2 + 2 + 2 * paired
+    assert counted[rate_gap_at] == (abs(rho) <= batch.RHO_MARGIN)
 
 
 @pytest.mark.parametrize("row, p_led, noise_power", [
@@ -352,9 +353,8 @@ def test_mean_and_se_equal_left_to_right_folds_on_random_columns(rows):
 
 
 def test_sweep_users_mean_and_se_equal_left_to_right_folds():
-    drops = _sweep_users_shard((DEFAULT, 0, 2000, False))
-    for k_drops in drops:
-        assert_mean_and_se_equal_the_folds(k_drops)
+    for k in DEFAULT.user_counts():
+        assert_mean_and_se_equal_the_folds(_sweep_users_block((DEFAULT, k, 0, 2000, False)))
 
 # The region solver's fused kernels (sca_solve's surrogate-root bisection and
 # the oracle's gap-root bisection) repeat rates' formulas inline. The

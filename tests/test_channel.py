@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from vlc_noma.channel import (
+    DEFAULT_NOISE_POWER,
     LedConfig,
     LinkBudget,
     LinkConstants,
@@ -19,6 +20,7 @@ from vlc_noma.channel import (
     snr,
     snr_db,
 )
+from vlc_noma.scheduler import UserChannelSet
 
 LED = LedConfig()          # (3, 3, 3), 1 W, 60 deg semi-angle
 PD = PhotodiodeConfig()    # 1 cm^2, 0.54 A/W, 60 deg FOV, T_s = 1, kappa = 1.5
@@ -103,6 +105,24 @@ def test_snr_zero_gain():
     link = LinkBudget(0.0, 3.0, 0.0, 0.0, 1e-14)
     assert snr(link, 1.0) == 0.0
     assert snr_db(0.0) == float("-inf")
+
+
+def test_snr_equals_the_schedulers_snr():
+    # P * h**2 (libm pow) would give 813.5235295081204 here
+    link = LinkBudget(2.8522333872040003e-06, 3.0, 0.0, 0.0, 1e-14)
+    assert snr(link, 1.0) == 813.5235295081205
+    (user,) = UserChannelSet.from_gains([link.channel_gain], 1.0, 1e-14)
+    assert snr(link, 1.0) == user.snr
+
+
+def test_snr_equals_the_schedulers_snr_on_random_floor_points():
+    rng = np.random.default_rng(71)
+    links = [los_channel_gain(LED, PD, UserPosition.at(x, y))
+             for x, y in (rng.random((20_000, 2)) * 6.0).tolist()]
+    users = UserChannelSet.from_gains([link.channel_gain for link in links], 1.0,
+                                      DEFAULT_NOISE_POWER)
+    by_id = {user.user_id: user.snr for user in users}
+    assert [snr(link, 1.0) for link in links] == [by_id[uid] for uid in range(1, len(links) + 1)]
 
 
 def test_snr_linear_in_power():

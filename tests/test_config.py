@@ -142,6 +142,13 @@ def test_semantic_validation():
         parse_config_text("fixed_positions = 7,1,0\n")
 
 
+# A skipped group would renumber the receivers after it.
+@pytest.mark.parametrize("raw", ["1,1,0;;2,2,0", "1,1,0;", ";1,1,0", "1,1,0; ;2,2,0"])
+def test_an_empty_fixed_positions_group_is_an_error(raw):
+    with pytest.raises(ConfigError, match="bad value for 'fixed_positions': empty position"):
+        parse_config_text(f"fixed_positions = {raw}\n")
+
+
 @pytest.mark.parametrize("z", ["1", "-0.5", "2.9", "nan"])
 def test_fixed_positions_must_lie_on_the_floor(z):
     # floor_gains evaluates every receiver at z = 0

@@ -12,6 +12,7 @@ from vlc_noma.channel import RoomGeometry
 from vlc_noma import region
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import (
+    STREAM_BLOCK,
     pair_once,
     run_region_map,
     run_sweep_power,
@@ -84,14 +85,15 @@ def test_sweep_users_byte_identical_across_runs_and_workers():
 
 
 @pytest.fixture
-def pool_sizes(monkeypatch):
-    """Replace multiprocessing.Pool by a pool that records its size and maps
-    in this process, so no worker process starts; return the sizes."""
-    sizes = []
+def pools(monkeypatch):
+    """Replace multiprocessing.Pool by a pool that records its size and the
+    items it maps, and maps them in this process, so no worker process
+    starts; return the (size, items) records."""
+    records = []
 
     class SerialPool:
         def __init__(self, processes):
-            sizes.append(processes)
+            self.processes = processes
 
         def __enter__(self):
             return self
@@ -100,36 +102,51 @@ def pool_sizes(monkeypatch):
             return False
 
         def map(self, fn, items):
+            records.append((self.processes, list(items)))
             return [fn(item) for item in items]
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
-    return sizes
+    return records
 
 
-def test_sweep_users_pool_is_sized_by_its_shards(pool_sizes, monkeypatch):
+def test_sweep_users_pool_is_sized_by_its_blocks(pools, monkeypatch):
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
     cfg = small_cfg(trials=10)
     table = run_sweep_users(cfg, workers=64)
-    assert pool_sizes == [10]  # one trial per shard, ten shards
+    assert [size for size, _ in pools] == [3]  # one block for each K = 2..4
     assert table.csv_text() == run_sweep_users(cfg).csv_text()
-    run_sweep_users(cfg, workers=4)
-    assert pool_sizes == [10, 4]
+    run_sweep_users(small_cfg(trials=5000), workers=4)  # three blocks for each K
+    run_sweep_users(small_cfg(trials=10, users_max=2), workers=64)  # one block: no pool
+    assert [size for size, _ in pools] == [3, 4]
 
 
 @pytest.mark.parametrize("cpus, processes", [(3, [3]), (1, []), (None, [])])
-def test_sweep_users_starts_at_most_one_process_per_cpu(pool_sizes, monkeypatch,
+def test_sweep_users_starts_at_most_one_process_per_cpu(pools, monkeypatch,
                                                          cpus, processes):
     # 100,000 workers over 1,000 trials used to ask for 1,000 processes
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-    cfg = small_cfg(trials=1000)
+    cfg = small_cfg(trials=1000, users_max=6)  # five blocks
     table = run_sweep_users(cfg, workers=100_000)
-    assert pool_sizes == processes  # no pool at all where one shard is left
+    assert [size for size, _ in pools] == processes  # no pool where one process is left
     assert table.csv_text() == run_sweep_users(cfg).csv_text()
 
 
-# Seed 2, 3,000 trials: the serial run ends inside its second 2048-drop
-# block, and three shards of 1,000 trials (or two of 1,500 on a 2-CPU host)
-# start and end inside blocks.
+def test_sweep_users_blocks_do_not_depend_on_the_worker_count(pools, monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    cfg = small_cfg(trials=5000)
+    run_sweep_users(cfg, workers=2)
+    run_sweep_users(cfg, workers=3)
+    (two, blocks_two), (three, blocks_three) = pools
+    assert (two, three) == (2, 3)
+    assert blocks_two == blocks_three == [
+        (cfg, k, lo, hi, False) for k in (2, 3, 4)
+        for lo, hi in ((0, STREAM_BLOCK), (STREAM_BLOCK, 2 * STREAM_BLOCK),
+                       (2 * STREAM_BLOCK, 5000))]
+
+
+# Seed 2, 3,000 trials: each K's second block holds the 952 trials past the
+# first 2048, and the serial run and a three-process pool compute the same
+# blocks.
 SWEEP_USERS_SEED2_3000 = "d868b0e96283f4f4a4531691f83453564016cdc256731ae40a8b3126985d7261"
 
 
