@@ -11,6 +11,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .channel import LedConfig, LinkConstants, PhotodiodeConfig, RoomGeometry, floor_gains
+from .region import SNR_DB_MAX
 
 
 class ConfigError(ValueError):
@@ -99,10 +100,9 @@ class ExperimentConfig:
         if self.snr_db_max < self.snr_db_min:
             raise ConfigError("snr_db_max must be >= snr_db_min")
         # The region map solves at the linear SNR 10**(dB/10) of each grid point.
-        try:
-            10.0 ** (self.snr_db_max / 10.0)
-        except OverflowError:
-            raise ConfigError("snr_db_max is too large: its linear SNR overflows") from None
+        if self.snr_db_max > SNR_DB_MAX:
+            raise ConfigError(
+                f"snr_db_max must be at most {SNR_DB_MAX:g}, the region solver's range")
         if 10.0 ** (self.snr_db_min / 10.0) == 0.0:
             raise ConfigError("snr_db_min is too small: its linear SNR underflows to 0")
         if not 1 <= self.users_min <= self.users_max:

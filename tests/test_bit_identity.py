@@ -36,6 +36,7 @@ from vlc_noma.rates import (
     tdma_rate_slope,
 )
 from vlc_noma.region import (
+    GAMMA_MAX,
     MAX_ITERATIONS,
     ORACLE_REL_WIDTH,
     SCAN_RANGE,
@@ -43,7 +44,6 @@ from vlc_noma.region import (
     InfeasibleSeedError,
     RegionSolverError,
     _gap_root,
-    _ratio_ceiling,
     _surrogate_root,
     feasibility_scan,
     oracle_region,
@@ -376,13 +376,14 @@ def _log_bisect(fn, lo, hi, lo_feasible, rel_width):
 
 def reference_sca_solve(gamma, objective, seed):
     """(r, iterates, gaps, converged) of sca_solve by the generic route."""
+    if not 0.0 < gamma <= GAMMA_MAX:
+        raise ValueError(gamma)
     gap_seed = rate_gap_at(gamma, seed)
-    if gap_seed < 0.0:
+    if not gap_seed >= 0.0:
         raise InfeasibleSeedError(seed)
     iterates, gaps, converged = [seed], [gap_seed], False
     inner_floor = max(TOLERANCE * 1e-4, 1e-13)
     inner_width = 1e-3
-    ceiling = _ratio_ceiling(gamma)
     r = seed
     for _ in range(MAX_ITERATIONS):
         q_r = tdma_rate_at(gamma, r)
@@ -399,10 +400,8 @@ def reference_sca_solve(gamma, objective, seed):
                 nxt = _log_bisect(surrogate, 1.0, r, False, inner_width)
         else:
             hi = r * 2.0
-            while hi <= ceiling and surrogate(hi) >= 0.0:
+            while surrogate(hi) >= 0.0:
                 hi *= 2.0
-            if hi > ceiling:
-                raise RegionSolverError(hi)
             nxt = _log_bisect(surrogate, r, hi, True, inner_width)
         iterates.append(nxt)
         gaps.append(rate_gap_at(gamma, nxt))
@@ -426,11 +425,8 @@ def reference_oracle(gamma):
     else:
         r_min = _log_bisect(gap, 1.0, seed, False, ORACLE_REL_WIDTH)
     hi = max(seed * 2.0, SCAN_RANGE[1])
-    ceiling = _ratio_ceiling(gamma)
-    while hi <= ceiling and gap(hi) >= 0.0:
+    while gap(hi) >= 0.0:
         hi *= 4.0
-    if hi > ceiling:
-        raise RegionSolverError(hi)
     return r_min, _log_bisect(gap, seed, hi, gap(seed) >= 0.0, ORACLE_REL_WIDTH)
 
 
@@ -445,58 +441,48 @@ def fused_oracle(gamma):
 
 
 def outcome(fn, *args):
-    """fn's result, or the class of the solver error it raises."""
+    """fn's result, or the class of the error it raises."""
     try:
         return fn(*args)
-    except RegionSolverError as exc:
+    except (RegionSolverError, ValueError) as exc:
         return type(exc)
 
 
 def assert_kernels_equal_reference(gamma):
-    try:
-        seed = feasibility_scan(gamma)
-    except RegionSolverError:  # the scan grid overflows: seed the solver by hand
-        seed = None
-    # with no feasible scan point, a seed of 10 has a negative gap
+    seed = outcome(feasibility_scan, gamma)
+    if not isinstance(seed, float):  # None, or ValueError past GAMMA_MAX
+        seed = 10.0  # with no feasible scan point, a seed of 10 has a negative gap
     for objective in ("min", "max"):
-        solved = outcome(fused_sca_solve, gamma, objective, seed or 10.0)
-        assert solved == outcome(reference_sca_solve, gamma, objective, seed or 10.0), gamma
+        solved = outcome(fused_sca_solve, gamma, objective, seed)
+        assert solved == outcome(reference_sca_solve, gamma, objective, seed), gamma
     assert outcome(fused_oracle, gamma) == outcome(reference_oracle, gamma), gamma
 
 
 # -10..480 dB, where both routes give a region or an empty one, then the
-# SNRs past 485 dB whose r_max solve does not converge, and SNRs where
-# t*r*gamma leaves the float range in the solver's bracket and on the scan
-# grid.
+# bound of the solver's range: 480 dB itself, where the brackets grow
+# furthest, and the next float past it, which every route rejects.
 WIDE_SNR_DB = np.random.default_rng(11).uniform(-10.0, 480.0, 2000).tolist()
-EDGE_SNR_DB = [485.915, 486.37, 486.565, 489.0, 1000.0, 3000.0]
+EDGE_GAMMAS = [GAMMA_MAX, math.nextafter(GAMMA_MAX, math.inf)]
 
 
 def test_region_kernels_equal_the_generic_route():
-    for db in WIDE_SNR_DB + EDGE_SNR_DB:
-        assert_kernels_equal_reference(10.0 ** (db / 10.0))
+    for gamma in [10.0 ** (db / 10.0) for db in WIDE_SNR_DB] + EDGE_GAMMAS:
+        assert_kernels_equal_reference(gamma)
 
 
 def test_region_kernels_raise_where_the_generic_route_raises():
-    # the SNRs above reach every outcome besides a region: an unconverged
-    # solve, a bracket overflow and a scan-grid overflow
-    assert not fused_sca_solve(10.0 ** 48.5915, "max", 10.0)[3]
-    assert outcome(fused_sca_solve, 1e300, "max", 10.0) is RegionSolverError
-    assert outcome(fused_oracle, 1e300) is RegionSolverError
+    # past GAMMA_MAX, at 485.9 dB where the r_max solve would not converge
+    # and at 3000 dB where t*r*gamma would leave the float range, every
+    # route rejects gamma at entry
+    for gamma in (10.0 ** 48.5915, 1e300):
+        for solve in (fused_sca_solve, reference_sca_solve):
+            assert outcome(solve, gamma, "max", 10.0) is ValueError
+        for oracle in (fused_oracle, reference_oracle, region_for_snr):
+            assert outcome(oracle, gamma) is ValueError
     # a seed with a negative gap, at 0 dB (empty region) and at 20 dB (below r_min)
     for gamma, seed in ((1.0, 10.0), (100.0, 2.0)):
         for solve in (fused_sca_solve, reference_sca_solve):
             assert outcome(solve, gamma, "max", seed) is InfeasibleSeedError
-
-
-def test_region_fails_at_the_same_snrs_past_480_db():
-    grid = [480.0 + i * 0.013 for i in range(770)]
-    failed = [db for db in grid
-              if outcome(region_for_snr, 10.0 ** (db / 10.0)) is RegionSolverError]
-    assert len(failed) == 26
-    for db in failed:
-        gamma = 10.0 ** (db / 10.0)
-        assert not reference_sca_solve(gamma, "max", feasibility_scan(gamma))[3], db
 
 
 def test_bisection_kernels_equal_the_generic_bisection_at_float_resolution():

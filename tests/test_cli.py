@@ -194,6 +194,7 @@ def test_degenerate_channel_configs_fail_cleanly(text, key, tmp_path, capsys):
     ("snr_db_max = inf\n", "snr_db_max"),
     ("snr_db_min = nan\n", "snr_db_min"),
     ("snr_db_min = 20\nsnr_db_max = 10\n", "snr_db_max"),
+    ("snr_db_min = 3000\nsnr_db_max = 3000\n", "snr_db_max"),  # past the solver's 480 dB
 ])
 def test_snr_grid_bounds_past_the_float_range_fail_cleanly(text, key, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -205,9 +206,10 @@ def test_snr_grid_bounds_past_the_float_range_fail_cleanly(text, key, tmp_path, 
 
 
 @pytest.mark.parametrize("text, command", [
-    # t*r*gamma overflows the feasibility scan's grid at 3000 dB
-    ("snr_db_min = 3000\nsnr_db_max = 3000\n", ["region"]),
-    # a 1e301 weak-user SNR: the region solve of pair's cross-check fails
+    # a weak-user SNR of 1.0201e48, 480.09 dB: the region solve of pair's
+    # cross-check rejects it
+    ("", ["pair", "--gains", "1.01e17,2e17"]),
+    # a 1e301 weak-user SNR
     ("led_power = 1e9\nnoise_power = 1e-20\n", ["pair", "--gains", "1e136,2e136"]),
     # SNRs of about 1e240, through the user sweep's region cross-check
     ("noise_power = 1e-250\n", ["sweep-users", "--trials", "20", "--validate-oracle"]),
@@ -216,19 +218,23 @@ def test_region_solver_failures_exit_2(text, command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     assert main([*command, "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and " at gamma=" in err
-    assert err.count("\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: gamma must be finite and positive, and at most 1e48 (480 dB), not ")
+    assert captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("text, command", [
-    # 160 dB, past the old fixed 1e30 bracket guard
+    # 160 dB, where r_max is about 2e31
     ("snr_db_min = 160\nsnr_db_max = 160\n", ["region", "--validate-oracle"]),
     ("", ["pair", "--gains", "1e3,2e3"]),  # weak-user SNR 1e20
     # weak-user SNRs of about 1e17
     ("led_power = 1e9\nnoise_power = 1e-20\n",
      ["sweep-users", "--trials", "20", "--validate-oracle"]),
-], ids=["region_160_db", "pair_200_db", "validated_sweep_170_db"])
+    # the solver's bound: a weak-user SNR of exactly 1e48
+    ("", ["pair", "--gains", "1e17,2e17"]),
+], ids=["region_160_db", "pair_200_db", "validated_sweep_170_db", "pair_480_db"])
 def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)

@@ -48,6 +48,12 @@ def test_grids():
     assert cfg.user_counts() == (2, 3, 4)
 
 
+def test_snr_grid_stops_at_the_region_solver_range():
+    assert parse_config_text("snr_db_max = 480\n").snr_db_grid()[-1] == 480.0
+    with pytest.raises(ConfigError, match="^snr_db_max must be at most 480, "):
+        parse_config_text("snr_db_max = 480.000001\n")
+
+
 def test_snr_grid_is_built_by_index():
     fine = ExperimentConfig(snr_db_min=0.0, snr_db_max=1e-8, snr_db_step=1e-9)
     grid = fine.snr_db_grid()

@@ -31,8 +31,8 @@ REGION_MAP_WIDE = "e66d952b10e07c5d733cc4d168243b087b237afda79a172502f51111ae755
 PAIR = "819fe4d61368f5dc2ed4d35a2d8756fe3d4194488d20a38ed855fb5be4f05d66"
 PAIR_GAINS = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
 SWEEP_USERS_200 = "19f2084c0ece2bab492ea352891d09d1acce06ad9727a9664dcde2c5a0a71257"
-# K = 2..3, the grid this digest was recorded at. Each worker runs one trial
-# range across every K, so its output depends only on that range.
+# K = 2..3, the grid this digest was recorded at. Each worker runs whole
+# 2048-drop blocks of one K, so its output depends only on those blocks.
 SWEEP_USERS_200_K3 = "d098748a14314ef896271582734101bdaa1990b3eb72436a0dafd80008b4283b"
 # The published default sweep: 10^4 drops per K = 2..10, seed 1.
 SWEEP_USERS_DEFAULT = "2481a1dd704f60a16c64ac975d9b6ff6e5b2a059660762e1c8051750fc069dce"

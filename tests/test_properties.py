@@ -104,8 +104,8 @@ def test_gap_sign_is_region_membership_up_to_140_db(snr_db, frac):
     assert (rate_gap_at(gamma, r) >= 0.0) == region.contains(r)
 
 
-# The bracket ceiling scales with gamma^2, so the solver reaches r_max up to
-# 480 dB; past about 485 dB it runs out of iterations and raises.
+# 480 dB is the solver's whole range: past it every region function raises
+# ValueError at entry.
 @PROPERTY
 @given(st.floats(0.0, 480.0))
 def test_solver_matches_oracle_up_to_480_db(snr_db):

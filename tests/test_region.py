@@ -10,6 +10,7 @@ import pytest
 from vlc_noma import region as region_module
 from vlc_noma.rates import rate_gap_at, rate_gap_curve
 from vlc_noma.region import (
+    GAMMA_MAX,
     SCAN_POINTS,
     SCAN_RANGE,
     InfeasibleSeedError,
@@ -17,7 +18,6 @@ from vlc_noma.region import (
     OracleMismatchError,
     TOLERANCE,
     RegionCache,
-    RegionSolverError,
     _SCAN_GRID,
     feasibility_scan,
     oracle_region,
@@ -168,20 +168,25 @@ def test_region_for_snr_matches_oracle_across_decades():
         assert region.r_max == pytest.approx(ref.r_max, rel=1e-3)
 
 
-def test_region_is_oracle_checked_or_an_error_up_to_3080_db():
-    # Past about 485 dB the r_max solve runs out of iterations, and near
-    # 3000 dB t*r*gamma leaves the float range: both must raise, never
-    # return a region the oracle would not confirm.
-    raised = []
-    for db in range(0, 3090, 10):
+def test_region_is_oracle_checked_up_to_480_db():
+    for db in range(0, 490, 10):
         gamma = 10.0 ** (db / 10.0)
-        try:
-            found = region_for_snr(gamma)
-        except RegionSolverError:
-            raised.append(db)
-            continue
-        assert region_for_snr(gamma, validate=True) == found, db
-    assert min(raised) > 480 and 3000 in raised
+        assert region_for_snr(gamma, validate=True) == region_for_snr(gamma), db
+    assert 10.0 ** (480 / 10.0) == GAMMA_MAX
+
+
+ENTRY_POINTS = pytest.mark.parametrize("entry", [
+    feasibility_scan, oracle_region, region_for_snr,
+    lambda gamma: sca_solve(gamma, "max", 10.0),
+], ids=["feasibility_scan", "oracle_region", "region_for_snr", "sca_solve"])
+
+
+@ENTRY_POINTS
+@pytest.mark.parametrize("gamma", [math.nextafter(GAMMA_MAX, math.inf), 1e49, 1e300])
+def test_region_api_rejects_a_gamma_past_480_db(entry, gamma):
+    # no SNR past the bound reaches a search
+    with pytest.raises(ValueError, match=r"and at most 1e48 \(480 dB\)"):
+        entry(gamma)
 
 
 def test_region_interior_is_nonnegative():
@@ -209,10 +214,7 @@ def test_region_empty_outcomes():
         region_for_snr(0.0)
 
 
-@pytest.mark.parametrize("entry", [
-    feasibility_scan, oracle_region, region_for_snr,
-    lambda gamma: sca_solve(gamma, "max", 10.0),
-], ids=["feasibility_scan", "oracle_region", "region_for_snr", "sca_solve"])
+@ENTRY_POINTS
 @pytest.mark.parametrize("gamma", [math.nan, math.inf, 0.0])
 def test_region_api_rejects_a_gamma_that_is_not_finite_and_positive(entry, gamma):
     with pytest.raises(ValueError, match="gamma must be finite and positive"):
@@ -232,11 +234,13 @@ def test_sca_solve_min_reaches_one_where_every_gap_rounds_to_zero():
     assert r == 1.0 and trace.converged
 
 
-def test_oracle_raises_past_its_upper_bracket():
-    # at 1040 dB, r_max (about 0.19 * gamma^2) lies past the ratio ceiling, where
-    # t*r*gamma would overflow
-    with pytest.raises(RegionSolverError, match="upper bracket exceeded"):
-        oracle_region(1e104)
+@pytest.mark.parametrize("objective", ["min", "max"])
+@pytest.mark.parametrize("gamma, seed", [(1e10, 1e300), (100.0, 1.7e308)])
+def test_sca_solve_rejects_a_seed_whose_gap_is_nan(gamma, seed, objective):
+    # t*seed*gamma overflows to inf, so the seed's gap is inf - inf: the
+    # solver must not take that seed for a feasible one
+    with pytest.raises(InfeasibleSeedError):
+        sca_solve(gamma, objective, seed)
 
 
 def test_region_validate_against_oracle():
