@@ -3,10 +3,11 @@ block of drops at once, equal (==) to the scalar route drop by drop.
 
 channel.floor_gains and scheduler.scheme_sum_rates are the reference: the
 kernels run their + - * / and sqrt as numpy array operations in the same
-order, which round as Python's floats do. Every log2 or power whose value
-reaches an output is math.log2 or builtin pow, mapped over the block (see
-mapped), since numpy's log2 and power can differ from math's in the last
-bit. A transcendental that only decides a comparison is replaced by
+order, which round as Python's floats do, squares among them as x * x
+(libm's pow need not be correctly rounded). Every log2 and cos**m whose
+value reaches an output is math.log2 or builtin pow, mapped over the block
+(see mapped), since numpy's log2 and power can differ from math's in the
+last bit. A transcendental that only decides a comparison is replaced by
 IEEE-basic arithmetic wherever a proven margin settles the comparison, and
 is evaluated as the scalar route does inside the margin.
 tests/test_bit_identity.py pins both kernels == to the scalar route, and
@@ -22,17 +23,17 @@ The two margins, with u = 2**-53 the unit roundoff:
 * Pairing. The gap is 0.5*log2((A*B)**2 / (C*D)), with x = t*r*gamma,
   A = 1 + x/(r+gamma+1), B = 1 + x/(r+1), C = 1 + t*gamma and D = 1 + x,
   the arguments of its four log2 calls. So rho = (A*B)**2/(C*D) - 1 has
-  the gap's sign and needs only * and /. Computed at r = ratio*ratio in
-  place of pow(ratio, 2), which may differ by an ulp, 1 + rho carries a
-  relative error of at most about 70u (8e-15): five roundings of its own,
-  plus those of x, A, B and D and the ulp in r, each squared where A and
-  B are. |rho| > RHO_MARGIN (1e-9) therefore puts the exact gap at the
-  float arguments beyond 7e-10 in magnitude, while the float gap, four
-  log2 values below 1024 of an ulp each and three roundings, lies within
-  2e-12 of it: the float gap is non-zero and has rho's sign. Where
-  |rho| <= RHO_MARGIN, where A*B or C*D overflows, or where the ratio
-  may overflow its square, rates.squared_ratio and rates.rate_gap_at,
-  mapped over those pairs, decide as in the scalar greedy. Over all 1.65M
+  the gap's sign and needs only * and /. At the scalar route's own
+  r = ratio*ratio, 1 + rho carries a relative error of at most about 32u
+  (4e-15): up to 6u in A, 5u in B, 2u in C and 3u in D, those of A, B and
+  A*B doubled by the square, and the roundings of the square, C*D and the
+  quotient (the - 1 is exact for |rho| <= 0.5). |rho| > RHO_MARGIN (1e-9)
+  therefore puts the exact gap at the float arguments beyond 7e-10 in
+  magnitude, while the float gap, four log2 values below 1024 of an ulp
+  each and three roundings, lies within 2e-12 of it: the float gap is
+  non-zero and has rho's sign. Where |rho| <= RHO_MARGIN or (A*B)**2 or
+  C*D overflows (an r overflowed to inf among them), rates.rate_gap_at,
+  mapped over those pairs, decides as in the scalar greedy. Over all 1.65M
   live pairs of the default 10**4-drop sweep the smallest |rho| was
   3.4e-7, so the fallback never runs there.
 
@@ -62,7 +63,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import _TWO_PI, LinkConstants
-from .rates import CAPACITY_SNR_FACTOR, rate_gap_at, squared_ratio
+from .rates import CAPACITY_SNR_FACTOR, rate_gap_at
 
 
 def mapped(fn, values: np.ndarray, *args) -> np.ndarray:
@@ -79,9 +80,9 @@ RHO_MARGIN = 1e-9
 
 def block_floor_gains(link: LinkConstants, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """channel.floor_gains over an array of floor points (x, y): equal (==)
-    to it element by element. channel._los_link's +, -, *, / and sqrt are
-    IEEE-exact in numpy in the same order; its powers are builtin pow (what
-    ** calls) mapped over the block, and its acos > fov test compares the
+    to it element by element. channel._los_link's +, -, *, / and sqrt (d*d
+    too) are IEEE-exact in numpy in the same order; its cos**m is builtin
+    pow mapped over the live cosines, and its acos > fov test compares the
     cosines outside FOV_MARGIN and takes math.acos inside it."""
     lx, ly, lz = link.led_position
     dx = xs - lx
@@ -100,28 +101,20 @@ def block_floor_gains(link: LinkConstants, xs: np.ndarray, ys: np.ndarray) -> np
     cos_live = cos_angle[live]
     gains = np.zeros(distance.shape)
     gains[live] = (
-        link.scale / (_TWO_PI * mapped(pow, distance[live], repeat(2)))
+        link.scale / (_TWO_PI * (distance[live] * distance[live]))
         * mapped(pow, cos_live, repeat(link.m)) * link.filter_gain * link.concentrator
         * cos_live
     )
     return gains
 
 
-# Ratios below this square without overflow (sqrt of the float max is 1.34e154).
-_SAFE_RATIO = 1e154
-
-
 def _block_pair_rates(weak, strong, gamma, solo_unit, tau) -> np.ndarray:
     """evaluate_schedule's sum-rate of each pair with weak > 0: tau times
-    each of noma_user_rates(gamma, r), at r = squared_ratio(strong, weak)
-    (builtin pow, what ** calls, mapped over the ratios that cannot
-    overflow, squared_ratio itself on the rest), and an overflowed r earning
-    the r -> inf limit of both unit rates, the weak user's solo_unit."""
+    each of noma_user_rates(gamma, r) at squared_ratio's r = ratio * ratio,
+    an r overflowed to inf earning the r -> inf limit of both unit rates,
+    the weak user's solo_unit."""
     ratio = strong / weak
-    safe = ratio < _SAFE_RATIO
-    r = np.empty(ratio.shape)
-    r[safe] = mapped(pow, ratio[safe], repeat(2.0))
-    r[~safe] = mapped(squared_ratio, strong[~safe], weak[~safe].tolist())
+    r = ratio * ratio
     x = CAPACITY_SNR_FACTOR * r * gamma
     unit_weak = mapped(math.log2, 1.0 + x / (r + gamma + 1.0))
     unit_strong = mapped(math.log2, 1.0 + x / (r + 1.0))
@@ -131,24 +124,23 @@ def _block_pair_rates(weak, strong, gamma, solo_unit, tau) -> np.ndarray:
 
 
 def _gap_non_negative(gamma, strong, weak) -> np.ndarray:
-    """Whether rate_gap_at(gamma, squared_ratio(strong, weak)) >= 0 for each
-    pair with weak > 0 and gamma > 0, an overflowed squared ratio never
-    passing: the sign of rho where |rho| > RHO_MARGIN, else the scalar
-    functions themselves (see the module docstring)."""
+    """Whether rate_gap_at(gamma, r) >= 0 at squared_ratio's r = ratio * ratio
+    for each pair with weak > 0 and gamma > 0, an r overflowed to inf never
+    passing: the sign of rho where |rho| > RHO_MARGIN, else rate_gap_at
+    itself (see the module docstring)."""
     ratio = strong / weak
-    rr = ratio * ratio
-    x = CAPACITY_SNR_FACTOR * rr * gamma
-    ab = (1.0 + x / (rr + gamma + 1.0)) * (1.0 + x / (rr + 1.0))
+    r = ratio * ratio
+    x = CAPACITY_SNR_FACTOR * r * gamma
+    ab = (1.0 + x / (r + gamma + 1.0)) * (1.0 + x / (r + 1.0))
     num = ab * ab
     den = (1.0 + CAPACITY_SNR_FACTOR * gamma) * (1.0 + x)
     rho = num / den - 1.0
     take = rho > 0.0
-    near = np.flatnonzero(~((np.abs(rho) > RHO_MARGIN) & (num < math.inf)
-                            & (den < math.inf) & (ratio < _SAFE_RATIO)))
+    near = np.flatnonzero(~((np.abs(rho) > RHO_MARGIN) & (num < math.inf) & (den < math.inf)))
     if near.size:
-        r = mapped(squared_ratio, strong[near], weak[near].tolist())
         # The gap tends to -inf as r grows, so an overflowed r never pairs.
-        take[near] = ~((r == math.inf) | (mapped(rate_gap_at, gamma[near], r.tolist()) < 0.0))
+        take[near] = ~((r[near] == math.inf)
+                       | (mapped(rate_gap_at, gamma[near], r[near].tolist()) < 0.0))
     return take
 
 
@@ -158,18 +150,18 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
     of the public plans and evaluate_schedule.
 
     The arithmetic runs in numpy in evaluate_schedule's order, and every
-    log2 and power that reaches the output is math.log2 or builtin pow
-    mapped over the block (see mapped). The greedy is adaptive_pairing's
-    own two loops, run over every drop of the block at once: for weak index
-    i ascending, the drops whose user i is unpaired and live search j from
-    K-1 down to i+1; at each j the drops still searching whose j is
-    unpaired test the gap (_gap_non_negative), and those with gap >= 0
-    pair (i, j) and stop searching. So each drop tests exactly the pairs
-    the scalar greedy reaches, in its order, and only the pairs formed
-    have their rates computed, after each i's search. The forced pairs of
-    live weak users and the greedy's winners are rated by one kernel,
-    _block_pair_rates: evaluate_schedule's pair branch. A weak user's solo
-    log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
+    log2 that reaches the output is math.log2 mapped over the block (see
+    mapped). The greedy is adaptive_pairing's own two loops, run over every
+    drop of the block at once: for weak index i ascending, the drops whose
+    user i is unpaired and live search j from K-1 down to i+1; at each j
+    the drops still searching whose j is unpaired test the gap
+    (_gap_non_negative), and those with gap >= 0 pair (i, j) and stop
+    searching. So each drop tests exactly the pairs the scalar greedy
+    reaches, in its order, and only the pairs formed have their rates
+    computed, after each i's search. The forced pairs of live weak users
+    and the greedy's winners are rated by one kernel, _block_pair_rates:
+    evaluate_schedule's pair branch. A weak user's solo log2(1 + t*gamma)
+    is tdma_rate_at's first term, bit for bit.
 
     Each scheme's group rates are laid out in evaluate_schedule's group
     order and summed once by np.add.accumulate: TDMA's solo rates; forced's

@@ -123,7 +123,8 @@ def concentrator_gain(fov: float, concentrator_index: float) -> float:
         raise ValueError("fov must lie in (0, pi/2]")
     if concentrator_index < 1.0:
         raise ValueError("concentrator_index must be >= 1")
-    return concentrator_index**2 / math.sin(fov) ** 2
+    sin_fov = math.sin(fov)
+    return concentrator_index * concentrator_index / (sin_fov * sin_fov)
 
 
 class LinkConstants(NamedTuple):
@@ -166,7 +167,7 @@ def _los_link(link: LinkConstants, x: float, y: float, z: float) -> tuple[float,
     if cos_angle <= 0.0 or angle > link.fov:
         return 0.0, distance, angle
     gain = (
-        link.scale / (_TWO_PI * distance**2)
+        link.scale / (_TWO_PI * (distance * distance))
         * cos_angle**link.m * link.filter_gain * link.concentrator * cos_angle
     )
     return gain, distance, angle

@@ -87,10 +87,11 @@ class ExperimentConfig:
             raise ConfigError("semi_angle_deg must lie in (0, 90) degrees")
         if not 0.0 < self.fov_deg <= 90.0:
             raise ConfigError("fov_deg must lie in (0, 90] degrees")
-        # The link constants divide by log2(cos(semi_angle)) and sin(fov)**2.
+        # The link constants divide by log2(cos(semi_angle)) and sin(fov) squared.
         if math.cos(math.radians(self.semi_angle_deg)) == 1.0:
             raise ConfigError("semi_angle_deg is too small: its cosine rounds to 1")
-        if math.sin(math.radians(self.fov_deg)) ** 2 == 0.0:
+        sin_fov = math.sin(math.radians(self.fov_deg))
+        if sin_fov * sin_fov == 0.0:
             raise ConfigError("fov_deg is too small: the square of its sine underflows to 0")
         for name in ("snr_db_min", "snr_db_max"):
             if not math.isfinite(getattr(self, name)):
@@ -177,9 +178,11 @@ class ExperimentConfig:
     def snr_db_grid(self) -> tuple[float, ...]:
         """snr_db_min + i * snr_db_step up to snr_db_max, rounded to
         SNR_DB_RESOLUTION. Built by index, so no rounding error accumulates;
-        the 1e-9-step slack keeps an endpoint that lands a few ulps past max."""
+        the 1e-9-step slack keeps an endpoint that lands a few ulps past max,
+        clamped to the region solver's range, SNR_DB_MAX."""
         count = math.floor((self.snr_db_max - self.snr_db_min) / self.snr_db_step + 1e-9) + 1
-        return tuple(round(self.snr_db_min + i * self.snr_db_step, 9) for i in range(count))
+        return tuple(min(round(self.snr_db_min + i * self.snr_db_step, 9), SNR_DB_MAX)
+                     for i in range(count))
 
     def user_counts(self) -> tuple[int, ...]:
         return tuple(range(self.users_min, self.users_max + 1))

@@ -16,14 +16,14 @@ of uniforms (streams.uniform_streams): the SeedSequence/PCG64 chain is
 integer arithmetic, so numpy's uint32/uint64 array operations reproduce
 every drop's stream exactly. Gains and rates are block-evaluated as well
 (batch.block_floor_gains, batch.block_sum_rates): + - * / and sqrt run as
-numpy array operations, which round as Python's floats do; every
-transcendental whose value reaches the output is math's own function
-mapped over the block, since numpy's log2 and power differ from math's in
-the last bit on some hosts; and the field-of-view and pairing tests are
-decided by + - * / outside a proven margin, by the scalar value inside it.
-So each drop equals the per-drop route _simulate_drop: floor_gains, then
-scheme_sum_rates, which evaluates the public TDMA, forced and adaptive
-plans.
+numpy array operations, which round as Python's floats do, squares among
+them as x * x; every log2 and cos**m whose value reaches the output is
+math.log2 or builtin pow mapped over the block, since numpy's log2 and
+power differ from math's in the last bit on some hosts; and the
+field-of-view and pairing tests are decided by + - * / outside a proven
+margin, by the scalar value inside it. So each drop equals the per-drop
+route _simulate_drop: floor_gains, then scheme_sum_rates, which evaluates
+the public TDMA, forced and adaptive plans.
 
 Every route decides each pair by the sign of the rate gap at the weak
 user's exact SNR. A solver region only cross-checks a plan:

@@ -17,11 +17,10 @@ _T = CAPACITY_SNR_FACTOR
 
 
 def squared_ratio(strong_gain: float, weak_gain: float) -> float:
-    """r = (strong_gain / weak_gain) ** 2 of a pair, or inf past the float range."""
-    try:
-        return (strong_gain / weak_gain) ** 2
-    except OverflowError:
-        return math.inf
+    """r = ratio * ratio with ratio = strong_gain / weak_gain, correctly rounded
+    (libm's pow need not be), and inf past a ratio of about 1.34e154."""
+    ratio = strong_gain / weak_gain
+    return ratio * ratio
 
 
 @dataclass(frozen=True)

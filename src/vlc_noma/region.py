@@ -344,9 +344,9 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
     q = 0.5 * (log_1tg + log2(1.0 + x))
     gap_seed = log2(1.0 + x / (seed + gamma + 1.0)) + log2(1.0 + x / (seed + 1.0)) - q
     if not gap_seed >= 0.0:  # a NaN gap, where t*seed*gamma overflows, is infeasible too
+        sign = "< 0" if gap_seed < 0.0 else "(t*r*gamma overflows)"
         raise InfeasibleSeedError(
-            f"seed r={seed:g} has gap {gap_seed:.3e} < 0 at gamma={gamma:g}"
-        )
+            f"seed r={seed:g} has gap {gap_seed:.3e} {sign} at gamma={gamma:g}")
 
     trace = ScaTrace(gamma=gamma)
     trace.iterates.append(seed)

@@ -31,7 +31,9 @@ from vlc_noma.experiments import (
 from vlc_noma.rates import (
     CAPACITY_SNR_FACTOR,
     noma_rate_at,
+    noma_user_rates,
     rate_gap_at,
+    squared_ratio,
     tdma_rate_at,
     tdma_rate_slope,
 )
@@ -99,6 +101,7 @@ def test_huge_gain_ratios(gains, p_led, noise_power):
 @pytest.mark.parametrize("gains, p_led, noise_power", [
     ([1e-160, 1e-5], 1.0, 1e-14),
     ([1e-314, 1e-5], 1e308, 1.0),
+    ([1e-160, 1.35e-6], 1.0, 1e-14),  # the ratio 1.35e154 squares past the float max
 ])
 def test_an_overflowed_ratio_never_pairs_and_forces_the_limit(gains, p_led, noise_power):
     tdma, forced, adaptive = scheme_sum_rates(gains, p_led, noise_power)
@@ -151,6 +154,13 @@ def test_block_floor_gains_equal_floor_gains(cfg):
     assert (block == 0.0).any() == (cfg is not DEFAULT)
 
 
+def test_block_floor_gains_map_pow_only_over_the_live_cosines(monkeypatch):
+    # d * d needs no pow; cos**m does, for the live receivers only
+    counted = mapped_count(monkeypatch)
+    block, _ = block_gains(NARROW_FOV, 6, 64)
+    assert 0 < counted[pow] == np.count_nonzero(block) < block.size
+
+
 # Floor points within 200 ulps of the cone edge's radius, in four
 # directions: each cosine lies within batch.FOV_MARGIN of cos(fov), so
 # math.acos decides. At 75 degrees, comparing the cosines alone would kill
@@ -200,9 +210,24 @@ ZERO_GAP_PAIRS = [[1e-6, 1.7683513499195429e-06], [2e-6, 0.00034446561201890974]
 
 @pytest.mark.parametrize("weak, strong", ZERO_GAP_PAIRS)
 def test_a_zero_gap_pairs(weak, strong):
-    assert rate_gap_at(1.0 * weak * weak / 1e-14, (strong / weak) ** 2) == 0.0
+    assert rate_gap_at(1.0 * weak * weak / 1e-14, squared_ratio(strong, weak)) == 0.0
     users = UserChannelSet.from_gains([weak, strong], 1.0, 1e-14)
     assert adaptive_pairing(users).pairs == ((1, 2),)
+
+
+# glibc 2.36's pow(5.323630699892461, 2) is 28.341043828837496, an ulp above
+# the correctly rounded square, and at this weak user's 22.6 dB the pair's
+# sum-rate moves with that ulp.
+def test_the_pair_kernels_square_the_ratio_by_multiplication():
+    ratio = 5.323630699892461
+    weak = 2.0**-20
+    strong = ratio * weak  # exact: weak is a power of two
+    assert squared_ratio(strong, weak) == ratio * ratio == 28.341043828837492
+    unit_weak, unit_strong = noma_user_rates(2.0 * weak * weak / 1e-14, ratio * ratio)
+    # K = 2: the forced pair is the adaptive one, each in a whole slot
+    rates = block_sum_rates(np.array([[weak, strong]]), 2.0, 1e-14)[0].tolist()
+    assert rates[1:] == [unit_weak + unit_strong] * 2
+    assert tuple(rates) == scheme_sum_rates([weak, strong], 2.0, 1e-14)
 
 
 # Pairs whose rho lies inside batch.RHO_MARGIN but outside 1e-12 (|gap| about
@@ -235,19 +260,21 @@ def test_only_pairs_inside_the_rho_margin_take_the_float_gap(monkeypatch, pair, 
                                                               paired):
     weak, strong = pair
     gamma = weak * weak / 1e-14
-    r = (strong / weak) ** 2
+    r = squared_ratio(strong, weak)
     x = CAPACITY_SNR_FACTOR * r * gamma
-    rho = ((1.0 + x / (r + gamma + 1.0)) * (1.0 + x / (r + 1.0))) ** 2 / (
-        (1.0 + CAPACITY_SNR_FACTOR * gamma) * (1.0 + x)) - 1.0
+    ab = (1.0 + x / (r + gamma + 1.0)) * (1.0 + x / (r + 1.0))
+    rho = ab * ab / ((1.0 + CAPACITY_SNR_FACTOR * gamma) * (1.0 + x)) - 1.0
     assert rho_range[0] < abs(rho) <= rho_range[1]
     assert (rate_gap_at(gamma, r) >= 0.0) == paired
     counted = mapped_count(monkeypatch)
     rates = block_sum_rates(np.array([pair]), 1.0, 1e-14)
     assert tuple(rates[0].tolist()) == scheme_sum_rates(pair, 1.0, 1e-14)
     # two solo units, the forced pair's two logs and the adaptive pair's two
-    # if it pairs; rate_gap_at itself decides inside the margin only
+    # if it pairs; rate_gap_at itself decides inside the margin only, and
+    # every r is ratio * ratio, no pow
     assert counted[math.log2] == 2 + 2 + 2 * paired
     assert counted[rate_gap_at] == (abs(rho) <= batch.RHO_MARGIN)
+    assert counted[pow] == 0
 
 
 @pytest.mark.parametrize("row, p_led, noise_power", [
@@ -267,6 +294,7 @@ def test_only_pairs_inside_the_rho_margin_take_the_float_gap(monkeypatch, pair, 
     # user 1 takes user 4, so user 2 skips it and pairs with user 3
     ([1e-6, 1.1e-6, 5e-6, 1e-5], 1.0, 1e-14),
     *((pair, 1.0, 1e-14) for pair in NEAR_ZERO_GAP_PAIRS),
+    ([1e-160, 1.35e-6], 1.0, 1e-14),                   # the ratio 1.35e154: r overflows
 ])
 def test_block_sum_rates_edge_rows(row, p_led, noise_power):
     # the row, its reverse and a rotation: the kernel sorts each row

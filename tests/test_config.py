@@ -50,6 +50,9 @@ def test_grids():
 
 def test_snr_grid_stops_at_the_region_solver_range():
     assert parse_config_text("snr_db_max = 480\n").snr_db_grid()[-1] == 480.0
+    # the step's 1e-9 slack admits 0 + 1 * step = 480.00000024, past the range
+    past = parse_config_text("snr_db_min = 0\nsnr_db_max = 480\nsnr_db_step = 480.00000024\n")
+    assert past.snr_db_grid() == (0.0, 480.0)
     with pytest.raises(ConfigError, match="^snr_db_max must be at most 480, "):
         parse_config_text("snr_db_max = 480.000001\n")
 

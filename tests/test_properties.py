@@ -13,7 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlc_noma.rates import rate_gap_at
+from vlc_noma.rates import rate_gap_at, squared_ratio
 from vlc_noma.region import (
     NomaRegion,
     OracleMismatchError,
@@ -55,7 +55,8 @@ def gap_sign_plan(users: UserChannelSet) -> PairingPlan:
         if paired[i] or weak.snr <= 0.0:
             continue
         for j in range(len(order) - 1, i, -1):
-            if not paired[j] and rate_gap_at(weak.snr, (order[j].gain / weak.gain) ** 2) >= 0.0:
+            r = squared_ratio(order[j].gain, weak.gain)
+            if not paired[j] and rate_gap_at(weak.snr, r) >= 0.0:
                 pairs.append((weak.user_id, order[j].user_id))
                 paired[i] = paired[j] = True
                 break
@@ -82,7 +83,7 @@ def test_cross_check_fails_exactly_when_a_gap_sign_pair_leaves_the_region(gains,
     users = users_of(gains)
     by_id = {u.user_id: u for u in users}
     plan = gap_sign_plan(users)
-    if all(fixed_region(by_id[w].snr).contains((by_id[s].gain / by_id[w].gain) ** 2)
+    if all(fixed_region(by_id[w].snr).contains(squared_ratio(by_id[s].gain, by_id[w].gain))
            for w, s in plan.pairs):
         assert adaptive_pairing(users, fixed_region) == plan
     else:

@@ -88,6 +88,16 @@ def _pair_state(gains):
     return PairState(weak.snr, squared_ratio(strong.gain, weak.gain))
 
 
+@pytest.mark.parametrize("ratio, r", [
+    # glibc 2.36's pow gives 28.341043828837496, an ulp above x * x
+    (5.323630699892461, 28.341043828837492),
+    (1.34e154, 1.7956e308),              # the square still fits a float
+    (1.35e154, math.inf),                # it overflows on its own, no exception
+])
+def test_squared_ratio_multiplies(ratio, r):
+    assert squared_ratio(ratio, 1.0) == r
+
+
 def test_pair_state_from_gains_canonicalizes():
     state = _pair_state([2e-6, 1e-6])
     assert state.gamma == pytest.approx(100.0, rel=1e-12)

@@ -144,8 +144,9 @@ def test_sca_seed_on_root_is_fixed_point():
 
 
 def test_sca_rejects_infeasible_seed():
-    with pytest.raises(InfeasibleSeedError):
+    with pytest.raises(InfeasibleSeedError) as err:
         sca_solve(100.0, "min", seed=2.0)  # gap(100, 2) < 0
+    assert str(err.value) == "seed r=2 has gap -1.808e-01 < 0 at gamma=100"
     with pytest.raises(ValueError):
         sca_solve(100.0, "both", seed=10.0)
 
@@ -238,9 +239,11 @@ def test_sca_solve_min_reaches_one_where_every_gap_rounds_to_zero():
 @pytest.mark.parametrize("gamma, seed", [(1e10, 1e300), (100.0, 1.7e308)])
 def test_sca_solve_rejects_a_seed_whose_gap_is_nan(gamma, seed, objective):
     # t*seed*gamma overflows to inf, so the seed's gap is inf - inf: the
-    # solver must not take that seed for a feasible one
-    with pytest.raises(InfeasibleSeedError):
+    # solver must not take that seed for a feasible one, nor call NaN < 0
+    with pytest.raises(InfeasibleSeedError) as err:
         sca_solve(gamma, objective, seed)
+    assert str(err.value) == (
+        f"seed r={seed:g} has gap nan (t*r*gamma overflows) at gamma={gamma:g}")
 
 
 def test_region_validate_against_oracle():

@@ -169,7 +169,7 @@ def test_gap_sign_cross_check_error_prints_exact_values():
     # significant digits would print r and r_min as the same number.
     users = users_from_gains([1e-6, 2e-6])
     weak, strong = users.users
-    r = (strong.gain / weak.gain) ** 2
+    r = squared_ratio(strong.gain, weak.gain)
     r_min = r * (1.0 + 1e-9)
     with pytest.raises(OracleMismatchError) as err:
         adaptive_pairing(users, lambda gamma: NomaRegion(gamma, r_min, 1e3))
@@ -188,7 +188,7 @@ def test_adaptive_pairs_lie_in_exact_region():
         by_id = {u.user_id: u for u in users}
         for weak_id, strong_id in plan.pairs:
             weak, strong = by_id[weak_id], by_id[strong_id]
-            r = (strong.gain / weak.gain) ** 2
+            r = squared_ratio(strong.gain, weak.gain)
             region = region_for_snr(weak.snr)  # exact, uncached
             assert not region.is_empty
             assert region.r_min * (1 - 1e-6) <= r <= region.r_max * (1 + 1e-6)
@@ -230,7 +230,7 @@ def test_adaptive_matches_forced_when_all_ratios_in_region():
     forced = forced_pairing(users)
     by_id = {u.user_id: u for u in users}
     for weak_id, strong_id in forced.pairs:  # precondition of the property
-        r = (by_id[strong_id].gain / by_id[weak_id].gain) ** 2
+        r = squared_ratio(by_id[strong_id].gain, by_id[weak_id].gain)
         assert region_for_snr(by_id[weak_id].snr).contains(r)
     adaptive = adaptive_pairing(users, CACHE.region_of)
     assert set(adaptive.pairs) == set(forced.pairs)
