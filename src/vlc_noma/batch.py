@@ -7,35 +7,11 @@ order, which round as Python's floats do, squares among them as x * x
 (libm's pow need not be correctly rounded). Every log2 and cos**m whose
 value reaches an output is math.log2 or builtin pow, mapped over the block
 (see mapped), since numpy's log2 and power can differ from math's in the
-last bit. A transcendental that only decides a comparison is replaced by
-IEEE-basic arithmetic wherever a proven margin settles the comparison, and
-is evaluated as the scalar route does inside the margin.
+last bit. The field-of-view and pairing decisions are IEEE-basic on both
+routes (a cosine compared with cos(fov), and rates.noma_wins), so the
+kernels decide as the scalar route does with no margin and no fallback.
 tests/test_bit_identity.py pins both kernels == to the scalar route, and
 mean_and_se == to left-to-right Python loops.
-
-The two margins, with u = 2**-53 the unit roundoff:
-
-* Field of view. A receiver is outside when acos(c) > fov, with c its
-  cosine. acos falls with slope at least 1 in magnitude, math.cos(fov) is
-  within an ulp of cos(fov) and math.acos within an ulp of acos, so where
-  |c - math.cos(fov)| > FOV_MARGIN (1e-12) the test is c < math.cos(fov),
-  and math.acos decides only inside that band.
-* Pairing. The gap is 0.5*log2((A*B)**2 / (C*D)), with x = t*r*gamma,
-  A = 1 + x/(r+gamma+1), B = 1 + x/(r+1), C = 1 + t*gamma and D = 1 + x,
-  the arguments of its four log2 calls. So rho = (A*B)**2/(C*D) - 1 has
-  the gap's sign and needs only * and /. At the scalar route's own
-  r = ratio*ratio, 1 + rho carries a relative error of at most about 32u
-  (4e-15): up to 6u in A, 5u in B, 2u in C and 3u in D, those of A, B and
-  A*B doubled by the square, and the roundings of the square, C*D and the
-  quotient (the - 1 is exact for |rho| <= 0.5). |rho| > RHO_MARGIN (1e-9)
-  therefore puts the exact gap at the float arguments beyond 7e-10 in
-  magnitude, while the float gap, four log2 values below 1024 of an ulp
-  each and three roundings, lies within 2e-12 of it: the float gap is
-  non-zero and has rho's sign. Where |rho| <= RHO_MARGIN or (A*B)**2 or
-  C*D overflows (an r overflowed to inf among them), rates.rate_gap_at,
-  mapped over those pairs, decides as in the scalar greedy. Over all 1.65M
-  live pairs of the default 10**4-drop sweep the smallest |rho| was
-  3.4e-7, so the fallback never runs there.
 
 Every sum of the user sweep is np.add.accumulate along one axis, its last
 partial sum kept. That is the loops' fold from 0.0, bit for bit:
@@ -63,7 +39,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import _TWO_PI, LinkConstants
-from .rates import CAPACITY_SNR_FACTOR, rate_gap_at
+from .rates import CAPACITY_SNR_FACTOR, noma_wins, squared_ratio
 
 
 def mapped(fn, values: np.ndarray, *args) -> np.ndarray:
@@ -74,74 +50,44 @@ def mapped(fn, values: np.ndarray, *args) -> np.ndarray:
                        count=values.size).reshape(values.shape)
 
 
-FOV_MARGIN = 1e-12
-RHO_MARGIN = 1e-9
-
-
 def block_floor_gains(link: LinkConstants, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """channel.floor_gains over an array of floor points (x, y): equal (==)
     to it element by element. channel._los_link's +, -, *, / and sqrt (d*d
-    too) are IEEE-exact in numpy in the same order; its cos**m is builtin
-    pow mapped over the live cosines, and its acos > fov test compares the
-    cosines outside FOV_MARGIN and takes math.acos inside it."""
+    too) and its cosine test are IEEE-exact in numpy in the same order, and
+    overflow to inf silently as Python's floats do; its cos**m is builtin
+    pow mapped over the live cosines."""
     lx, ly, lz = link.led_position
-    dx = xs - lx
-    dy = ys - ly
-    dz = 0.0 - lz
-    distance = np.sqrt(dx * dx + dy * dy + dz * dz)
-    if (distance == 0.0).any():
-        raise ValueError("receiver is collocated with the LED")
-    cos_angle = -dz / distance
-    cos_fov = math.cos(link.fov)
-    outside = cos_angle < cos_fov
-    band = np.abs(cos_angle - cos_fov) <= FOV_MARGIN
-    outside[band] = mapped(
-        math.acos, np.maximum(-1.0, np.minimum(1.0, cos_angle[band]))) > link.fov
-    live = ~((cos_angle <= 0.0) | outside)
-    cos_live = cos_angle[live]
-    gains = np.zeros(distance.shape)
-    gains[live] = (
-        link.scale / (_TWO_PI * (distance[live] * distance[live]))
-        * mapped(pow, cos_live, repeat(link.m)) * link.filter_gain * link.concentrator
-        * cos_live
-    )
+    with np.errstate(over="ignore"):
+        dx = xs - lx
+        dy = ys - ly
+        dz = 0.0 - lz
+        distance = np.sqrt(dx * dx + dy * dy + dz * dz)
+        if (distance == 0.0).any():
+            raise ValueError("receiver is collocated with the LED")
+        cos_angle = -dz / distance
+        live = cos_angle >= link.cos_fov
+        cos_live = cos_angle[live]
+        gains = np.zeros(distance.shape)
+        gains[live] = (
+            link.scale / (_TWO_PI * (distance[live] * distance[live]))
+            * mapped(pow, cos_live, repeat(link.m)) * link.filter_gain * link.concentrator
+            * cos_live
+        )
     return gains
 
 
 def _block_pair_rates(weak, strong, gamma, solo_unit, tau) -> np.ndarray:
     """evaluate_schedule's sum-rate of each pair with weak > 0: tau times
-    each of noma_user_rates(gamma, r) at squared_ratio's r = ratio * ratio,
+    each of noma_user_rates(gamma, r) at r = squared_ratio(strong, weak),
     an r overflowed to inf earning the r -> inf limit of both unit rates,
     the weak user's solo_unit."""
-    ratio = strong / weak
-    r = ratio * ratio
+    r = squared_ratio(strong, weak)
     x = CAPACITY_SNR_FACTOR * r * gamma
     unit_weak = mapped(math.log2, 1.0 + x / (r + gamma + 1.0))
     unit_strong = mapped(math.log2, 1.0 + x / (r + 1.0))
     limit = r == math.inf
     unit_weak[limit] = unit_strong[limit] = solo_unit[limit]
     return tau * unit_weak + tau * unit_strong
-
-
-def _gap_non_negative(gamma, strong, weak) -> np.ndarray:
-    """Whether rate_gap_at(gamma, r) >= 0 at squared_ratio's r = ratio * ratio
-    for each pair with weak > 0 and gamma > 0, an r overflowed to inf never
-    passing: the sign of rho where |rho| > RHO_MARGIN, else rate_gap_at
-    itself (see the module docstring)."""
-    ratio = strong / weak
-    r = ratio * ratio
-    x = CAPACITY_SNR_FACTOR * r * gamma
-    ab = (1.0 + x / (r + gamma + 1.0)) * (1.0 + x / (r + 1.0))
-    num = ab * ab
-    den = (1.0 + CAPACITY_SNR_FACTOR * gamma) * (1.0 + x)
-    rho = num / den - 1.0
-    take = rho > 0.0
-    near = np.flatnonzero(~((np.abs(rho) > RHO_MARGIN) & (num < math.inf) & (den < math.inf)))
-    if near.size:
-        # The gap tends to -inf as r grows, so an overflowed r never pairs.
-        take[near] = ~((r[near] == math.inf)
-                       | (mapped(rate_gap_at, gamma[near], r[near].tolist()) < 0.0))
-    return take
 
 
 def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.ndarray:
@@ -154,14 +100,14 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
     mapped). The greedy is adaptive_pairing's own two loops, run over every
     drop of the block at once: for weak index i ascending, the drops whose
     user i is unpaired and live search j from K-1 down to i+1; at each j
-    the drops still searching whose j is unpaired test the gap
-    (_gap_non_negative), and those with gap >= 0 pair (i, j) and stop
-    searching. So each drop tests exactly the pairs the scalar greedy
-    reaches, in its order, and only the pairs formed have their rates
-    computed, after each i's search. The forced pairs of live weak users
-    and the greedy's winners are rated by one kernel, _block_pair_rates:
-    evaluate_schedule's pair branch. A weak user's solo log2(1 + t*gamma)
-    is tdma_rate_at's first term, bit for bit.
+    the drops still searching whose j is unpaired test the gap with
+    adaptive_pairing's own rates.noma_wins on the arrays, and those with
+    gap >= 0 pair (i, j) and stop searching. So each drop tests exactly the
+    pairs the scalar greedy reaches, in its order, and only the pairs formed
+    have their rates computed, after each i's search. The forced pairs of
+    live weak users and the greedy's winners are rated by one kernel,
+    _block_pair_rates: evaluate_schedule's pair branch. A weak user's solo
+    log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
 
     Each scheme's group rates are laid out in evaluate_schedule's group
     order and summed once by np.add.accumulate: TDMA's solo rates; forced's
@@ -198,7 +144,7 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
             partner = np.zeros(b, dtype=np.intp)  # 0: no partner, as j > i >= 0
             for j in range(k - 1, i, -1):
                 drops = np.flatnonzero(searching & ~paired[:, j])
-                won = drops[_gap_non_negative(snrs[drops, i], g[drops, j], g[drops, i])]
+                won = drops[noma_wins(snrs[drops, i], squared_ratio(g[drops, j], g[drops, i]))]
                 paired[won, i] = paired[won, j] = True
                 searching[won] = False
                 partner[won] = j

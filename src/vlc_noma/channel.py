@@ -44,8 +44,7 @@ class LedConfig:
     def __post_init__(self):
         if not all(map(math.isfinite, self.position)):
             raise ValueError("LED position must be finite")
-        if not 0.0 < self.semi_angle < 0.5 * math.pi:
-            raise ValueError("semi_angle must lie in (0, pi/2)")
+        lambertian_order(self.semi_angle)  # rejects an angle with no finite order
 
 
 @dataclass(frozen=True)
@@ -62,10 +61,7 @@ class PhotodiodeConfig:
         for name in ("active_area", "responsivity", "filter_gain"):
             if not 0.0 < getattr(self, name) < math.inf:
                 raise ValueError(f"{name} must be finite and positive")
-        if not 0.0 < self.fov <= 0.5 * math.pi:
-            raise ValueError("fov must lie in (0, pi/2]")
-        if not 1.0 <= self.concentrator_index < math.inf:
-            raise ValueError("concentrator_index must be finite and >= 1")
+        concentrator_gain(self.fov, self.concentrator_index)  # rejects a bad fov or index
 
 
 @dataclass(frozen=True)
@@ -105,24 +101,29 @@ class LinkBudget:
 def lambertian_order(semi_angle: float) -> float:
     """Radiation-lobe exponent m = -1 / log2(cos(semi_angle)).
 
-    A 60 degree semi-angle gives m = 1 (ideal Lambertian source).
+    A 60 degree semi-angle gives the ideal Lambertian source's m = 1 (in
+    floats 1.0000000000000004, as math.cos(math.radians(60)) is an ulp
+    above 0.5). An angle whose cosine rounds to 1 has no finite order.
     """
     if not 0.0 < semi_angle < 0.5 * math.pi:
         raise ValueError("semi_angle must lie in (0, pi/2)")
-    return -1.0 / math.log2(math.cos(semi_angle))
+    cos_semi = math.cos(semi_angle)
+    if cos_semi == 1.0:
+        raise ValueError("semi_angle is too small: its cosine rounds to 1")
+    return -1.0 / math.log2(cos_semi)
 
 
 def concentrator_gain(fov: float, concentrator_index: float) -> float:
     """Non-imaging concentrator gain kappa^2 / sin^2(FOV) of a receiver inside
-    the FOV; the links outside it are cut where the angle is known.
+    the FOV; the links outside it are cut where the cosine is known.
 
     The FOV-based constant is used rather than dividing by sin(incidence),
     which would diverge at normal incidence.
     """
     if not 0.0 < fov <= 0.5 * math.pi:
         raise ValueError("fov must lie in (0, pi/2]")
-    if concentrator_index < 1.0:
-        raise ValueError("concentrator_index must be >= 1")
+    if not 1.0 <= concentrator_index < math.inf:
+        raise ValueError("concentrator_index must be finite and >= 1")
     sin_fov = math.sin(fov)
     return concentrator_index * concentrator_index / (sin_fov * sin_fov)
 
@@ -132,7 +133,7 @@ class LinkConstants(NamedTuple):
     so a batch of receivers under one LED computes them once."""
 
     led_position: tuple[float, float, float]  # m
-    fov: float           # rad
+    cos_fov: float       # cosine of the field of view
     m: float             # Lambertian order
     scale: float         # (m + 1) * A * R, multiplied in that order
     filter_gain: float   # T_s
@@ -143,7 +144,7 @@ class LinkConstants(NamedTuple):
     def of(cls, led: LedConfig, pd: PhotodiodeConfig) -> "LinkConstants":
         m = lambertian_order(led.semi_angle)
         return cls(
-            led.position, pd.fov, m, (m + 1.0) * pd.active_area * pd.responsivity,
+            led.position, math.cos(pd.fov), m, (m + 1.0) * pd.active_area * pd.responsivity,
             pd.filter_gain, concentrator_gain(pd.fov, pd.concentrator_index),
         )
 
@@ -152,7 +153,10 @@ _TWO_PI = 2.0 * math.pi
 
 
 def _los_link(link: LinkConstants, x: float, y: float, z: float) -> tuple[float, float, float]:
-    """(gain, distance, angle) of a receiver at (x, y, z); see los_channel_gain."""
+    """(gain, distance, cosine of the angle) of a receiver at (x, y, z); see
+    los_channel_gain. The receiver is outside the field of view when its
+    cosine is below cos(fov), which is positive for every fov <= pi/2, so a
+    receiver at or above the LED's height is outside too."""
     lx, ly, lz = link.led_position
     dx = x - lx
     dy = y - ly
@@ -163,14 +167,13 @@ def _los_link(link: LinkConstants, x: float, y: float, z: float) -> tuple[float,
 
     # LED axis points down (-z), photodiode axis up (+z): both cosines equal.
     cos_angle = -dz / distance
-    angle = math.acos(max(-1.0, min(1.0, cos_angle)))
-    if cos_angle <= 0.0 or angle > link.fov:
-        return 0.0, distance, angle
+    if cos_angle < link.cos_fov:
+        return 0.0, distance, cos_angle
     gain = (
         link.scale / (_TWO_PI * (distance * distance))
         * cos_angle**link.m * link.filter_gain * link.concentrator * cos_angle
     )
-    return gain, distance, angle
+    return gain, distance, cos_angle
 
 
 def los_channel_gain(
@@ -186,7 +189,8 @@ def los_channel_gain(
     for a downward LED and an upward photodiode (phi = psi). Links outside
     the field of view get h = 0, not an error.
     """
-    gain, distance, angle = _los_link(LinkConstants.of(led, pd), *user.position)
+    gain, distance, cos_angle = _los_link(LinkConstants.of(led, pd), *user.position)
+    angle = math.acos(max(-1.0, min(1.0, cos_angle)))
     return LinkBudget(gain, distance, angle, angle, noise_power)
 
 

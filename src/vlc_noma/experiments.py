@@ -20,8 +20,8 @@ numpy array operations, which round as Python's floats do, squares among
 them as x * x; every log2 and cos**m whose value reaches the output is
 math.log2 or builtin pow mapped over the block, since numpy's log2 and
 power differ from math's in the last bit on some hosts; and the
-field-of-view and pairing tests are decided by + - * / outside a proven
-margin, by the scalar value inside it. So each drop equals the per-drop
+field-of-view and pairing tests are + - * / on both routes (a cosine
+against cos(fov), and rates.noma_wins). So each drop equals the per-drop
 route _simulate_drop: floor_gains, then scheme_sum_rates, which evaluates
 the public TDMA, forced and adaptive plans.
 

@@ -89,6 +89,25 @@ def rate_gap_at(gamma: float, r: float) -> float:
     return noma_rate_at(gamma, r) - tdma_rate_at(gamma, r)
 
 
+def noma_wins(gamma, r):
+    """Whether rate_gap_at(gamma, r) >= 0, by + - * / alone, so Python floats
+    and numpy arrays give the same bits.
+
+    The gap is 0.5*log2((A*B)**2 / (C*D)) with the arguments of its four
+    log2 calls, x = t*r*gamma, A = 1 + x/(r+gamma+1), B = 1 + x/(r+1),
+    C = 1 + t*gamma and D = 1 + x, so it is >= 0 exactly when
+    A/C*B >= D/B/A. Each side carries at most about 16 roundings (u = 2**-53),
+    so the test matches the exact one wherever |(A*B)**2/(C*D) - 1| exceeds
+    about 32u. In this order no step overflows while x is finite (A and B
+    are below C); an r of inf makes A NaN, so it never wins, as the gap
+    tends to -inf as r grows.
+    """
+    x = _T * r * gamma
+    a = 1.0 + x / (r + gamma + 1.0)
+    b = 1.0 + x / (r + 1.0)
+    return a / (1.0 + _T * gamma) * b >= (1.0 + x) / b / a
+
+
 def rate_gap_curve(gamma: float, r_values):
     """Vectorized rate_gap_at over an array of ratios (any r > 0), as a numpy
     array. numpy's log2 can differ from math's in the last bit, so no

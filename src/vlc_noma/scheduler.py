@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, rate_gap_at, squared_ratio
+from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, noma_wins, squared_ratio
 from .region import NomaRegion, OracleMismatchError
 
 
@@ -103,10 +103,11 @@ def adaptive_pairing(
 
     For each unpaired weak user (ascending gain), strong candidates are
     scanned from the top down; the first whose squared gain ratio r gives a
-    non-negative rate gap at the weak user's exact SNR is taken. The gap is
-    unimodal in r, so that sign test is the same as r lying in the region
-    [r_min, r_max] at that SNR, and no region is needed. Users with zero gain
-    or zero SNR (a gain so small that P * h^2 underflows) are never paired.
+    non-negative rate gap at the weak user's exact SNR is taken, as
+    rates.noma_wins decides it with + - * / alone. The gap is unimodal in r,
+    so that sign test is the same as r lying in the region [r_min, r_max] at
+    that SNR, and no region is needed. Users with zero gain or zero SNR (a
+    gain so small that P * h^2 underflows) are never paired.
 
     A given region_of only cross-checks the plan: it is called once per pair
     formed, at the weak user's SNR, and a pair outside that region raises
@@ -124,8 +125,7 @@ def adaptive_pairing(
             if paired[j]:
                 continue
             r = squared_ratio(order[j].gain, weak.gain)
-            # The gap tends to -inf as r grows, so an overflowed r never pairs.
-            if r == math.inf or rate_gap_at(weak.snr, r) < 0.0:
+            if not noma_wins(weak.snr, r):
                 continue
             if region_of is not None:
                 region = region_of(weak.snr)

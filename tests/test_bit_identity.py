@@ -11,7 +11,9 @@ a generic bisection give, compared with ==, never approximately.
 
 import dataclasses
 import math
+import struct
 from collections import Counter
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -32,6 +34,7 @@ from vlc_noma.rates import (
     CAPACITY_SNR_FACTOR,
     noma_rate_at,
     noma_user_rates,
+    noma_wins,
     rate_gap_at,
     squared_ratio,
     tdma_rate_at,
@@ -61,8 +64,14 @@ NARROW_FOV = dataclasses.replace(DEFAULT, fov_deg=30.0)
 # At a 1 degree semi-angle live gains differ by more than 1e154, so squared
 # gain ratios overflow.
 NARROW_BEAM = dataclasses.replace(DEFAULT, semi_angle_deg=1.0)
+# Floor points more than about 1.3e154 m from the LED square their distance
+# past the float max: both routes overflow to the dead gain 0.0 silently
+# (warnings are errors in this suite).
+HUGE_ROOM = dataclasses.replace(DEFAULT, room_length=1e170, room_width=1e170,
+                                room_height=1e150, fov_deg=90.0)
 CONFIGS = pytest.mark.parametrize(
-    "cfg", [DEFAULT, NARROW_FOV, NARROW_BEAM], ids=["default", "narrow_fov", "narrow_beam"])
+    "cfg", [DEFAULT, NARROW_FOV, NARROW_BEAM, HUGE_ROOM],
+    ids=["default", "narrow_fov", "narrow_beam", "huge_room"])
 
 
 def random_drops(cfg, count, seed):
@@ -150,7 +159,8 @@ def test_block_floor_gains_equal_floor_gains(cfg):
         block, rows = block_gains(cfg, k, 64)
         for got, expected in zip(block, rows):
             assert np.array_equal(got, expected), k
-    # dead links outside the narrow FOV, underflowed gains in the narrow beam
+    # dead links outside the narrow FOV and in the huge room, underflowed
+    # gains in the narrow beam
     assert (block == 0.0).any() == (cfg is not DEFAULT)
 
 
@@ -162,17 +172,15 @@ def test_block_floor_gains_map_pow_only_over_the_live_cosines(monkeypatch):
 
 
 # Floor points within 200 ulps of the cone edge's radius, in four
-# directions: each cosine lies within batch.FOV_MARGIN of cos(fov), so
-# math.acos decides. At 75 degrees, comparing the cosines alone would kill
-# receivers whose math.acos equals the fov.
+# directions: both routes cut them on the same cosine comparison.
 EDGE_DIRECTIONS = [(1.0, 0.0), (0.0, 1.0), (0.6, 0.8), (-1.0, 0.0)]
 
 
-@pytest.mark.parametrize("fov_deg", [30.0, 75.0])
+@pytest.mark.parametrize("fov_deg", [30.0, 75.0, 89.0])
 def test_block_floor_gains_equal_floor_gains_on_the_fov_edge(fov_deg):
     link = dataclasses.replace(DEFAULT, fov_deg=fov_deg).link()
     lx, ly, lz = link.led_position
-    radius = lz * math.tan(link.fov)
+    radius = lz * math.tan(math.radians(fov_deg))
     for _ in range(200):
         radius = math.nextafter(radius, 0.0)
     radii = [radius]
@@ -180,12 +188,20 @@ def test_block_floor_gains_equal_floor_gains_on_the_fov_edge(fov_deg):
         radii.append(math.nextafter(radii[-1], math.inf))
     xs = np.array([[lx + c * d for d in radii] for c, _ in EDGE_DIRECTIONS])
     ys = np.array([[ly + s * d for d in radii] for _, s in EDGE_DIRECTIONS])
-    cos_angle = lz / np.sqrt((xs - lx) ** 2 + (ys - ly) ** 2 + lz * lz)
-    assert (np.abs(cos_angle - math.cos(link.fov)) <= batch.FOV_MARGIN).all()
     block = block_floor_gains(link, xs, ys)
     for x, y, got in zip(xs.tolist(), ys.tolist(), block.tolist()):
         assert got == floor_gains(link, zip(x, y))
     assert (block == 0.0).any() and (block > 0.0).any()
+
+
+def test_block_floor_gains_overflow_silently_inside_the_cone():
+    link = HUGE_ROOM.link()
+    lx, ly, _ = link.led_position
+    # cosines of 1e-10 (inside the cone, d * d = inf) and 1 (under the LED)
+    xs, ys = np.array([[lx + 1e160, lx]]), np.array([[ly, ly]])
+    block = block_floor_gains(link, xs, ys)
+    assert block.tolist() == [floor_gains(link, [(lx + 1e160, ly), (lx, ly)])]
+    assert block[0, 0] == 0.0 < block[0, 1]
 
 
 def test_block_floor_gains_rejects_a_receiver_at_the_led():
@@ -202,17 +218,94 @@ def test_block_sum_rates_equal_scheme_sum_rates(cfg):
         assert_rows_equal(gains, cfg.led_power, cfg.noise_power)
 
 
-# Pairs whose gap is exactly 0.0, at r_min of gamma = 100 and at r_max of
-# gamma = 400: the greedy takes them (the test is gap >= 0), and one ulp
-# more in any log2 of the gap would not.
+def exact_rho(gamma, r):
+    """(A*B)**2/(C*D) - 1 in exact rational arithmetic at these float
+    arguments and t (see rates.noma_wins): the gap's sign, and its size near
+    the tie (the gap is about rho / (2 ln 2))."""
+    t, gamma, r = Fraction(CAPACITY_SNR_FACTOR), Fraction(gamma), Fraction(r)
+    x = t * r * gamma
+    ab = (1 + x / (r + gamma + 1)) * (1 + x / (r + 1))
+    return ab * ab / ((1 + t * gamma) * (1 + x)) - 1
+
+
+def float_bits(value):
+    return struct.unpack("<q", struct.pack("<d", value))[0]
+
+
+def bits_float(bits):
+    return struct.unpack("<d", struct.pack("<q", bits))[0]
+
+
+def exact_boundary(gamma, lo, hi):
+    """The last float from lo toward hi whose exact gap sign is lo's."""
+    side = exact_rho(gamma, lo) >= 0
+    assert (exact_rho(gamma, hi) >= 0) != side
+    lo, hi = float_bits(lo), float_bits(hi)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if (exact_rho(gamma, bits_float(mid)) >= 0) == side:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# Each side of noma_wins carries at most about 16 roundings, so it decides
+# as exact arithmetic does wherever |rho| exceeds 32 unit roundoffs.
+RHO_ROUNDING = 32 * 2.0**-53
+BOUNDARY_STEPS = [*range(-8, 9), -64, 64, -512, 512]
+
+
+def test_noma_wins_is_the_exact_gap_sign_off_the_tie():
+    gammas, ratios, signs = [], [], []
+    for snr_db in (10.2, 12.0, 20.0, 40.0, 80.0, 150.0, 220.0, 300.0):
+        gamma = 10.0 ** (snr_db / 10.0)
+        region = region_for_snr(gamma)
+        inside = math.sqrt(region.r_min * region.r_max)
+        # the gap turns non-negative past r_min and negative past r_max
+        for lo, hi, rising in ((1.0, inside, True), (inside, 4.0 * region.r_max, False)):
+            edge = exact_boundary(gamma, lo, hi)
+            gammas += [gamma] * len(BOUNDARY_STEPS)
+            ratios += [bits_float(edge + step) for step in BOUNDARY_STEPS]
+            signs += [(step > 0) == rising for step in BOUNDARY_STEPS]
+    wins = [noma_wins(gamma, r) for gamma, r in zip(gammas, ratios)]
+    # numpy's + - * / round as Python's do: the arrays decide bit for bit alike
+    assert noma_wins(np.array(gammas), np.array(ratios)).tolist() == wins
+    rhos = [exact_rho(gamma, r) for gamma, r in zip(gammas, ratios)]
+    assert [rho >= 0 for rho in rhos] == signs
+    for gamma, r, rho, won in zip(gammas, ratios, rhos, wins):
+        if abs(rho) > RHO_ROUNDING:
+            assert won == (rho >= 0), (gamma, r)
+
+
+@pytest.mark.parametrize("gamma, r, wins", [
+    (1e80, 1e150, True),
+    (1e80, 1e170, False),  # the gap is -17.8, but (A*B)**2 >= C*D reads inf >= inf
+    (1e80, math.inf, False),
+    (100.0, math.inf, False),
+])
+def test_noma_wins_does_not_overflow(gamma, r, wins):
+    if r < math.inf:
+        assert (exact_rho(gamma, r) >= 0) == wins
+    assert noma_wins(gamma, r) is wins
+    with np.errstate(invalid="ignore"):  # an infinite r makes A NaN
+        assert noma_wins(np.array([gamma]), np.array([r])).tolist() == [wins]
+
+
+# Pairs whose float gap is exactly 0.0, at r_min of gamma = 100 and at r_max
+# of gamma = 400. The greedy pairs on the exact sign of the gap: rho is about
+# -6.2e-16 at the first, so it stays single, and positive at the second.
 ZERO_GAP_PAIRS = [[1e-6, 1.7683513499195429e-06], [2e-6, 0.00034446561201890974]]
 
 
 @pytest.mark.parametrize("weak, strong", ZERO_GAP_PAIRS)
 def test_a_zero_gap_pairs(weak, strong):
-    assert rate_gap_at(1.0 * weak * weak / 1e-14, squared_ratio(strong, weak)) == 0.0
+    gamma = 1.0 * weak * weak / 1e-14
+    r = squared_ratio(strong, weak)
+    assert rate_gap_at(gamma, r) == 0.0
+    exact = exact_rho(gamma, r) >= 0
     users = UserChannelSet.from_gains([weak, strong], 1.0, 1e-14)
-    assert adaptive_pairing(users).pairs == ((1, 2),)
+    assert adaptive_pairing(users).pairs == (((1, 2),) if exact else ())
 
 
 # glibc 2.36's pow(5.323630699892461, 2) is 28.341043828837496, an ulp above
@@ -230,8 +323,8 @@ def test_the_pair_kernels_square_the_ratio_by_multiplication():
     assert tuple(rates) == scheme_sum_rates([weak, strong], 2.0, 1e-14)
 
 
-# Pairs whose rho lies inside batch.RHO_MARGIN but outside 1e-12 (|gap| about
-# 1e-10): the first takes its partner, the second does not.
+# Pairs whose |rho| is about 1e-10, near the tie but far outside the
+# roundings: the first takes its partner, the second does not.
 NEAR_ZERO_GAP_PAIRS = [[1e-6, 1.768351350096378e-06], [2e-6, 0.0003444656120533563]]
 
 
@@ -248,33 +341,31 @@ def mapped_count(monkeypatch):
     return counted
 
 
+# No pair takes the float gap: near the tie or far from it, both routes
+# decide by noma_wins alone, and the block maps log2 only for the rates.
 @pytest.mark.parametrize("pair, rho_range, paired", [
-    (ZERO_GAP_PAIRS[0], (1e-17, 1e-14), True),
+    (ZERO_GAP_PAIRS[0], (1e-17, 1e-14), False),
     (ZERO_GAP_PAIRS[1], (1e-17, 1e-14), True),
-    (NEAR_ZERO_GAP_PAIRS[0], (1e-12, batch.RHO_MARGIN), True),
-    (NEAR_ZERO_GAP_PAIRS[1], (1e-12, batch.RHO_MARGIN), False),
-    ([1e-6, 2e-6], (batch.RHO_MARGIN, math.inf), True),
-    ([1e-6, 1e-3], (batch.RHO_MARGIN, math.inf), False),
+    (NEAR_ZERO_GAP_PAIRS[0], (1e-12, 1e-9), True),
+    (NEAR_ZERO_GAP_PAIRS[1], (1e-12, 1e-9), False),
+    ([1e-6, 2e-6], (1e-9, math.inf), True),
+    ([1e-6, 1e-3], (1e-9, math.inf), False),
 ])
 def test_only_pairs_inside_the_rho_margin_take_the_float_gap(monkeypatch, pair, rho_range,
                                                               paired):
     weak, strong = pair
     gamma = weak * weak / 1e-14
     r = squared_ratio(strong, weak)
-    x = CAPACITY_SNR_FACTOR * r * gamma
-    ab = (1.0 + x / (r + gamma + 1.0)) * (1.0 + x / (r + 1.0))
-    rho = ab * ab / ((1.0 + CAPACITY_SNR_FACTOR * gamma) * (1.0 + x)) - 1.0
+    rho = exact_rho(gamma, r)
     assert rho_range[0] < abs(rho) <= rho_range[1]
-    assert (rate_gap_at(gamma, r) >= 0.0) == paired
+    assert noma_wins(gamma, r) == (rho >= 0) == paired
     counted = mapped_count(monkeypatch)
     rates = block_sum_rates(np.array([pair]), 1.0, 1e-14)
     assert tuple(rates[0].tolist()) == scheme_sum_rates(pair, 1.0, 1e-14)
     # two solo units, the forced pair's two logs and the adaptive pair's two
-    # if it pairs; rate_gap_at itself decides inside the margin only, and
-    # every r is ratio * ratio, no pow
+    # if it pairs; every r is ratio * ratio, no pow
     assert counted[math.log2] == 2 + 2 + 2 * paired
-    assert counted[rate_gap_at] == (abs(rho) <= batch.RHO_MARGIN)
-    assert counted[pow] == 0
+    assert counted[rate_gap_at] == counted[math.acos] == counted[pow] == 0
 
 
 @pytest.mark.parametrize("row, p_led, noise_power", [

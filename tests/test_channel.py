@@ -68,8 +68,9 @@ def test_concentrator_gain_preconditions():
     for fov in (0.0, -0.1, math.radians(91.0)):
         with pytest.raises(ValueError):
             concentrator_gain(fov, 1.5)
-    with pytest.raises(ValueError):
-        concentrator_gain(math.radians(60.0), 0.9)
+    for index in (0.9, math.nan, math.inf):
+        with pytest.raises(ValueError, match="concentrator_index must be finite and >= 1"):
+            concentrator_gain(math.radians(60.0), index)
 
 
 def test_nadir_gain_matches_hand_value():
@@ -190,6 +191,11 @@ def test_room_geometry_led_position_and_bounds():
 def test_config_validation():
     with pytest.raises(ValueError):
         LedConfig(semi_angle=math.pi / 2)
+    # cos(1e-9) rounds to 1, so the Lambertian order would divide by zero
+    with pytest.raises(ValueError, match="cosine rounds to 1"):
+        lambertian_order(1e-9)
+    with pytest.raises(ValueError, match="cosine rounds to 1"):
+        los_channel_gain(LedConfig(semi_angle=1e-9), PD, UserPosition.at(3.0, 3.0))
     with pytest.raises(ValueError):
         PhotodiodeConfig(concentrator_index=0.5)
     with pytest.raises(ValueError):
@@ -233,4 +239,4 @@ def test_photodiode_fields_must_be_positive(field, value):
 def test_link_constants_are_built_once_per_device_pair():
     led, pd = LedConfig(), PhotodiodeConfig()
     assert LinkConstants.of(led, pd) is LinkConstants.of(LedConfig(), PhotodiodeConfig())
-    assert LinkConstants.of(led, PhotodiodeConfig(fov=0.5)).fov == 0.5
+    assert LinkConstants.of(led, PhotodiodeConfig(fov=0.5)).cos_fov == math.cos(0.5)

@@ -261,6 +261,17 @@ def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
     assert captured.err.count("\n") == 1
 
 
+def test_pair_leaves_a_pair_single_whose_float_gap_is_zero_but_exact_gap_negative(capsys):
+    # At gamma = 100 this r lies 14,460 ulps below the solver's r_min. Its
+    # float gap rounds to 0.0, but the exact gap is negative (rho is about
+    # -6.2e-16), so the users stay single and the cross-check has no pair.
+    for flags in ([], ["--validate-oracle"]):
+        assert main(["pair", "--gains", "1e-6,1.7683513499195429e-06", *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "SOLO 1\nSOLO 2\nSUM_RATE 6.279256311674917\n"
+        assert captured.err == ""
+
+
 def test_pair_takes_a_gap_sign_pair_whose_region_is_narrower_than_the_scan_grid(capsys):
     # The weak user sits at 10.1344 dB, where the feasibility scan's grid
     # finds no positive gap although the gap at this pair's r is positive:

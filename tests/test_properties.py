@@ -13,7 +13,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlc_noma.rates import rate_gap_at, squared_ratio
+from vlc_noma.rates import noma_wins, rate_gap_at, squared_ratio
 from vlc_noma.region import (
     NomaRegion,
     OracleMismatchError,
@@ -47,7 +47,7 @@ def users_of(gains, ids=None) -> UserChannelSet:
 
 def gap_sign_plan(users: UserChannelSet) -> PairingPlan:
     """adaptive_pairing's greedy with no region at all: pair on the sign of
-    the rate gap at the exact SNR."""
+    the rate gap at the exact SNR, as noma_wins decides it."""
     order = users.users
     paired = [False] * len(order)
     pairs = []
@@ -56,7 +56,7 @@ def gap_sign_plan(users: UserChannelSet) -> PairingPlan:
             continue
         for j in range(len(order) - 1, i, -1):
             r = squared_ratio(order[j].gain, weak.gain)
-            if not paired[j] and rate_gap_at(weak.snr, r) >= 0.0:
+            if not paired[j] and noma_wins(weak.snr, r):
                 pairs.append((weak.user_id, order[j].user_id))
                 paired[i] = paired[j] = True
                 break

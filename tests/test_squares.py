@@ -2,6 +2,11 @@
 IEEE 754 does not require to be correctly rounded, so it can differ from
 x * x in the last bit, and from host to host. rates.quartic_coefficients, a
 diagnostic whose values reach no output, is exempt.
+
+For the same reason no decision takes a transcendental: the block kernels
+map only math.log2 and pow (for the values that reach an output), and
+neither the scheduler nor the kernels name rate_gap_at, so every pair is
+decided by rates.noma_wins's + - * /.
 """
 
 import ast
@@ -10,6 +15,7 @@ from pathlib import Path
 import vlc_noma
 
 EXEMPT = {("rates.py", "quartic_coefficients")}
+MAPPABLE = {"math.log2", "pow"}
 
 
 def _is_two(node) -> bool:
@@ -67,3 +73,39 @@ def test_the_package_squares_by_multiplication():
         if (path.name, where) not in EXEMPT
     ]
     assert found == []
+
+
+def mapped_functions(tree: ast.AST) -> list[tuple[str, int]]:
+    """(function, line) of each mapped(fn, ...) whose fn is not in MAPPABLE."""
+    return [(ast.unparse(node.args[0]), node.lineno) for node in ast.walk(tree)
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "mapped"
+            and node.args and ast.unparse(node.args[0]) not in MAPPABLE]
+
+
+def gap_names(tree: ast.AST) -> list[int]:
+    """Line of each import, call or other use of rate_gap_at."""
+    return [node.lineno for node in ast.walk(tree)
+            if getattr(node, "id", None) == "rate_gap_at"
+            or getattr(node, "attr", None) == "rate_gap_at"
+            or isinstance(node, (ast.Import, ast.ImportFrom))
+            and any(alias.name == "rate_gap_at" for alias in node.names)]
+
+
+def test_the_checkers_find_every_transcendental_decision():
+    source = ("from .rates import noma_wins, rate_gap_at\n"
+              "def f(g, r):\n"
+              "    keep = (mapped(math.log2, r), mapped(pow, r, repeat(1.5)), noma_wins(g, r))\n"
+              "    return (mapped(math.acos, r), mapped(rate_gap_at, g, r),\n"
+              "            rates.rate_gap_at(g, r) >= 0.0, np.log2(r))\n")
+    tree = ast.parse(source)
+    assert sorted(mapped_functions(tree)) == [("math.acos", 4), ("rate_gap_at", 4)]
+    assert sorted(gap_names(tree)) == [1, 4, 5]
+
+
+def test_no_pair_or_field_of_view_decision_takes_a_transcendental():
+    package = Path(vlc_noma.__file__).parent
+    trees = {name: ast.parse((package / name).read_text(encoding="utf-8"))
+             for name in ("batch.py", "scheduler.py")}
+    assert mapped_functions(trees["batch.py"]) == []
+    assert {name: gap_names(tree) for name, tree in trees.items()} == {
+        "batch.py": [], "scheduler.py": []}
