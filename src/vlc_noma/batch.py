@@ -104,10 +104,14 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
     adaptive_pairing's own rates.noma_wins on the arrays, and those with
     gap >= 0 pair (i, j) and stop searching. So each drop tests exactly the
     pairs the scalar greedy reaches, in its order, and only the pairs formed
-    have their rates computed, after each i's search. The forced pairs of
-    live weak users and the greedy's winners are rated by one kernel,
-    _block_pair_rates: evaluate_schedule's pair branch. A weak user's solo
-    log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
+    have their rates computed, after each i's search. Each pair
+    (i, k-1-i) is rated once, by _block_pair_rates (evaluate_schedule's
+    pair branch): the forced kernel rates it for every live weak user, the
+    only users the greedy searches for, and the drops whose winner at i is
+    k-1-i copy forced[:, i]. Only winners at another partner are rated
+    again, by the same kernel on the same operands, so either route gives
+    the same bits. A weak user's solo log2(1 + t*gamma) is tdma_rate_at's
+    first term, bit for bit.
 
     Each scheme's group rates are laid out in evaluate_schedule's group
     order and summed once by np.add.accumulate: TDMA's solo rates; forced's
@@ -149,8 +153,13 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
                 searching[won] = False
                 partner[won] = j
             won = np.flatnonzero(partner)
-            pair_rates[won, i] = _block_pair_rates(g[won, i], g[won, partner[won]],
-                                                   snrs[won, i], units[won, i], pair_tau)
+            if i < half:  # the forced kernel has rated the pair (i, k - 1 - i)
+                mate = partner[won] == k - 1 - i
+                pair_rates[won[mate], i] = forced[won[mate], i]
+                won = won[~mate]
+            if won.size:
+                pair_rates[won, i] = _block_pair_rates(g[won, i], g[won, partner[won]],
+                                                       snrs[won, i], units[won, i], pair_tau)
     return np.stack([np.add.accumulate(terms, axis=1)[:, -1] for terms in (
         solo,
         np.hstack((forced, solo[:, half:half + k % 2])),

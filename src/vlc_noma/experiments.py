@@ -28,10 +28,11 @@ the public TDMA, forced and adaptive plans.
 Every route decides each pair by the sign of the rate gap at the weak
 user's exact SNR. A solver region only cross-checks a plan:
 adaptive_pairing(users, region_of) raises if a pair lies outside the region
-at its weak user's SNR. pair_once always cross-checks its plan, and the
-sum-rate sweeps do so with validate, against oracle-checked regions. Every
-region is solved at the exact SNR that asks for it, and none is cached, so
-no result depends on the order of the lookups or on the worker count.
+at its weak user's SNR by more than the solver's validated bound. pair_once
+always cross-checks its plan, and the sum-rate sweeps do so with validate,
+against oracle-checked regions. Every region is solved at the exact SNR
+that asks for it, and none is cached, so no result depends on the order of
+the lookups or on the worker count.
 
 A block's sum-rates come back as one (n, 3) array. Each user count's
 blocks are joined in trial order and stay one array up to the CSV:

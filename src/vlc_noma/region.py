@@ -39,6 +39,10 @@ MAX_ITERATIONS = 60
 SCAN_POINTS = 256             # log-spaced feasibility grid over SCAN_RANGE
 SCAN_RANGE = (1.0, 1e12)
 ORACLE_REL_WIDTH = 1e-8       # bracket width at which the oracle's bisection stops
+# Largest relative error a validated solver endpoint may have against the
+# oracle's. The solver's endpoints lie inside the true ones, so a ratio in
+# the true region may lie outside [r_min, r_max], but by no more than this.
+SOLVER_REL_BOUND = 1e-3
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step of the scan's refine
 _REFINE_WIDTH = 1e-12         # ln r bracket width at which the scan's refine stops
 
@@ -87,6 +91,14 @@ class NomaRegion:
 
     def contains(self, r: float) -> bool:
         return not self.is_empty and self.r_min <= r <= self.r_max
+
+    def admits(self, r: float) -> bool:
+        """Whether r lies in [r_min, r_max] widened at each end by
+        SOLVER_REL_BOUND of that end: the ratios a true region can hold
+        when this one is a validated solver region."""
+        return (not self.is_empty
+                and self.r_min * (1.0 - SOLVER_REL_BOUND) <= r
+                <= self.r_max * (1.0 + SOLVER_REL_BOUND))
 
     def width_db(self) -> float:
         """Interval width 10*log10(r_max/r_min); 0 for an empty region."""
@@ -415,7 +427,7 @@ def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
             raise OracleMismatchError(f"oracle found no region at gamma={gamma:g}")
         err_min = abs(found.r_min - ref.r_min) / ref.r_min
         err_max = abs(found.r_max - ref.r_max) / ref.r_max
-        if max(err_min, err_max) > 1e-3:
+        if max(err_min, err_max) > SOLVER_REL_BOUND:
             raise OracleMismatchError(
                 f"solver/oracle mismatch at gamma={gamma:g}: "
                 f"r_min {found.r_min:g} vs {ref.r_min:g}, "

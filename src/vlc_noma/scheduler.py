@@ -110,8 +110,9 @@ def adaptive_pairing(
     gain so small that P * h^2 underflows) are never paired.
 
     A given region_of only cross-checks the plan: it is called once per pair
-    formed, at the weak user's SNR, and a pair outside that region raises
-    OracleMismatchError. It never changes the plan.
+    formed, at the weak user's SNR, and a pair whose r lies outside that
+    region by more than region.SOLVER_REL_BOUND of an endpoint (see
+    NomaRegion.admits) raises OracleMismatchError. It never changes the plan.
     """
     order = users.users
     k = len(order)
@@ -129,7 +130,7 @@ def adaptive_pairing(
                 continue
             if region_of is not None:
                 region = region_of(weak.snr)
-                if not region.contains(r):
+                if not region.admits(r):
                     bounds = ("empty" if region.is_empty
                               else f"[{region.r_min!r}, {region.r_max!r}]")
                     raise OracleMismatchError(

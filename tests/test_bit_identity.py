@@ -362,9 +362,10 @@ def test_only_pairs_inside_the_rho_margin_take_the_float_gap(monkeypatch, pair, 
     counted = mapped_count(monkeypatch)
     rates = block_sum_rates(np.array([pair]), 1.0, 1e-14)
     assert tuple(rates[0].tolist()) == scheme_sum_rates(pair, 1.0, 1e-14)
-    # two solo units, the forced pair's two logs and the adaptive pair's two
-    # if it pairs; every r is ratio * ratio, no pow
-    assert counted[math.log2] == 2 + 2 + 2 * paired
+    # two solo units and the forced pair's two logs; at K = 2 an adaptive
+    # pair is the forced pair and reuses its rates; every r is ratio * ratio,
+    # no pow
+    assert counted[math.log2] == 2 + 2
     assert counted[rate_gap_at] == counted[math.acos] == counted[pow] == 0
 
 
@@ -401,6 +402,46 @@ EDGE_BLOCK = [[2e-7, 1e-6, 2e-6, 1e-5], [1e-6, 1.5e-6, 2e-6, 1e-5]]
 @pytest.mark.parametrize("block", [EDGE_BLOCK, EDGE_BLOCK[::-1]])
 def test_block_sum_rates_edge_block(block):
     assert_rows_equal(block, 1.0, 1e-14)
+
+
+def greedy_partners(row, p_led, noise_power):
+    """adaptive_pairing's pairs of one row as (weak rank, strong rank) in
+    gain order, the order block_sum_rates sorts each row into."""
+    users = UserChannelSet.from_gains(row, p_led, noise_power)
+    rank = {u.user_id: n for n, u in enumerate(users)}
+    return [(rank[w], rank[s]) for w, s in adaptive_pairing(users).pairs]
+
+
+# At 20 dB (1 W, 1e-14 W): the first drop's forced r = 1e4 lies past
+# r_max (about 1,800), so weak index 0 takes index 1; the second drop's
+# r = 900 pairs index 0 with its forced partner 2.
+MIXED_BLOCK = [[1e-6, 2e-5, 1e-4], [1e-6, 2e-5, 3e-5]]
+
+
+@pytest.mark.parametrize("block", [MIXED_BLOCK, MIXED_BLOCK[::-1]])
+def test_block_sum_rates_mix_forced_and_other_partners_at_one_weak_index(monkeypatch, block):
+    assert [greedy_partners(row, 1.0, 1e-14) for row in MIXED_BLOCK] == [[(0, 1)], [(0, 2)]]
+    counted = mapped_count(monkeypatch)
+    assert_rows_equal(block, 1.0, 1e-14)
+    # six solo units, two forced pairs and the one pair at another partner
+    assert counted[math.log2] == 6 + 2 * 2 + 2
+
+
+def test_block_sum_rates_rate_each_forced_pair_once(monkeypatch):
+    # One default sweep block: mapped log2 runs once per solo unit, twice per
+    # live forced pair, and twice more only per greedy pair at another partner.
+    k = 10
+    gains, _ = block_gains(DEFAULT, k, 2000)
+    p_led, noise_power = DEFAULT.led_power, DEFAULT.noise_power
+    live_forced = np.count_nonzero(np.sort(gains, axis=1)[:, :k // 2] > 0.0)
+    greedy = [pair for row in gains.tolist() for pair in greedy_partners(row, p_led, noise_power)]
+    other = sum(s != k - 1 - w for w, s in greedy)
+    counted = mapped_count(monkeypatch)
+    block_sum_rates(gains, p_led, noise_power)
+    assert counted[math.log2] == gains.size + 2 * live_forced + 2 * other
+    assert counted[pow] == 0
+    # at seed 1 the greedy pairs only forced partners
+    assert len(greedy) > 0 and other == 0
 
 
 # Live gains of 0..50 dB weak-user SNR at 1 W, a dead link, an underflowing

@@ -272,6 +272,17 @@ def test_pair_leaves_a_pair_single_whose_float_gap_is_zero_but_exact_gap_negativ
         assert captured.err == ""
 
 
+def test_pair_takes_a_gap_sign_pair_just_past_the_solver_r_max(capsys):
+    # At gamma = 400 this pair's exact gap is positive, but its
+    # r = 29664.13946589052 lies 2.5e-12 relative above the solver's inner
+    # r_max, 29664.1394658151: inside the bound the solver is validated to.
+    for flags in ([], ["--validate-oracle"]):
+        assert main(["pair", "--gains", "2e-6,0.00034446561201890974", *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "PAIR 1 2\nSUM_RATE 14.867427805084258\n"
+        assert captured.err == ""
+
+
 def test_pair_takes_a_gap_sign_pair_whose_region_is_narrower_than_the_scan_grid(capsys):
     # The weak user sits at 10.1344 dB, where the feasibility scan's grid
     # finds no positive gap although the gap at this pair's r is positive:

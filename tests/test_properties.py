@@ -1,7 +1,8 @@
 """Property tests: the rate gap is non-negative exactly inside the region,
 the solver agrees with the oracle, the pairing plan does not depend on how
 regions are found or on input order, a region cross-check fails exactly
-when a gap-sign pair lies outside it and otherwise leaves the plan as it is,
+when a gap-sign pair lies outside it by more than the solver's validated
+bound (NomaRegion.admits) and otherwise leaves the plan as it is,
 adaptive pairing never loses to TDMA, and oracle endpoints are feasible.
 
 Examples are derandomized, so a run is reproducible; each example builds
@@ -83,7 +84,7 @@ def test_cross_check_fails_exactly_when_a_gap_sign_pair_leaves_the_region(gains,
     users = users_of(gains)
     by_id = {u.user_id: u for u in users}
     plan = gap_sign_plan(users)
-    if all(fixed_region(by_id[w].snr).contains(squared_ratio(by_id[s].gain, by_id[w].gain))
+    if all(fixed_region(by_id[w].snr).admits(squared_ratio(by_id[s].gain, by_id[w].gain))
            for w, s in plan.pairs):
         assert adaptive_pairing(users, fixed_region) == plan
     else:

@@ -16,6 +16,7 @@ from vlc_noma.region import (
     InfeasibleSeedError,
     NomaRegion,
     OracleMismatchError,
+    SOLVER_REL_BOUND,
     TOLERANCE,
     RegionCache,
     _SCAN_GRID,
@@ -273,6 +274,14 @@ def test_noma_region_construction_rules():
     full = NomaRegion(100.0, 3.0, 30.0)
     assert full.contains(3.0) and full.contains(30.0) and not full.contains(31.0)
     assert full.width_db() == pytest.approx(10.0)
+
+
+def test_admits_widens_each_end_by_the_solver_bound():
+    assert SOLVER_REL_BOUND == 1e-3
+    region = NomaRegion(100.0, 4.0, 1000.0)
+    assert region.admits(3.996) and region.admits(1000.9)
+    assert not region.admits(3.9959) and not region.admits(1001.1)
+    assert not NomaRegion.empty(100.0).admits(1.0)
 
 
 def test_write_trace_csv(tmp_path):

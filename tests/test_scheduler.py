@@ -11,7 +11,13 @@ from vlc_noma.rates import (
     rate_gap_at,
     squared_ratio,
 )
-from vlc_noma.region import NomaRegion, OracleMismatchError, RegionCache, region_for_snr
+from vlc_noma.region import (
+    SOLVER_REL_BOUND,
+    NomaRegion,
+    OracleMismatchError,
+    RegionCache,
+    region_for_snr,
+)
 from vlc_noma.scheduler import (
     PairingPlan,
     UserChannel,
@@ -165,17 +171,34 @@ def test_adaptive_skips_the_region_when_no_candidate_beats_tdma():
 
 
 def test_gap_sign_cross_check_error_prints_exact_values():
-    # A region that starts one part in 1e9 above the pair's r: six
-    # significant digits would print r and r_min as the same number.
+    # A region whose r_min, less the solver's bound, starts one part in 1e9
+    # above the pair's r: the message gives r and r_min exactly.
     users = users_from_gains([1e-6, 2e-6])
     weak, strong = users.users
     r = squared_ratio(strong.gain, weak.gain)
-    r_min = r * (1.0 + 1e-9)
+    r_min = r * (1.0 + 1e-9) / (1.0 - SOLVER_REL_BOUND)
     with pytest.raises(OracleMismatchError) as err:
         adaptive_pairing(users, lambda gamma: NomaRegion(gamma, r_min, 1e3))
     assert str(err.value) == (
         f"the gap sign pairs r={r!r} at gamma={weak.snr!r}, "
         f"outside the solver region [{r_min!r}, 1000.0]")
+
+
+def test_cross_check_takes_the_solver_bound_but_not_a_one_percent_shrink():
+    # At gamma = 400 the pair's exact gap is positive, but its r lies 2.5e-12
+    # relative above the solver's r_max, an inner approximation.
+    users = users_from_gains([2e-6, 0.00034446561201890974])
+    weak, strong = users.users
+    r = squared_ratio(strong.gain, weak.gain)
+    region = region_for_snr(weak.snr, validate=True)
+    assert weak.snr == 400.0 and region.r_max < r and not region.contains(r)
+    assert adaptive_pairing(users, CACHE.region_of).pairs == ((1, 2),)
+
+    def shrunk(gamma):
+        return NomaRegion(gamma, region.r_min * 1.01, region.r_max * 0.99)
+
+    with pytest.raises(OracleMismatchError, match="outside the solver region"):
+        adaptive_pairing(users, shrunk)
 
 
 def test_adaptive_pairs_lie_in_exact_region():
