@@ -40,7 +40,6 @@ from .region import (
     oracle_region,
     region_for_snr,
     sca_solve,
-    write_trace_csv,
 )
 from .scheduler import (
     PairingPlan,

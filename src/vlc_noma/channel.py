@@ -86,9 +86,6 @@ class LinkBudget:
     """One LED-to-photodiode link."""
 
     channel_gain: float     # dimensionless, includes responsivity
-    distance: float         # m
-    irradiance_angle: float  # rad, measured at the LED
-    incidence_angle: float   # rad, measured at the photodiode
     noise_power: float      # W
 
     def __post_init__(self):
@@ -152,11 +149,11 @@ class LinkConstants(NamedTuple):
 _TWO_PI = 2.0 * math.pi
 
 
-def _los_link(link: LinkConstants, x: float, y: float, z: float) -> tuple[float, float, float]:
-    """(gain, distance, cosine of the angle) of a receiver at (x, y, z); see
-    los_channel_gain. The receiver is outside the field of view when its
-    cosine is below cos(fov), which is positive for every fov <= pi/2, so a
-    receiver at or above the LED's height is outside too."""
+def _los_link(link: LinkConstants, x: float, y: float, z: float) -> float:
+    """LoS gain of a receiver at (x, y, z); see los_channel_gain. The
+    receiver is outside the field of view when the cosine of its angle is
+    below cos(fov), which is positive for every fov <= pi/2, so a receiver
+    at or above the LED's height is outside too."""
     lx, ly, lz = link.led_position
     dx = x - lx
     dy = y - ly
@@ -168,12 +165,11 @@ def _los_link(link: LinkConstants, x: float, y: float, z: float) -> tuple[float,
     # LED axis points down (-z), photodiode axis up (+z): both cosines equal.
     cos_angle = -dz / distance
     if cos_angle < link.cos_fov:
-        return 0.0, distance, cos_angle
-    gain = (
+        return 0.0
+    return (
         link.scale / (_TWO_PI * (distance * distance))
         * cos_angle**link.m * link.filter_gain * link.concentrator * cos_angle
     )
-    return gain, distance, cos_angle
 
 
 def los_channel_gain(
@@ -187,17 +183,17 @@ def los_channel_gain(
         h = (m+1) A R / (2 pi d^2) * cos^m(phi) * T_s * T_f * cos(psi)
 
     for a downward LED and an upward photodiode (phi = psi). Links outside
-    the field of view get h = 0, not an error.
+    the field of view get h = 0, not an error. Only h is kept: the
+    distance and the angle enter it through d^2 and cos(phi), never on
+    their own.
     """
-    gain, distance, cos_angle = _los_link(LinkConstants.of(led, pd), *user.position)
-    angle = math.acos(max(-1.0, min(1.0, cos_angle)))
-    return LinkBudget(gain, distance, angle, angle, noise_power)
+    return LinkBudget(_los_link(LinkConstants.of(led, pd), *user.position), noise_power)
 
 
 def floor_gains(link: LinkConstants, points) -> list[float]:
     """los_channel_gain's h for each floor point (x, y, ...), with the link
     constants computed once and no per-receiver objects."""
-    return [_los_link(link, p[0], p[1], 0.0)[0] for p in points]
+    return [_los_link(link, p[0], p[1], 0.0) for p in points]
 
 
 def snr(link: LinkBudget, p_led: float) -> float:

@@ -126,9 +126,18 @@ class ExperimentConfig:
     def _check_link_under_led(self) -> None:
         """The floor point under the LED has the room's largest gain and
         SNR: it must have a finite positive gain, or every drop is silently
-        dead, and an SNR that does not overflow at the largest LED power."""
-        x, y, _ = self.room().led_position()
+        dead, and an SNR that does not overflow at the largest LED power.
+        That gain is scale / (2 pi h^2) * T_s * T_f, so a photodiode factor
+        outside (0, inf) names its keys, and room_height is named last."""
         link = self.link()
+        for keys, factor in (
+                ("pd_area and pd_responsivity", link.scale),
+                ("refractive_index and fov_deg", link.concentrator),
+                ("pd_area, pd_responsivity, filter_gain, refractive_index and fov_deg",
+                 link.scale * link.filter_gain * link.concentrator)):
+            if not 0.0 < factor < math.inf:
+                raise ConfigError(f"{keys} give the photodiode no finite positive gain factor")
+        x, y, _ = self.room().led_position()
         try:
             gain = floor_gains(link, [(x, y)])[0]
         except (ValueError, ArithmeticError):  # distance or its square is 0 or inf

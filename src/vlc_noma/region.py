@@ -20,7 +20,6 @@ math.log2 in rates' operation order. So the module needs no numpy, and its
 results do not depend on which of numpy's SIMD loops a CPU gets.
 """
 
-import csv
 import math
 from dataclasses import dataclass, field
 
@@ -111,7 +110,6 @@ class NomaRegion:
 class ScaTrace:
     """Iterate history of one solver run."""
 
-    gamma: float
     iterates: list[float] = field(default_factory=list)
     gaps: list[float] = field(default_factory=list)
     converged: bool = False
@@ -360,7 +358,7 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
         raise InfeasibleSeedError(
             f"seed r={seed:g} has gap {gap_seed:.3e} {sign} at gamma={gamma:g}")
 
-    trace = ScaTrace(gamma=gamma)
+    trace = ScaTrace()
     trace.iterates.append(seed)
     trace.gaps.append(gap_seed)
 
@@ -434,15 +432,6 @@ def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
                 f"r_max {found.r_max:g} vs {ref.r_max:g}"
             )
     return found
-
-
-def write_trace_csv(trace: ScaTrace, path: str) -> None:
-    """Dump one solver run as CSV with columns (iter, r, gap)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "r", "gap"])
-        for i, (r, gap) in enumerate(zip(trace.iterates, trace.gaps)):
-            writer.writerow([i, repr(r), repr(gap)])
 
 
 class RegionCache:

@@ -127,7 +127,7 @@ def test_an_overflowed_ratio_never_pairs_and_forces_the_limit(gains, p_led, nois
 # last trial the streams take.
 @pytest.mark.parametrize("validate", [False, True], ids=["gap_sign", "cross_check"])
 @pytest.mark.parametrize("cfg", [DEFAULT, NARROW_FOV], ids=["default", "narrow_fov"])
-def test_batched_shard_equals_simulate_drop(cfg, validate):
+def test_sweep_block_equals_simulate_drop(cfg, validate):
     for lo, hi in [(STREAM_BLOCK - 15, STREAM_BLOCK + 15), (2**32 - 15, 2**32)]:
         for k in range(1, 12):
             drops = _sweep_users_block((cfg, k, lo, hi, validate))
@@ -351,8 +351,7 @@ def mapped_count(monkeypatch):
     ([1e-6, 2e-6], (1e-9, math.inf), True),
     ([1e-6, 1e-3], (1e-9, math.inf), False),
 ])
-def test_only_pairs_inside_the_rho_margin_take_the_float_gap(monkeypatch, pair, rho_range,
-                                                              paired):
+def test_no_pair_takes_the_float_gap(monkeypatch, pair, rho_range, paired):
     weak, strong = pair
     gamma = weak * weak / 1e-14
     r = squared_ratio(strong, weak)

@@ -76,41 +76,35 @@ def test_concentrator_gain_preconditions():
 def test_nadir_gain_matches_hand_value():
     link = los_channel_gain(LED, PD, UserPosition.at(3.0, 3.0))
     assert link.channel_gain == pytest.approx(NADIR_GAIN, rel=1e-12)
-    assert link.distance == pytest.approx(3.0)
-    assert link.irradiance_angle == pytest.approx(0.0, abs=1e-12)
-    assert link.incidence_angle == link.irradiance_angle
 
 
 def test_offset_user_gain_matches_hand_value():
     link = los_channel_gain(LED, PD, UserPosition.at(5.0, 6.0))
     assert link.channel_gain == pytest.approx(OFFSET_GAIN, rel=1e-12)
-    assert link.distance == pytest.approx(math.sqrt(22.0), rel=1e-12)
 
 
 def test_outside_fov_gain_is_exactly_zero():
     narrow = PhotodiodeConfig(fov=math.radians(20.0))
     link = los_channel_gain(LED, narrow, UserPosition.at(5.0, 6.0))
-    assert link.channel_gain == 0.0
-    # zero gain is an outcome, not an error; the budget still reports geometry
-    assert link.distance == pytest.approx(math.sqrt(22.0))
+    assert link.channel_gain == 0.0  # zero gain is an outcome, not an error
 
 
 def test_snr_example_values():
-    link = LinkBudget(5.73e-06, 3.0, 0.0, 0.0, 1e-14)
+    link = LinkBudget(5.73e-06, 1e-14)
     gamma = snr(link, 1.0)
     assert gamma == pytest.approx(3.28329e3, rel=1e-5)
     assert snr_db(gamma) == pytest.approx(35.163, abs=1e-3)
 
 
 def test_snr_zero_gain():
-    link = LinkBudget(0.0, 3.0, 0.0, 0.0, 1e-14)
+    link = LinkBudget(0.0, 1e-14)
     assert snr(link, 1.0) == 0.0
     assert snr_db(0.0) == float("-inf")
 
 
 def test_snr_equals_the_schedulers_snr():
     # P * h**2 (libm pow) would give 813.5235295081204 here
-    link = LinkBudget(2.8522333872040003e-06, 3.0, 0.0, 0.0, 1e-14)
+    link = LinkBudget(2.8522333872040003e-06, 1e-14)
     assert snr(link, 1.0) == 813.5235295081205
     (user,) = UserChannelSet.from_gains([link.channel_gain], 1.0, 1e-14)
     assert snr(link, 1.0) == user.snr
@@ -201,9 +195,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         UserPosition((1.0, 1.0, 0.3))
     with pytest.raises(ValueError):
-        LinkBudget(-1e-9, 3.0, 0.0, 0.0, 1e-14)
+        LinkBudget(-1e-9, 1e-14)
     with pytest.raises(ValueError):
-        LinkBudget(1e-6, 3.0, 0.0, 0.0, 0.0)
+        LinkBudget(1e-6, 0.0)
     with pytest.raises(ValueError, match="finite"):  # d^2 is subnormal, so h overflows
         los_channel_gain(LedConfig(position=(3.0, 3.0, 1e-160)), PD, UserPosition.at(3.0, 3.0))
 
@@ -220,7 +214,7 @@ def test_config_validation():
     lambda v: LedConfig(position=(3.0, v, 3.0)),
     lambda v: UserPosition.at(v, 3.0),
     lambda v: UserPosition.at(3.0, v),
-    lambda v: LinkBudget(v, 3.0, 0.0, 0.0, 1e-14),
+    lambda v: LinkBudget(v, 1e-14),
     lambda v: los_channel_gain(LED, PD, UserPosition.at(4.0, 4.0), noise_power=v),
 ], ids=["active_area", "responsivity", "filter_gain", "concentrator_index", "length",
         "width", "height", "led_position", "user_x", "user_y", "channel_gain", "noise_power"])

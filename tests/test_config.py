@@ -169,6 +169,11 @@ def test_fixed_positions_must_lie_on_the_floor(z):
 @pytest.mark.parametrize("text, key", [
     ("room_height = 1e-300\n", "room_height"),   # every link would be dead
     ("noise_power = 1e-320\n", "noise_power"),   # the SNR under the LED overflows
+    ("refractive_index = 1e200\n", "refractive_index and fov_deg"),  # concentrator gain is inf
+    ("fov_deg = 1e-155\n", "refractive_index and fov_deg"),  # sin(fov)^2 is subnormal
+    ("pd_responsivity = 1e-320\n", "pd_area and pd_responsivity"),  # (m+1)*A*R is 0
+    ("pd_area = 1e-200\nfilter_gain = 1e-200\n",   # each factor is live, their product is 0
+     "pd_area, pd_responsivity, filter_gain, refractive_index and fov_deg"),
 ])
 def test_degenerate_channels_are_config_errors(text, key):
     with pytest.raises(ConfigError, match=f"^{key} "):

@@ -1,6 +1,5 @@
 """Region solver vs the bisection oracle, plus solver-specific behaviour."""
 
-import csv
 import hashlib
 import math
 
@@ -24,7 +23,6 @@ from vlc_noma.region import (
     oracle_region,
     region_for_snr,
     sca_solve,
-    write_trace_csv,
 )
 
 # Frozen from the bisection oracle at gamma = 100.
@@ -282,18 +280,6 @@ def test_admits_widens_each_end_by_the_solver_bound():
     assert region.admits(3.996) and region.admits(1000.9)
     assert not region.admits(3.9959) and not region.admits(1001.1)
     assert not NomaRegion.empty(100.0).admits(1.0)
-
-
-def test_write_trace_csv(tmp_path):
-    _, trace = sca_solve(100.0, "min", seed=10.0)
-    path = tmp_path / "trace.csv"
-    write_trace_csv(trace, str(path))
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "r", "gap"]
-    assert len(rows) == len(trace.iterates) + 1
-    assert float(rows[1][1]) == 10.0
-    assert float(rows[-1][1]) == pytest.approx(trace.iterates[-1])
 
 
 def test_region_cache_solves_each_lookup_at_its_own_snr():

@@ -6,7 +6,9 @@ diagnostic whose values reach no output, is exempt.
 For the same reason no decision takes a transcendental: the block kernels
 map only math.log2 and pow (for the values that reach an output), and
 neither the scheduler nor the kernels name rate_gap_at, so every pair is
-decided by rates.noma_wins's + - * /.
+decided by rates.noma_wins's + - * /. No module names acos either: a
+field-of-view cut compares a cosine with cos(fov), and no route computes
+an angle.
 """
 
 import ast
@@ -109,3 +111,26 @@ def test_no_pair_or_field_of_view_decision_takes_a_transcendental():
     assert mapped_functions(trees["batch.py"]) == []
     assert {name: gap_names(tree) for name, tree in trees.items()} == {
         "batch.py": [], "scheduler.py": []}
+
+
+def arccosines(tree: ast.AST) -> list[int]:
+    """Line of each import or other use of acos or arccos."""
+    return [node.lineno for node in ast.walk(tree)
+            if {getattr(node, key, None) for key in ("id", "attr", "name")}
+            & {"acos", "arccos"}]
+
+
+def test_the_checker_finds_every_arccosine():
+    source = ("from math import acos\n"
+              "def f(c, xs):\n"
+              "    keep = (math.cos(c), c < cos_fov, np.cos(xs), acos_free(c))\n"
+              "    return (math.acos(c), acos(c), np.arccos(xs),\n"
+              "            mapped(math.acos, xs))\n")
+    assert sorted(arccosines(ast.parse(source))) == [1, 4, 4, 4, 5]
+
+
+def test_no_route_computes_an_angle():
+    package = Path(vlc_noma.__file__).parent
+    found = [(path.name, line) for path in sorted(package.glob("*.py"))
+             for line in arccosines(ast.parse(path.read_text(encoding="utf-8")))]
+    assert found == []
