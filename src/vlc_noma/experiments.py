@@ -29,10 +29,12 @@ Every route decides each pair by the sign of the rate gap at the weak
 user's exact SNR. A solver region only cross-checks a plan:
 adaptive_pairing(users, region_of) raises if a pair lies outside the region
 at its weak user's SNR by more than the solver's validated bound. pair_once
-always cross-checks its plan, and the sum-rate sweeps do so with validate,
-against oracle-checked regions. Every region is solved at the exact SNR
-that asks for it, and none is cached, so no result depends on the order of
-the lookups or on the worker count.
+always cross-checks its plan, and the sum-rate sweeps do so with validate.
+Plain pair_once solves only the bound on the pair's side of the scan seed,
+to the solver's tolerance (region.LazyRegion); every validated route solves
+both bounds and checks them against the oracle. Every region is solved at
+the exact SNR that asks for it, and none is cached, so no result depends on
+the order of the lookups or on the worker count.
 
 A block's sum-rates come back as one (n, 3) array. Each user count's
 blocks are joined in trial order and stay one array up to the CSV:
@@ -213,9 +215,16 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
 
 def pair_once(gains, cfg: ExperimentConfig, validate: bool = False):
     """One-shot adaptive pairing for explicit gains, each pair cross-checked
-    against the solver region at its weak user's SNR (oracle-checked with
-    validate); returns (plan, outcome)."""
+    against the solver region at its weak user's SNR; returns (plan, outcome).
+
+    Without validate the region is a region.LazyRegion, which solves only
+    the endpoint on the pair's side of the scan seed, to the solver's
+    tolerance. With validate it is region_for_snr's: both endpoints, checked
+    against the oracle."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    region_of = functools.partial(region_module.region_for_snr, validate=validate)
+    if validate:
+        region_of = functools.partial(region_module.region_for_snr, validate=True)
+    else:
+        region_of = region_module.LazyRegion
     plan = adaptive_pairing(users, region_of)
     return plan, evaluate_schedule(plan, users)

@@ -4,7 +4,9 @@ Two independent routes compute the interval: an iterative solver that
 linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 (an inner approximation, so every iterate stays inside the true region), and
 a brute-force bisection oracle licensed by the gap's unimodality. The solver
-is the production path; the oracle exists to cross-check it.
+is the production path; the oracle exists to cross-check it. region_for_snr
+solves both endpoints; LazyRegion, which checks plain pair_once's pairs,
+solves each endpoint only when it is read.
 
 Both run as fused kernels: each bisection step and bracket test evaluates
 rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope, rate_gap_at)
@@ -400,27 +402,70 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
     return r, trace
 
 
-def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
-    """Full region computation: feasibility scan, then one solver run toward
-    each endpoint from the scan's best point; optional oracle cross-check
-    from the same scan. A gamma that is not finite and positive, or that
-    exceeds GAMMA_MAX, raises ValueError."""
-    seed = feasibility_scan(gamma)
-    if seed is None:
-        return NomaRegion.empty(gamma)
+class LazyRegion:
+    """The solver region at one SNR, each endpoint solved when first read.
 
-    ends = []
-    for objective in ("min", "max"):
-        r, trace = sca_solve(gamma, objective, seed)
+    Built from gamma, it runs feasibility_scan once; the scan's best ratio
+    is the seed, and is_empty holds when there is none. Each endpoint is
+    one sca_solve run from the seed, to convergence, or RegionSolverError.
+    The r_min run never rises above the seed and the r_max run never falls
+    below it, so a ratio below the seed can lie outside the widened region
+    only past r_min, and one at or above it only past r_max: admits reads
+    that one endpoint and gives NomaRegion.admits' verdict bit for bit.
+    """
+
+    __slots__ = ("gamma", "seed", "_r_min", "_r_max")
+
+    def __init__(self, gamma: float):
+        self.gamma = gamma
+        self.seed = feasibility_scan(gamma)
+        self._r_min = self._r_max = None
+
+    @property
+    def is_empty(self) -> bool:
+        return self.seed is None
+
+    def _solve(self, objective: str) -> float:
+        r, trace = sca_solve(self.gamma, objective, self.seed)
         if not trace.converged:
             raise RegionSolverError(
-                f"r_{objective} solve did not converge at gamma={gamma:g}"
+                f"r_{objective} solve did not converge at gamma={self.gamma:g}"
             )
-        ends.append(r)
-    found = NomaRegion(gamma, *ends)
+        return r
+
+    @property
+    def r_min(self) -> float | None:
+        if self._r_min is None and self.seed is not None:
+            self._r_min = self._solve("min")
+        return self._r_min
+
+    @property
+    def r_max(self) -> float | None:
+        if self._r_max is None and self.seed is not None:
+            self._r_max = self._solve("max")
+        return self._r_max
+
+    def admits(self, r: float) -> bool:
+        """NomaRegion.admits from the one endpoint on r's side of the seed."""
+        if self.seed is None:
+            return False
+        if r < self.seed:
+            return self.r_min * (1.0 - SOLVER_REL_BOUND) <= r
+        return r <= self.r_max * (1.0 + SOLVER_REL_BOUND)
+
+
+def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
+    """Full region computation: feasibility scan, then one solver run toward
+    each endpoint from the scan's best point (LazyRegion's, r_min first);
+    optional oracle cross-check from the same scan. A gamma that is not
+    finite and positive, or that exceeds GAMMA_MAX, raises ValueError."""
+    solver = LazyRegion(gamma)
+    if solver.seed is None:
+        return NomaRegion.empty(gamma)
+    found = NomaRegion(gamma, solver.r_min, solver.r_max)
 
     if validate:
-        ref = _oracle_region(gamma, seed)
+        ref = _oracle_region(gamma, solver.seed)
         if ref.is_empty:
             raise OracleMismatchError(f"oracle found no region at gamma={gamma:g}")
         err_min = abs(found.r_min - ref.r_min) / ref.r_min

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, noma_wins, squared_ratio
-from .region import NomaRegion, OracleMismatchError
+from .region import LazyRegion, NomaRegion, OracleMismatchError
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class ScheduleOutcome:
 
 def adaptive_pairing(
     users: UserChannelSet,
-    region_of: Callable[[float], NomaRegion] | None = None,
+    region_of: Callable[[float], NomaRegion | LazyRegion] | None = None,
 ) -> PairingPlan:
     """Greedy weakest-with-strongest pairing wherever sharing the slot wins.
 
@@ -112,7 +112,9 @@ def adaptive_pairing(
     A given region_of only cross-checks the plan: it is called once per pair
     formed, at the weak user's SNR, and a pair whose r lies outside that
     region by more than region.SOLVER_REL_BOUND of an endpoint (see
-    NomaRegion.admits) raises OracleMismatchError. It never changes the plan.
+    NomaRegion.admits) raises OracleMismatchError. Of the region it reads
+    is_empty and admits(r), and r_min and r_max only to word that error.
+    It never changes the plan.
     """
     order = users.users
     k = len(order)

@@ -243,22 +243,37 @@ def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
     assert captured.err == "" and "inf" not in captured.out
 
 
-@pytest.mark.parametrize("command", [
-    pytest.param(["sweep-users", "--trials", "20", "--validate-oracle"], id="sweep-users"),
-    pytest.param(["sweep-power", "--validate-oracle"], id="sweep-power"),
-    # pair cross-checks its plan with or without the oracle
-    pytest.param(["pair", "--gains", "1e-6,2e-6"], id="pair"),
-    pytest.param(["pair", "--gains", "1e-6,2e-6", "--validate-oracle"], id="pair-validated"),
+@pytest.mark.parametrize("command, provider", [
+    pytest.param(["sweep-users", "--trials", "20", "--validate-oracle"], "region_for_snr",
+                 id="sweep-users"),
+    pytest.param(["sweep-power", "--validate-oracle"], "region_for_snr", id="sweep-power"),
+    # pair cross-checks its plan with or without the oracle; without it the
+    # region is a LazyRegion
+    pytest.param(["pair", "--gains", "1e-6,2e-6"], "LazyRegion", id="pair"),
+    pytest.param(["pair", "--gains", "1e-6,2e-6", "--validate-oracle"], "region_for_snr",
+                 id="pair-validated"),
 ])
 def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
-        command, monkeypatch, capsys):
-    monkeypatch.setattr(region, "region_for_snr",
+        command, provider, monkeypatch, capsys):
+    monkeypatch.setattr(region, provider,
                         lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
     assert main(command) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: the gap sign pairs r=")
     assert captured.err.count("\n") == 1
+
+
+def test_pair_exits_2_when_its_region_solve_does_not_converge(monkeypatch, capsys):
+    # The pair (1, 4) has r = 10, below the scan seed 94.7 at gamma = 100:
+    # plain pair reads r_min alone, and the validated route solves it first.
+    monkeypatch.setattr(region, "MAX_ITERATIONS", 1)
+    gains = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
+    for flags in ([], ["--validate-oracle"]):
+        assert main(["pair", "--gains", gains, *flags]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: r_min solve did not converge at gamma=100\n"
 
 
 def test_pair_leaves_a_pair_single_whose_float_gap_is_zero_but_exact_gap_negative(capsys):

@@ -1,5 +1,6 @@
 """Experiment runners: reproducibility, row semantics, statistics."""
 
+import functools
 import hashlib
 import math
 import multiprocessing
@@ -8,7 +9,7 @@ import os
 import numpy as np
 import pytest
 
-from vlc_noma.channel import RoomGeometry
+from vlc_noma.channel import RoomGeometry, floor_gains
 from vlc_noma import region
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import (
@@ -19,7 +20,15 @@ from vlc_noma.experiments import (
     run_sweep_users,
     sample_user_positions,
 )
-from vlc_noma.region import NomaRegion, OracleMismatchError
+from vlc_noma.rates import squared_ratio
+from vlc_noma.region import (
+    LazyRegion,
+    NomaRegion,
+    OracleMismatchError,
+    feasibility_scan,
+    region_for_snr,
+)
+from vlc_noma.scheduler import UserChannelSet, adaptive_pairing
 
 # Frozen end-to-end values for the six fixed receivers at P = 1 W.
 SWEEP_POWER_P1 = {
@@ -245,3 +254,76 @@ def test_validated_sweeps_raise_when_a_region_disagrees_with_the_gap_sign(monkey
     # without validate the rates consult no region
     assert run_sweep_users(small_cfg()).rows
     assert run_sweep_power(ExperimentConfig()).rows
+
+
+@functools.cache
+def pair_pool(seed, count=2000):
+    """The benchmark's pair_stream requests: each the gains of K in [2, 10]
+    users at seeded uniform floor positions."""
+    cfg = ExperimentConfig(seed=seed)
+    rng = np.random.default_rng(seed)
+    pool = []
+    for _ in range(count):
+        k = int(rng.integers(2, 11))
+        pool.append(floor_gains(cfg.link(), sample_user_positions(rng, cfg.room(), k).tolist()))
+    return tuple(pool)
+
+
+def formed_pairs(gains, cfg):
+    """(weak-user SNR, r) of each pair adaptive_pairing forms, in order."""
+    users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
+    snrs = {u.user_id: u.snr for u in users}
+    plan = adaptive_pairing(users)
+    return [(snrs[w], squared_ratio(gains[s - 1], gains[w - 1])) for w, s in plan.pairs]
+
+
+@pytest.fixture
+def solver_runs(monkeypatch):
+    """Record each sca_solve run as (gamma, objective) and each oracle run
+    as (gamma, "oracle")."""
+    runs = []
+    true_solve, true_oracle = region.sca_solve, region._oracle_region
+
+    def solve(gamma, objective, seed):
+        runs.append((gamma, objective))
+        return true_solve(gamma, objective, seed)
+
+    def oracle(gamma, seed):
+        runs.append((gamma, "oracle"))
+        return true_oracle(gamma, seed)
+
+    monkeypatch.setattr(region, "sca_solve", solve)
+    monkeypatch.setattr(region, "_oracle_region", oracle)
+    return runs
+
+
+def test_plain_pair_once_solves_the_one_bound_on_each_pairs_side_of_the_seed(solver_runs):
+    cfg = ExperimentConfig(seed=1)
+    expected = []
+    for gains in pair_pool(1):
+        pair_once(gains, cfg)
+        expected += [(gamma, "min" if r < feasibility_scan(gamma) else "max")
+                     for gamma, r in formed_pairs(gains, cfg)]
+    assert solver_runs == expected
+    # counted in advance: 3,438 pairs, 3,405 of them below the seed
+    sides = [objective for _, objective in solver_runs]
+    assert (sides.count("min"), sides.count("max")) == (3405, 33)
+
+
+def test_validated_pair_once_solves_both_bounds_and_the_oracle(solver_runs):
+    cfg = ExperimentConfig(seed=1)
+    expected = []
+    for gains in pair_pool(1)[:200]:
+        pair_once(gains, cfg, validate=True)
+        expected += [(gamma, run) for gamma, _ in formed_pairs(gains, cfg)
+                     for run in ("min", "max", "oracle")]
+    assert len(expected) > 600 and solver_runs == expected
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_lazy_region_admits_each_pool_pair_as_region_for_snr_does(seed):
+    cfg = ExperimentConfig(seed=seed)
+    pairs = [pair for gains in pair_pool(seed) for pair in formed_pairs(gains, cfg)]
+    assert len(pairs) > 3000
+    for gamma, r in pairs:
+        assert LazyRegion(gamma).admits(r) == region_for_snr(gamma).admits(r), (gamma, r)

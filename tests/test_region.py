@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from vlc_noma.region import (
     SCAN_POINTS,
     SCAN_RANGE,
     InfeasibleSeedError,
+    LazyRegion,
     NomaRegion,
     OracleMismatchError,
+    RegionSolverError,
     SOLVER_REL_BOUND,
     TOLERANCE,
     RegionCache,
@@ -127,6 +130,25 @@ def test_sca_max_converges_to_upper_endpoint():
     assert value == pytest.approx(RMAX_100, rel=1e-3)
     steps = np.diff(trace.iterates)
     assert np.all(steps >= -1e-12)  # non-decreasing toward r_max
+
+
+def seeded_gammas(seed, count):
+    """count SNRs drawn uniformly in dB over 10.2..480 dB, where every
+    region is nonempty."""
+    rng = random.Random(seed)
+    return [10.0 ** (rng.uniform(10.2, 480.0) / 10.0) for _ in range(count)]
+
+
+def test_sca_runs_never_cross_the_scan_seed():
+    # LazyRegion.admits rests on this, exactly: from its scan seed the r_min
+    # run never rises and the r_max run never falls.
+    for gamma in seeded_gammas(7, 200):
+        seed = feasibility_scan(gamma)
+        r_min, low = sca_solve(gamma, "min", seed)
+        r_max, high = sca_solve(gamma, "max", seed)
+        assert all(b <= a for a, b in zip(low.iterates, low.iterates[1:])), gamma
+        assert all(b >= a for a, b in zip(high.iterates, high.iterates[1:])), gamma
+        assert r_min == low.iterates[-1] <= seed <= high.iterates[-1] == r_max, gamma
 
 
 def test_sca_iterates_stay_feasible():
@@ -280,6 +302,43 @@ def test_admits_widens_each_end_by_the_solver_bound():
     assert region.admits(3.996) and region.admits(1000.9)
     assert not region.admits(3.9959) and not region.admits(1001.1)
     assert not NomaRegion.empty(100.0).admits(1.0)
+
+
+def test_lazy_region_admits_what_the_solved_region_admits():
+    # Each probe asks a fresh LazyRegion, which solves one endpoint only.
+    seen = set()
+    for gamma in seeded_gammas(11, 100):
+        region = region_for_snr(gamma)
+        seed = feasibility_scan(gamma)
+        probes = [end * f for end in (region.r_min, region.r_max)
+                  for f in (1 - 2e-3, 1 - 1e-3, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-3, 1 + 2e-3)]
+        probes += [seed, math.nextafter(seed, 0.0)]
+        for r in probes:
+            verdict = LazyRegion(gamma).admits(r)
+            assert verdict == region.admits(r), (gamma, r)
+            seen.add((r < seed, verdict))
+        lazy = LazyRegion(gamma)
+        assert (lazy.seed, lazy.r_min, lazy.r_max) == (seed, region.r_min, region.r_max)
+    # ratios taken and refused on both sides of the seed
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+def test_lazy_region_is_empty_where_the_scan_finds_no_ratio():
+    lazy = LazyRegion(10.0)
+    assert lazy.is_empty and lazy.seed is None
+    assert lazy.r_min is None and lazy.r_max is None
+    assert not lazy.admits(2.0)
+
+
+def test_a_solve_that_does_not_converge_raises(monkeypatch):
+    monkeypatch.setattr(region_module, "MAX_ITERATIONS", 1)
+    with pytest.raises(RegionSolverError) as err:
+        region_for_snr(100.0)
+    assert str(err.value) == "r_min solve did not converge at gamma=100"
+    # a ratio at or above the seed reads r_max alone
+    with pytest.raises(RegionSolverError) as err:
+        LazyRegion(100.0).admits(1000.0)
+    assert str(err.value) == "r_max solve did not converge at gamma=100"
 
 
 def test_region_cache_solves_each_lookup_at_its_own_snr():
