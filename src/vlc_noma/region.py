@@ -11,9 +11,15 @@ solves each endpoint only when it is read.
 Both run as fused kernels: each bisection step and bracket test evaluates
 rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope, rate_gap_at)
 inline, in rates' operation order, with only left-prefix subexpressions such
-as t*gamma in t*gamma*r hoisted per SNR. Every value is therefore the one
-the rates functions give; tests/test_bit_identity.py pins the kernels == to
-that generic route.
+as t*gamma in t*gamma*r hoisted per SNR, and the r_min run's NOMA side at
+r = 1 hoisted per run. Every value is therefore the one the rates functions
+give. Each bisection branches once on which bracket end is feasible and
+runs one loop per direction, and a step compares the NOMA side with the
+TDMA side (or its tangent) as p >= c where the generic route tests
+p - c >= 0.0: for finite floats a rounded difference is zero only when its
+operands are equal, and rounding never flips its sign, so every step takes
+the same branch. tests/test_bit_identity.py pins the kernels == to that
+generic route, down to brackets of adjacent floats.
 
 The feasibility scan that seeds both routes is scalar too: a bisection on
 the sign of the gap's forward difference over a frozen 256-point grid, and
@@ -211,7 +217,7 @@ def feasibility_scan(gamma: float) -> float | None:
 
     The gap is unimodal in r, so its first maximum on the grid is where the
     forward difference first stops rising: a bisection on that sign finds
-    it with 17 gap evaluations instead of 256. Each gap is rate_gap_at's
+    it with 16 gap evaluations instead of 256. Each gap is rate_gap_at's
     value, computed inline in its operation order with log2(1 + t*gamma)
     hoisted, as _gap_root does.
     """
@@ -225,14 +231,14 @@ def feasibility_scan(gamma: float) -> float | None:
                 - 0.5 * (log_1tg + log2(1.0 + x)))
 
     lo, hi = 0, SCAN_POINTS - 1
-    while lo < hi:
+    while lo < hi:  # the last step moves an end onto the argmax, keeping its gap
         mid = (lo + hi) // 2
-        if gap(grid[mid]) < gap(grid[mid + 1]):
-            lo = mid + 1
+        gap_mid, gap_next = gap(grid[mid]), gap(grid[mid + 1])
+        if gap_mid < gap_next:
+            lo, best_gap = mid + 1, gap_next
         else:
-            hi = mid
+            hi, best_gap = mid, gap_mid
     best = grid[lo]
-    best_gap = gap(best)
     if best_gap > 0.0:
         return best
     # Just above the threshold (10.13 dB) a region can be narrower than the
@@ -269,34 +275,58 @@ def _surrogate_root(gamma: float, q_r: float, q_slope: float, anchor: float,
     """Root of sca_solve's surrogate
     noma_rate_at(gamma, x) - (q_r + q_slope * (x - anchor)) >= 0."""
     log2, sqrt, t = math.log2, math.sqrt, _T
+    if lo_feasible:
+        while hi - lo > rel_width * hi:
+            mid = sqrt(lo * hi)
+            if mid <= lo or mid >= hi:  # bracket at float resolution
+                break
+            x = t * mid * gamma
+            if (log2(1.0 + x / (mid + gamma + 1.0)) + log2(1.0 + x / (mid + 1.0))
+                    >= q_r + q_slope * (mid - anchor)):
+                lo = mid
+            else:
+                hi = mid
+        return lo
     while hi - lo > rel_width * hi:
         mid = sqrt(lo * hi)
         if mid <= lo or mid >= hi:  # bracket at float resolution
             break
         x = t * mid * gamma
         if (log2(1.0 + x / (mid + gamma + 1.0)) + log2(1.0 + x / (mid + 1.0))
-                - (q_r + q_slope * (mid - anchor)) >= 0.0) == lo_feasible:
-            lo = mid
-        else:
+                >= q_r + q_slope * (mid - anchor)):
             hi = mid
-    return lo if lo_feasible else hi
+        else:
+            lo = mid
+    return hi
 
 
 def _gap_root(gamma: float, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
     """Root of rate_gap_at(gamma, x) >= 0."""
     log2, sqrt, t = math.log2, math.sqrt, _T
     log_1tg = log2(1.0 + t * gamma)
+    if lo_feasible:
+        while hi - lo > rel_width * hi:
+            mid = sqrt(lo * hi)
+            if mid <= lo or mid >= hi:  # bracket at float resolution
+                break
+            x = t * mid * gamma
+            if (log2(1.0 + x / (mid + gamma + 1.0)) + log2(1.0 + x / (mid + 1.0))
+                    >= 0.5 * (log_1tg + log2(1.0 + x))):
+                lo = mid
+            else:
+                hi = mid
+        return lo
     while hi - lo > rel_width * hi:
         mid = sqrt(lo * hi)
         if mid <= lo or mid >= hi:  # bracket at float resolution
             break
         x = t * mid * gamma
         if (log2(1.0 + x / (mid + gamma + 1.0)) + log2(1.0 + x / (mid + 1.0))
-                - 0.5 * (log_1tg + log2(1.0 + x)) >= 0.0) == lo_feasible:
-            lo = mid
-        else:
+                >= 0.5 * (log_1tg + log2(1.0 + x))):
             hi = mid
-    return lo if lo_feasible else hi
+        else:
+            lo = mid
+    return hi
 
 
 def oracle_region(gamma: float) -> NomaRegion:
@@ -368,13 +398,15 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
     # quadratically, so early surrogate roots need little accuracy.
     inner_floor = max(TOLERANCE * 1e-4, 1e-13)
     inner_width = 1e-3
+    if objective == "min":
+        # noma_rate_at(gamma, 1), where t*x*gamma is tg: the surrogate's
+        # rate side at x = 1, the same in every iteration
+        p_1 = log2(1.0 + tg / (1.0 + gamma + 1.0)) + log2(1.0 + tg / 2.0)
     r = seed
     for _ in range(MAX_ITERATIONS):
         q_slope = half_tg / (_LN2 * (1.0 + tg * r))  # tdma_rate_slope(gamma, r)
         if objective == "min":
-            # the surrogate at x = 1, where t*x*gamma is tg
-            if (log2(1.0 + tg / (1.0 + gamma + 1.0)) + log2(1.0 + tg / 2.0)
-                    - (q + q_slope * (1.0 - r)) >= 0.0):
+            if p_1 >= q + q_slope * (1.0 - r):
                 nxt = 1.0  # surrogate set reaches the canonical bound
             else:
                 nxt = _surrogate_root(gamma, q, q_slope, r, 1.0, r, False, inner_width)

@@ -644,12 +644,41 @@ def test_region_kernels_raise_where_the_generic_route_raises():
             assert outcome(solve, gamma, "max", seed) is InfeasibleSeedError
 
 
+# The r_min run's x = 1 test, where its surrogate set reaches the canonical
+# bound r = 1, passes where the gap rounds to 0 between r = 1 and the seed:
+# far below the -10 dB that WIDE_SNR_DB starts at, where the scan finds no
+# seed. At 1e-17 a seed of 1e6 already has a negative gap. These cases pin
+# the branch, not the last bit of its rate side, which rounds to 0.0 here.
+# sca_solve's inline tdma_rate_slope (q_slope) and both bracket-growth tests
+# decide signs far from 0 in every case of this file, so a one-ulp change to
+# them still passes: they are pinned by review alone.
+TINY_GAMMAS = [5e-324, 1e-300, 1e-200, 1e-17]
+
+
+def test_sca_min_reaches_r_1_as_the_generic_route_does():
+    for gamma in TINY_GAMMAS:
+        for seed in (10.0, 1e6):
+            solved = outcome(fused_sca_solve, gamma, "min", seed)
+            assert solved == outcome(reference_sca_solve, gamma, "min", seed), (gamma, seed)
+            if (gamma, seed) == (1e-17, 1e6):
+                assert solved is InfeasibleSeedError
+            else:
+                assert solved == (1.0, [seed, 1.0, 1.0], [0.0, 0.0, 0.0], True), (gamma, seed)
+
+
+# 200 seeded SNRs over 12..480 dB; then the threshold band 10.14..12 dB,
+# where regions are narrowest, and GAMMA_MAX, where brackets grow furthest.
+RESOLUTION_GAMMAS = [10.0 ** (db / 10.0) for db in
+                     np.random.default_rng(12).uniform(12.0, 480.0, 200).tolist()
+                     + np.random.default_rng(13).uniform(10.14, 12.0, 50).tolist()] + [GAMMA_MAX]
+
+
 def test_bisection_kernels_equal_the_generic_bisection_at_float_resolution():
     # With rel_width 0 each bisection runs until its bracket ends are
     # adjacent floats, where the sign of a step rests on the formula's last
-    # bit: a reordered or re-associated operation shows up here.
-    for db in np.random.default_rng(12).uniform(12.0, 480.0, 200).tolist():
-        gamma = 10.0 ** (db / 10.0)
+    # bit: a reordered or re-associated operation, or a step decided other
+    # than by the sign of the generic route's difference, shows up here.
+    for gamma in RESOLUTION_GAMMAS:
         seed = feasibility_scan(gamma)
         ref = oracle_region(gamma)
         gap = partial(rate_gap_at, gamma)

@@ -5,6 +5,7 @@ import hashlib
 import math
 import multiprocessing
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -318,6 +319,58 @@ def test_validated_pair_once_solves_both_bounds_and_the_oracle(solver_runs):
         expected += [(gamma, run) for gamma, _ in formed_pairs(gains, cfg)
                      for run in ("min", "max", "oracle")]
     assert len(expected) > 600 and solver_runs == expected
+
+
+@pytest.fixture
+def log2_calls(monkeypatch):
+    """Count math.log2 calls by the region stage that makes them: "scan",
+    "r_min", "r_max", "oracle", or "other" outside them."""
+    calls = Counter()
+    stage = ["other"]
+    true_log2 = math.log2
+
+    def log2(x):
+        calls[stage[-1]] += 1
+        return true_log2(x)
+
+    def staged(fn, name):
+        def run(*args):
+            stage.append(name(*args))
+            try:
+                return fn(*args)
+            finally:
+                stage.pop()
+        return run
+
+    monkeypatch.setattr(math, "log2", log2)
+    monkeypatch.setattr(region, "feasibility_scan",
+                        staged(region.feasibility_scan, lambda gamma: "scan"))
+    monkeypatch.setattr(region, "sca_solve",
+                        staged(region.sca_solve, lambda gamma, objective, seed: f"r_{objective}"))
+    monkeypatch.setattr(region, "_oracle_region",
+                        staged(region._oracle_region, lambda gamma, seed: "oracle"))
+    return calls
+
+
+def test_validated_region_map_log2_calls(log2_calls):
+    # counted in advance: the scan keeps the gap its bisection last compared
+    # (16 gaps, not 17), and each r_min run takes its NOMA side at r = 1 once,
+    # not in each of the map's 557 r_min iterations; down from 57,138 calls
+    # (scan 3,172, r_min 22,535)
+    cfg = ExperimentConfig()
+    log2_calls.clear()  # the config's Lambertian order takes two
+    run_region_map(cfg, validate=True)
+    assert log2_calls == {"scan": 2989, "r_min": 21521, "r_max": 21936, "oracle": 9495}
+
+
+def test_plain_pair_pool_log2_calls(log2_calls):
+    # counted in advance, down from 1,598,694
+    cfg = ExperimentConfig(seed=1)
+    pool = pair_pool(1)
+    log2_calls.clear()
+    for gains in pool:
+        pair_once(gains, cfg)
+    assert sum(log2_calls.values()) == 1525622
 
 
 @pytest.mark.parametrize("seed", [1, 2])
