@@ -36,11 +36,13 @@ both bounds and checks them against the oracle. Every region is solved at
 the exact SNR that asks for it, and none is cached, so no result depends on
 the order of the lookups or on the worker count.
 
-A block's sum-rates come back as one (n, 3) array. Each user count's
-blocks are joined in trial order and stay one array up to the CSV:
-batch.mean_and_se sums them with np.add.accumulate, a left-to-right fold,
-never with numpy's pairwise np.sum or np.mean (batch's docstring says why
-the bytes hold).
+block_sum_rates holds a block user-major, one contiguous row per sorted
+user, and adds each scheme's group rates row by row in evaluate_schedule's
+order: the left fold np.add.accumulate defines, written out. A block's
+sum-rates come back as one (n, 3) array. Each user count's blocks are
+joined in trial order and stay one array up to the CSV: batch.mean_and_se
+sums them with np.add.accumulate, a left-to-right fold, never with numpy's
+pairwise np.sum or np.mean (batch's docstring says why the bytes hold).
 """
 
 import functools

@@ -204,6 +204,30 @@ def test_block_floor_gains_overflow_silently_inside_the_cone():
     assert block[0, 0] == 0.0 < block[0, 1]
 
 
+def test_block_kernels_give_a_drop_the_same_bits_with_or_without_a_dead_element_in_its_block():
+    # An all-live block skips the masked copies; one dead element anywhere
+    # in the block sends every drop through them.
+    link = DEFAULT.link()
+    lx, ly, _ = link.led_position
+    u = uniform_streams(DEFAULT.seed, 4, 0, 64)
+    xs, ys = u[:, 0::2] * DEFAULT.room().length, u[:, 1::2] * DEFAULT.room().width
+    live = block_floor_gains(link, xs, ys)
+    assert (live > 0.0).all()
+    # a receiver 100 m out lies outside the 60 degree field of view
+    far_x = np.vstack((xs, [[lx + 100.0, lx, lx + 1.0, lx + 2.0]]))
+    masked = block_floor_gains(link, far_x, np.vstack((ys, [[ly] * 4])))
+    assert masked[-1, 0] == 0.0 and np.array_equal(masked[:-1], live)
+    p_led, noise_power = DEFAULT.led_power, DEFAULT.noise_power
+    rates = block_sum_rates(live, p_led, noise_power)
+    assert_rows_equal(live, p_led, noise_power)
+    # a dead weak user, then a forced pair whose r overflows to inf
+    for row in ([0.0, 1e-6, 2e-6, 5e-6], [1e-160, 1e-6, 2e-6, 1e-5]):
+        block = np.vstack((live, [row]))
+        assert np.array_equal(block_sum_rates(block, p_led, noise_power)[:-1], rates)
+        assert_rows_equal(block, p_led, noise_power)
+    assert squared_ratio(1e-5, 1e-160) == math.inf
+
+
 def test_block_floor_gains_rejects_a_receiver_at_the_led():
     lx, ly, _ = DEFAULT.link().led_position
     floor_led = DEFAULT.link()._replace(led_position=(lx, ly, 0.0))
