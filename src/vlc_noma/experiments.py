@@ -32,7 +32,8 @@ at its weak user's SNR by more than the solver's validated bound. pair_once
 always cross-checks its plan, and the sum-rate sweeps do so with validate.
 Plain pair_once solves only the bound on the pair's side of the scan seed,
 to the solver's tolerance (region.LazyRegion); every validated route solves
-both bounds and checks them against the oracle. Every region is solved at
+both bounds and certifies each within the solver's bound by exact gap-sign
+tests, with no oracle bisection. Every region is solved at
 the exact SNR that asks for it, and none is cached, so no result depends on
 the order of the lookups or on the worker count.
 
@@ -136,7 +137,7 @@ def _sweep_users_block(args):
     """Worker entry: simulate trials [lo, hi) of user count k, drop for drop
     equal to _simulate_drop; returns one (hi - lo, 3) array of (tdma,
     forced, adaptive) sum-rates. With validate, every drop's pairs are also
-    cross-checked against their oracle-checked regions."""
+    cross-checked against their certified solver regions."""
     from .batch import block_floor_gains, block_sum_rates
     from .streams import uniform_streams
 
@@ -166,7 +167,7 @@ def run_sweep_users(
     of min(workers, os.cpu_count(), number of blocks) processes, and each K's
     blocks are joined in trial order, so the output bytes are identical for
     any worker count. With validate, every drop is also cross-checked against
-    solver regions that are checked against the oracle, which adds no byte.
+    certified solver regions, which adds no byte.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -221,8 +222,8 @@ def pair_once(gains, cfg: ExperimentConfig, validate: bool = False):
 
     Without validate the region is a region.LazyRegion, which solves only
     the endpoint on the pair's side of the scan seed, to the solver's
-    tolerance. With validate it is region_for_snr's: both endpoints, checked
-    against the oracle."""
+    tolerance. With validate it is region_for_snr's: both endpoints, each
+    certified within region.SOLVER_REL_BOUND by four exact gap-sign tests."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
     if validate:
         region_of = functools.partial(region_module.region_for_snr, validate=True)

@@ -4,8 +4,11 @@ Two independent routes compute the interval: an iterative solver that
 linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 (an inner approximation, so every iterate stays inside the true region), and
 a brute-force bisection oracle licensed by the gap's unimodality. The solver
-is the production path; the oracle exists to cross-check it. region_for_snr
-solves both endpoints; LazyRegion, which checks plain pair_once's pairs,
+is the production path; the oracle is the reference the tests compare it
+with. region_for_snr solves both endpoints, and with validate certifies
+them: the same unimodality lets four exact gap-sign tests (rates.noma_wins)
+prove each endpoint within SOLVER_REL_BOUND of the gap's sign change, with
+no second bisection. LazyRegion, which checks plain pair_once's pairs,
 solves each endpoint only when it is read.
 
 Both run as fused kernels: each bisection step and bracket test evaluates
@@ -31,7 +34,7 @@ results do not depend on which of numpy's SIMD loops a CPU gets.
 import math
 from dataclasses import dataclass, field
 
-from .rates import _LN2, CAPACITY_SNR_FACTOR
+from .rates import _LN2, CAPACITY_SNR_FACTOR, noma_wins
 
 # The solver's range: weak-user SNRs up to 480 dB. Inside it every bracket
 # stops within 4 * r_max (r_max grows as about 0.19 * gamma^2), so t*r*gamma
@@ -47,15 +50,16 @@ SCAN_POINTS = 256             # log-spaced feasibility grid over SCAN_RANGE
 SCAN_RANGE = (1.0, 1e12)
 ORACLE_REL_WIDTH = 1e-8       # bracket width at which the oracle's bisection stops
 # Largest relative error a validated solver endpoint may have against the
-# oracle's. The solver's endpoints lie inside the true ones, so a ratio in
-# the true region may lie outside [r_min, r_max], but by no more than this.
+# true one, the gap's sign change. The solver's endpoints lie inside the true
+# ones, so a ratio in the true region may lie outside [r_min, r_max], but by
+# no more than this.
 SOLVER_REL_BOUND = 1e-3
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step of the scan's refine
 _REFINE_WIDTH = 1e-12         # ln r bracket width at which the scan's refine stops
 
 
 class RegionSolverError(RuntimeError):
-    """Solver failed: an infeasible seed, exhausted iterations or an oracle mismatch."""
+    """Solver failed: an infeasible seed, exhausted iterations or a failed certificate."""
 
 
 class InfeasibleSeedError(RegionSolverError):
@@ -63,7 +67,8 @@ class InfeasibleSeedError(RegionSolverError):
 
 
 class OracleMismatchError(RegionSolverError):
-    """Solver endpoints disagree with the oracle, or a gap-sign pair with them."""
+    """A solver endpoint fails its certificate, or a gap-sign pair falls
+    outside the solver region."""
 
 
 @dataclass(frozen=True)
@@ -486,28 +491,49 @@ class LazyRegion:
         return r <= self.r_max * (1.0 + SOLVER_REL_BOUND)
 
 
+def _certify(region: NomaRegion, seed: float) -> None:
+    """Raise OracleMismatchError, naming the endpoint, unless each endpoint
+    of the solver region lies within SOLVER_REL_BOUND of the gap's sign
+    change on its side of the scan seed.
+
+    The gap is unimodal in r and positive at the seed s, so it is >= 0
+    exactly on the true region around s. With b = SOLVER_REL_BOUND, a ratio
+    the gap refuses at r_min/(1+b) puts the true r_min above it, and one it
+    takes at r_min/(1-b), or s itself where s <= r_min/(1-b), puts the true
+    r_min at or below it; r_max mirrors this. rates.noma_wins decides each
+    sign with + - * / alone, so the four tests prove what the oracle's
+    bisections to ORACLE_REL_WIDTH would only approximate. The seed must
+    also lie in [r_min, r_max], as solver runs from it never cross it:
+    LazyRegion.admits rests on that.
+    """
+    gamma, b = region.gamma, SOLVER_REL_BOUND
+    r_min, r_max = region.r_min, region.r_max
+    lo_in, hi_in = r_min / (1.0 - b), r_max / (1.0 + b)
+    ends = (
+        ("r_min", r_min, r_min <= seed and not noma_wins(gamma, r_min / (1.0 + b))
+         and (seed <= lo_in or noma_wins(gamma, lo_in))),
+        ("r_max", r_max, seed <= r_max and not noma_wins(gamma, r_max / (1.0 - b))
+         and (seed >= hi_in or noma_wins(gamma, hi_in))),
+    )
+    for name, end, certified in ends:
+        if not certified:
+            raise OracleMismatchError(
+                f"solver {name} {end:g} is not within {b:g} of the gap's sign change "
+                f"at gamma={gamma:g} (scan seed {seed:g})")
+
+
 def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
     """Full region computation: feasibility scan, then one solver run toward
     each endpoint from the scan's best point (LazyRegion's, r_min first);
-    optional oracle cross-check from the same scan. A gamma that is not
-    finite and positive, or that exceeds GAMMA_MAX, raises ValueError."""
+    with validate, each endpoint certified by four gap-sign tests from the
+    same scan seed. A gamma that is not finite and positive, or that exceeds
+    GAMMA_MAX, raises ValueError."""
     solver = LazyRegion(gamma)
     if solver.seed is None:
         return NomaRegion.empty(gamma)
     found = NomaRegion(gamma, solver.r_min, solver.r_max)
-
     if validate:
-        ref = _oracle_region(gamma, solver.seed)
-        if ref.is_empty:
-            raise OracleMismatchError(f"oracle found no region at gamma={gamma:g}")
-        err_min = abs(found.r_min - ref.r_min) / ref.r_min
-        err_max = abs(found.r_max - ref.r_max) / ref.r_max
-        if max(err_min, err_max) > SOLVER_REL_BOUND:
-            raise OracleMismatchError(
-                f"solver/oracle mismatch at gamma={gamma:g}: "
-                f"r_min {found.r_min:g} vs {ref.r_min:g}, "
-                f"r_max {found.r_max:g} vs {ref.r_max:g}"
-            )
+        _certify(found, solver.seed)
     return found
 
 

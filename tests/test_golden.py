@@ -126,8 +126,8 @@ def test_sweep_users_default_bytes():
 
 
 def test_sweep_users_bytes_through_the_validated_region_route():
-    # Every gap-sign pair must also lie in a solver region cross-checked
-    # against the oracle, and the check adds no byte.
+    # Every gap-sign pair must also lie in a certified solver region, and
+    # the check adds no byte.
     cfg = ExperimentConfig(trials=200, seed=1)
     assert _sha(run_sweep_users(cfg, validate=True).csv_text()) == SWEEP_USERS_200
 

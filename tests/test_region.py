@@ -86,10 +86,13 @@ def test_scalar_scan_equals_the_argmax_of_the_gap_curve():
         if expected is None and seed is not None:
             # the refine found a region between grid points
             assert seed not in _SCAN_GRID and rate_gap_at(gamma, seed) > 0.0, db
-            assert region_for_snr(gamma, validate=True).contains(seed), db
             refined.append(db)
         else:
             assert seed == expected, db
+        if seed is not None and band[0] <= db <= band[-1]:
+            # the narrowest regions; at 10.1334 dB the region is the seed
+            # alone, and the certificate rests on the seed at both ends
+            assert region_for_snr(gamma, validate=True).contains(seed), db
         seeds.add(seed)
     assert None in seeds and len(seeds) > 200  # empty maps and nearly every grid point
     assert refined == band[:3]  # 10.1334, 10.1339 and 10.1344 dB
@@ -361,15 +364,66 @@ def test_region_cache_miss_equals_a_fresh_solve():
         assert cache.region_of(gamma) == region_for_snr(gamma)
 
 
-def test_region_cache_validate_cross_checks_the_oracle(monkeypatch):
-    # region_for_snr(validate=True) runs the oracle from its own scan seed
-    true_oracle = region_module._oracle_region
+def test_region_for_snr_validate_refuses_a_skewed_solver_endpoint(monkeypatch):
+    # region_for_snr(validate=True) certifies the solver's own endpoints
+    true_solve = region_module.sca_solve
 
-    def skewed_oracle(gamma, seed):
-        ref = true_oracle(gamma, seed)
-        return NomaRegion(gamma, ref.r_min, ref.r_max * 1.01)
+    def skewed_solve(gamma, objective, seed):
+        r, trace = true_solve(gamma, objective, seed)
+        return (r * 1.01 if objective == "max" else r), trace
 
-    monkeypatch.setattr(region_module, "_oracle_region", skewed_oracle)
-    region_for_snr(100.0)  # no cross-check without validate
+    monkeypatch.setattr(region_module, "sca_solve", skewed_solve)
+    region_for_snr(100.0)  # no certificate without validate
     with pytest.raises(OracleMismatchError):
         region_for_snr(100.0, validate=True)
+
+
+def certify(gamma, r_min, r_max):
+    """region_module._certify on the given endpoints from gamma's scan seed."""
+    region_module._certify(NomaRegion(gamma, r_min, r_max), feasibility_scan(gamma))
+
+
+@pytest.mark.parametrize("db", [10.1335, 30.0, 480.0])
+def test_the_certificate_refuses_an_endpoint_off_by_2e_3_and_takes_one_off_by_5e_4(db):
+    # 10.1335 dB holds a region about 1.5% wide, narrower than the scan's
+    # grid step (11.4%)
+    gamma = 10.0 ** (db / 10.0)
+    region = region_for_snr(gamma, validate=True)
+    for f in (1.0 - 2e-3, 1.0 + 2e-3):
+        with pytest.raises(OracleMismatchError, match="solver r_min"):
+            certify(gamma, region.r_min * f, region.r_max)
+        with pytest.raises(OracleMismatchError, match="solver r_max"):
+            certify(gamma, region.r_min, region.r_max * f)
+    for f in (1.0 - 5e-4, 1.0 + 5e-4):
+        certify(gamma, region.r_min * f, region.r_max)
+        certify(gamma, region.r_min, region.r_max * f)
+
+
+@pytest.mark.parametrize("db, r_min_factor, r_max_factor, message", [
+    # At 10.13444 dB the seed is a grid point on the region's lower edge,
+    # where the solver's r_min equals it: 1e-4 above it every gap sign
+    # passes, and only the seed's order refuses the endpoint.
+    (10.13444, 1.0001, 1.0, "solver r_min 7.03238 is not within 0.001 of the gap's "
+     "sign change at gamma=10.3144 (scan seed 7.03168)"),
+    # At 10.1334 dB the region is the seed alone; 1e-4 below it, the same
+    # holds for r_max.
+    (10.1334, 0.9998, 0.9999, "solver r_max 7.19261 is not within 0.001 of the gap's "
+     "sign change at gamma=10.3119 (scan seed 7.19333)"),
+])
+def test_the_certificate_refuses_an_endpoint_across_the_scan_seed(
+        db, r_min_factor, r_max_factor, message):
+    gamma = 10.0 ** (db / 10.0)
+    seed = feasibility_scan(gamma)
+    region = region_for_snr(gamma, validate=True)
+    assert seed in (region.r_min, region.r_max)
+    with pytest.raises(OracleMismatchError) as err:
+        certify(gamma, region.r_min * r_min_factor, region.r_max * r_max_factor)
+    assert str(err.value) == message
+
+
+def test_solver_endpoints_lie_within_the_bound_of_the_oracles_and_are_certified():
+    # the independent bisection route, at seeded SNRs across the range
+    for gamma in seeded_gammas(17, 50):
+        found, ref = region_for_snr(gamma, validate=True), oracle_region(gamma)
+        assert abs(found.r_min - ref.r_min) <= SOLVER_REL_BOUND * ref.r_min, gamma
+        assert abs(found.r_max - ref.r_max) <= SOLVER_REL_BOUND * ref.r_max, gamma
