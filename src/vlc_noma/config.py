@@ -28,6 +28,15 @@ TRIAL_LIMIT = 2**32
 # round distinct grid points onto the same row.
 SNR_DB_RESOLUTION = 1e-9
 
+# Region-map rows stay at or below this, 100 times the widest published map
+# (981 rows): snr_db_grid() builds every row before the first solve.
+SNR_ROW_LIMIT = 100_000
+
+# users_max stays at or below this: the user sweep lists one block per user
+# count before any work starts, and a K = 1000 block holds 2048 x 2000
+# uniforms (32 MB).
+USER_LIMIT = 1000
+
 # Six-receiver cluster with deliberately similar gains (corner-origin frame).
 DEFAULT_FIXED_POSITIONS = (
     (2.5, 5.5, 0.0),
@@ -106,8 +115,15 @@ class ExperimentConfig:
                 f"snr_db_max must be at most {SNR_DB_MAX:g}, the region solver's range")
         if 10.0 ** (self.snr_db_min / 10.0) == 0.0:
             raise ConfigError("snr_db_min is too small: its linear SNR underflows to 0")
+        rows = self._snr_row_count()
+        if rows > SNR_ROW_LIMIT:
+            raise ConfigError(
+                f"snr_db_step is too fine: snr_db_min to snr_db_max would take {rows} "
+                f"region-map rows, more than {SNR_ROW_LIMIT}")
         if not 1 <= self.users_min <= self.users_max:
             raise ConfigError("users_min and users_max must satisfy 1 <= users_min <= users_max")
+        if self.users_max > USER_LIMIT:
+            raise ConfigError(f"users_max must be at most {USER_LIMIT}")
         if not self.power_grid or list(self.power_grid) != sorted(self.power_grid):
             raise ConfigError("power_grid must be non-empty and sorted")
         if not all(0.0 < p < math.inf for p in self.power_grid):
@@ -189,9 +205,12 @@ class ExperimentConfig:
         SNR_DB_RESOLUTION. Built by index, so no rounding error accumulates;
         the 1e-9-step slack keeps an endpoint that lands a few ulps past max,
         clamped to the region solver's range, SNR_DB_MAX."""
-        count = math.floor((self.snr_db_max - self.snr_db_min) / self.snr_db_step + 1e-9) + 1
         return tuple(min(round(self.snr_db_min + i * self.snr_db_step, 9), SNR_DB_MAX)
-                     for i in range(count))
+                     for i in range(self._snr_row_count()))
+
+    def _snr_row_count(self) -> int:
+        """Length of snr_db_grid(), which __post_init__ caps at SNR_ROW_LIMIT."""
+        return math.floor((self.snr_db_max - self.snr_db_min) / self.snr_db_step + 1e-9) + 1
 
     def user_counts(self) -> tuple[int, ...]:
         return tuple(range(self.users_min, self.users_max + 1))

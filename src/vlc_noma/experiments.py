@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from . import region as region_module
 from .channel import RoomGeometry, floor_gains, snr_db
 from .config import ExperimentConfig
-from .region import RegionCache, region_for_snr
 from .scheduler import UserChannelSet, adaptive_pairing, evaluate_schedule, scheme_sum_rates
 
 # Trials per block of the user sweep: enough that numpy's per-call overhead
@@ -106,7 +105,7 @@ def run_region_map(cfg: ExperimentConfig, validate: bool = False) -> ResultTable
     rows = []
     for db in cfg.snr_db_grid():
         gamma = 10.0 ** (db / 10.0)
-        region = region_for_snr(gamma, validate)
+        region = region_module.region_for_snr(gamma, validate)
         if region.is_empty:
             rows.append((db, gamma, region.status, "", "", "", "", ""))
         else:
@@ -118,11 +117,11 @@ def run_region_map(cfg: ExperimentConfig, validate: bool = False) -> ResultTable
     return ResultTable(columns, rows)
 
 
-def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache: RegionCache | None = None):
+def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache=None):
     """One seeded user drop; returns (tdma, forced, adaptive) sum-rates.
 
     Pairs are decided by the sign of the rate gap, so the rates need no
-    region: a given cache is accepted and ignored."""
+    region: a given cache (a region.RegionCache) is accepted and ignored."""
     import numpy as np
 
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, trial))
@@ -203,12 +202,12 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
     cluster, per LED power; validate cross-checks as run_sweep_users does."""
     columns = ("p_led", "tdma", "forced", "adaptive", "adaptive_minus_forced")
     gains = floor_gains(cfg.link(), cfg.fixed_positions)
-    region_of = functools.partial(region_module.region_for_snr, validate=True)
     rows = []
     for p_led in cfg.power_grid:
         rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(gains, p_led, cfg.noise_power)
         if validate:
-            adaptive_pairing(UserChannelSet.from_gains(gains, p_led, cfg.noise_power), region_of)
+            adaptive_pairing(UserChannelSet.from_gains(gains, p_led, cfg.noise_power),
+                             functools.partial(region_module.region_for_snr, validate=True))
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,

@@ -101,9 +101,6 @@ class NomaRegion:
     def status(self) -> str:
         return "empty" if self.is_empty else "nonempty"
 
-    def contains(self, r: float) -> bool:
-        return not self.is_empty and self.r_min <= r <= self.r_max
-
     def admits(self, r: float) -> bool:
         """Whether r lies in [r_min, r_max] widened at each end by
         SOLVER_REL_BOUND of that end: the ratios a true region can hold
@@ -340,11 +337,7 @@ def oracle_region(gamma: float) -> NomaRegion:
     Valid because the gap has a single interior maximum, so each side of the
     seed crosses zero at most once.
     """
-    return _oracle_region(gamma, feasibility_scan(gamma))
-
-
-def _oracle_region(gamma: float, seed: float | None) -> NomaRegion:
-    """oracle_region from the feasibility_scan(gamma) seed."""
+    seed = feasibility_scan(gamma)
     if seed is None:
         return NomaRegion.empty(gamma)
 

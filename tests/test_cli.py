@@ -188,6 +188,21 @@ def test_degenerate_channel_configs_fail_cleanly(text, key, tmp_path, capsys):
     assert err.startswith(f"error: {key} ") and err.count("\n") == 1
 
 
+# pair builds no grid and lists no blocks, so a config the caps failed to
+# refuse would run a short pair instead of exhausting memory.
+@pytest.mark.parametrize("text, key", [
+    ("snr_db_step = 1e-9\n", "snr_db_step"),
+    ("users_max = 1000000000\n", "users_max"),
+])
+def test_configs_past_the_run_size_caps_exit_2(text, key, tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    assert main(["pair", "--gains", "1e-6,2e-6", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith(f"error: {key} ")
+    assert captured.err.count("\n") == 1
+
+
 @pytest.mark.parametrize("text, key", [
     ("snr_db_min = 3500\nsnr_db_max = 3500\n", "snr_db_max"),  # 10**350 overflows
     ("snr_db_min = -4000\n", "snr_db_min"),                     # 10**-400 underflows to 0

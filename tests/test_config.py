@@ -6,7 +6,14 @@ from pathlib import Path
 
 import pytest
 
-from vlc_noma.config import ConfigError, ExperimentConfig, load_config, parse_config_text
+from vlc_noma.config import (
+    SNR_ROW_LIMIT,
+    USER_LIMIT,
+    ConfigError,
+    ExperimentConfig,
+    load_config,
+    parse_config_text,
+)
 
 
 def test_defaults_match_simulation_table():
@@ -60,7 +67,7 @@ def test_snr_grid_stops_at_the_region_solver_range():
 def test_snr_grid_is_built_by_index():
     fine = ExperimentConfig(snr_db_min=0.0, snr_db_max=1e-8, snr_db_step=1e-9)
     grid = fine.snr_db_grid()
-    assert len(grid) == len(set(grid)) == 11
+    assert len(grid) == len(set(grid)) == fine._snr_row_count() == 11
     assert grid == tuple(sorted(grid))
     tenth = ExperimentConfig(snr_db_min=0.0, snr_db_max=60.0, snr_db_step=0.1).snr_db_grid()
     assert len(tenth) == 601 and tenth[-1] == 60.0
@@ -69,6 +76,32 @@ def test_snr_grid_is_built_by_index():
             ExperimentConfig(snr_db_min=0.0, snr_db_max=1e-8, snr_db_step=step)
     with pytest.raises(ConfigError, match="finite"):
         ExperimentConfig(snr_db_max=math.inf)
+
+
+# These build the configs only: a grid or a sweep past either cap would
+# exhaust memory before its first solve or drop.
+def test_a_config_past_the_row_cap_is_refused_before_its_grid_is_built():
+    assert SNR_ROW_LIMIT == 100_000
+    # an exact binary step, so the row count is exact: 0 .. (n - 1) steps
+    step = 2.0 ** -10
+    at_cap = ExperimentConfig(snr_db_max=(SNR_ROW_LIMIT - 1) * step, snr_db_step=step)
+    assert at_cap._snr_row_count() == SNR_ROW_LIMIT
+    with pytest.raises(ConfigError, match=r"^snr_db_step is too fine: .* 100001 .*100000$"):
+        ExperimentConfig(snr_db_max=SNR_ROW_LIMIT * step, snr_db_step=step)
+    with pytest.raises(ConfigError, match=r"^snr_db_step is too fine: .* 60000000001 "):
+        ExperimentConfig(snr_db_step=1e-9)
+    with pytest.raises(ConfigError, match="^snr_db_step "):
+        parse_config_text("snr_db_step = 1e-9\n")
+
+
+def test_a_config_past_the_user_cap_is_refused_before_its_blocks_are_listed():
+    assert USER_LIMIT == 1000
+    assert ExperimentConfig(users_max=USER_LIMIT).user_counts()[-1] == USER_LIMIT
+    for users_max in (USER_LIMIT + 1, 10**9):
+        with pytest.raises(ConfigError, match="^users_max must be at most 1000$"):
+            ExperimentConfig(users_max=users_max)
+    with pytest.raises(ConfigError, match="^users_max "):
+        parse_config_text("users_max = 1000000000\n")
 
 
 @pytest.mark.parametrize("name", ["led_power", "noise_power", "power_grid"])

@@ -283,18 +283,18 @@ def solver_runs(monkeypatch):
     """Record each sca_solve run as (gamma, objective) and each oracle run
     as (gamma, "oracle")."""
     runs = []
-    true_solve, true_oracle = region.sca_solve, region._oracle_region
+    true_solve, true_oracle = region.sca_solve, region.oracle_region
 
     def solve(gamma, objective, seed):
         runs.append((gamma, objective))
         return true_solve(gamma, objective, seed)
 
-    def oracle(gamma, seed):
+    def oracle(gamma):
         runs.append((gamma, "oracle"))
-        return true_oracle(gamma, seed)
+        return true_oracle(gamma)
 
     monkeypatch.setattr(region, "sca_solve", solve)
-    monkeypatch.setattr(region, "_oracle_region", oracle)
+    monkeypatch.setattr(region, "oracle_region", oracle)
     return runs
 
 
@@ -348,8 +348,8 @@ def log2_calls(monkeypatch):
                         staged(region.feasibility_scan, lambda gamma: "scan"))
     monkeypatch.setattr(region, "sca_solve",
                         staged(region.sca_solve, lambda gamma, objective, seed: f"r_{objective}"))
-    monkeypatch.setattr(region, "_oracle_region",
-                        staged(region._oracle_region, lambda gamma, seed: "oracle"))
+    monkeypatch.setattr(region, "oracle_region",
+                        staged(region.oracle_region, lambda gamma: "oracle"))
     return calls
 
 

@@ -103,7 +103,8 @@ def test_gap_sign_is_region_membership_up_to_140_db(snr_db, frac):
         for end in (region.r_min, region.r_max):
             if abs(r - end) <= 1e-6 * end:
                 return  # too close to an endpoint to tell the solver's rounding apart
-    assert (rate_gap_at(gamma, r) >= 0.0) == region.contains(r)
+    assert (rate_gap_at(gamma, r) >= 0.0) == (
+        not region.is_empty and region.r_min <= r <= region.r_max)
 
 
 # 480 dB is the solver's whole range: past it every region function raises

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from vlc_noma import region as region_module
+from vlc_noma.config import ExperimentConfig
+from vlc_noma.experiments import run_region_map
 from vlc_noma.rates import rate_gap_at, rate_gap_curve
 from vlc_noma.region import (
     GAMMA_MAX,
@@ -92,19 +94,20 @@ def test_scalar_scan_equals_the_argmax_of_the_gap_curve():
         if seed is not None and band[0] <= db <= band[-1]:
             # the narrowest regions; at 10.1334 dB the region is the seed
             # alone, and the certificate rests on the seed at both ends
-            assert region_for_snr(gamma, validate=True).contains(seed), db
+            region = region_for_snr(gamma, validate=True)
+            assert not region.is_empty and region.r_min <= seed <= region.r_max, db
         seeds.add(seed)
     assert None in seeds and len(seeds) > 200  # empty maps and nearly every grid point
     assert refined == band[:3]  # 10.1334, 10.1339 and 10.1344 dB
 
 
-def test_oracle_region_at_100():
+def test_bisection_oracle_at_100():
     region = oracle_region(100.0)
     assert region.r_min == pytest.approx(RMIN_100, rel=1e-6)
     assert region.r_max == pytest.approx(RMAX_100, rel=1e-6)
 
 
-def test_oracle_region_empty_cases():
+def test_bisection_oracle_empty_cases():
     assert oracle_region(1.0).is_empty
     assert oracle_region(1e-3).is_empty
 
@@ -292,10 +295,11 @@ def test_noma_region_construction_rules():
         NomaRegion(100.0, r_min=5.0, r_max=2.0)
     empty = NomaRegion.empty(7.0)
     assert empty.is_empty and empty.status == "empty"
-    assert not empty.contains(1.0)
+    assert not (not empty.is_empty and empty.r_min <= 1.0 <= empty.r_max)
     assert empty.width_db() == 0.0
     full = NomaRegion(100.0, 3.0, 30.0)
-    assert full.contains(3.0) and full.contains(30.0) and not full.contains(31.0)
+    for r, inside in ((3.0, True), (30.0, True), (31.0, False)):
+        assert (not full.is_empty and full.r_min <= r <= full.r_max) == inside, r
     assert full.width_db() == pytest.approx(10.0)
 
 
@@ -350,10 +354,10 @@ def test_region_cache_solves_each_lookup_at_its_own_snr():
     gamma, r = 326.7925876006048, 3.071063161588703
     cache = RegionCache()
     first = cache.region_of(326.6070345154696)
-    assert not first.contains(r)
+    assert not (not first.is_empty and first.r_min <= r <= first.r_max)
     region = cache.region_of(gamma)
     assert region == region_for_snr(gamma)
-    assert region.contains(r)
+    assert not region.is_empty and region.r_min <= r <= region.r_max
     assert cache.region_of(gamma) is region
     assert len(cache) == 2
 
@@ -419,6 +423,30 @@ def test_the_certificate_refuses_an_endpoint_across_the_scan_seed(
     with pytest.raises(OracleMismatchError) as err:
         certify(gamma, region.r_min * r_min_factor, region.r_max * r_max_factor)
     assert str(err.value) == message
+
+
+def test_just_above_the_threshold_the_certified_region_is_the_seed_alone():
+    # At 10.1334 dB the tangent surrogate around the scan seed admits only
+    # the seed, so both solver runs stop after one iterate: a one-point
+    # region that passes the certificate, within the bound of the oracle's.
+    gamma = 10.0 ** (10.1334 / 10.0)
+    assert gamma == 10.31193103870687
+    seed = feasibility_scan(gamma)
+    assert seed == 7.193325771080542
+    for objective in ("min", "max"):
+        r, trace = sca_solve(gamma, objective, seed)
+        assert (r, trace.iterates, trace.converged) == (seed, [seed, seed], True)
+    region = region_for_snr(gamma, validate=True)
+    assert (region.r_min, region.r_max) == (seed, seed)
+    region_module._certify(region, seed)
+    ref = oracle_region(gamma)
+    assert (ref.r_min, ref.r_max) == (7.192712288096711, 7.1981037914385375)
+    assert abs(region.r_min - ref.r_min) <= SOLVER_REL_BOUND * ref.r_min
+    assert abs(region.r_max - ref.r_max) <= SOLVER_REL_BOUND * ref.r_max
+    # so the map prints a certified non-empty row of width 0.0 dB
+    cfg = ExperimentConfig(snr_db_min=10.1334, snr_db_max=10.1334)
+    (row,) = run_region_map(cfg, validate=True).rows
+    assert row[1:] == (gamma, "nonempty", seed, seed, row[5], row[5], 0.0)
 
 
 def test_solver_endpoints_lie_within_the_bound_of_the_oracles_and_are_certified():

@@ -191,7 +191,8 @@ def test_cross_check_takes_the_solver_bound_but_not_a_one_percent_shrink():
     weak, strong = users.users
     r = squared_ratio(strong.gain, weak.gain)
     region = region_for_snr(weak.snr, validate=True)
-    assert weak.snr == 400.0 and region.r_max < r and not region.contains(r)
+    assert weak.snr == 400.0 and region.r_max < r
+    assert not (not region.is_empty and region.r_min <= r <= region.r_max)
     assert adaptive_pairing(users, CACHE.region_of).pairs == ((1, 2),)
 
     def shrunk(gamma):
@@ -254,7 +255,8 @@ def test_adaptive_matches_forced_when_all_ratios_in_region():
     by_id = {u.user_id: u for u in users}
     for weak_id, strong_id in forced.pairs:  # precondition of the property
         r = squared_ratio(by_id[strong_id].gain, by_id[weak_id].gain)
-        assert region_for_snr(by_id[weak_id].snr).contains(r)
+        region = region_for_snr(by_id[weak_id].snr)
+        assert not region.is_empty and region.r_min <= r <= region.r_max
     adaptive = adaptive_pairing(users, CACHE.region_of)
     assert set(adaptive.pairs) == set(forced.pairs)
     assert adaptive.singletons == forced.singletons
