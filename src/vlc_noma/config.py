@@ -32,9 +32,8 @@ SNR_DB_RESOLUTION = 1e-9
 # (981 rows): snr_db_grid() builds every row before the first solve.
 SNR_ROW_LIMIT = 100_000
 
-# users_max stays at or below this: the user sweep lists one block per user
-# count before any work starts, and a K = 1000 block holds 2048 x 2000
-# uniforms (32 MB).
+# users_max stays at or below this: the user sweep builds its blocks one at
+# a time, and a K = 1000 block holds 2048 x 2000 uniforms (32 MB).
 USER_LIMIT = 1000
 
 # Six-receiver cluster with deliberately similar gains (corner-origin frame).

@@ -30,23 +30,26 @@ user's exact SNR. A solver region only cross-checks a plan:
 adaptive_pairing(users, region_of) raises if a pair lies outside the region
 at its weak user's SNR by more than the solver's validated bound. pair_once
 always cross-checks its plan, and the sum-rate sweeps do so with validate.
-Plain pair_once solves only the bound on the pair's side of the scan seed,
-to the solver's tolerance (region.LazyRegion); every validated route solves
-both bounds and certifies each within the solver's bound by exact gap-sign
-tests, with no oracle bisection. Every region is solved at
+Every route checks a pair against a region.LazyRegion, which solves only
+the bound on the pair's side of the scan seed, to the solver's tolerance;
+with validate it also certifies that bound within the solver's bound by
+exact gap-sign tests, with no oracle bisection. Every region is solved at
 the exact SNR that asks for it, and none is cached, so no result depends on
 the order of the lookups or on the worker count.
 
 block_sum_rates holds a block user-major, one contiguous row per sorted
 user, and adds each scheme's group rates row by row in evaluate_schedule's
 order: the left fold np.add.accumulate defines, written out. A block's
-sum-rates come back as one (n, 3) array. Each user count's blocks are
-joined in trial order and stay one array up to the CSV: batch.mean_and_se
-sums them with np.add.accumulate, a left-to-right fold, never with numpy's
-pairwise np.sum or np.mean (batch's docstring says why the bytes hold).
+sum-rates come back as one (n, 3) array. The blocks are mapped lazily and
+each user count's are joined in trial order once they are in, so a serial
+sweep holds one user count's rates at a time, as one array up to the CSV:
+batch.mean_and_se sums them with np.add.accumulate, a left-to-right fold,
+never with numpy's pairwise np.sum or np.mean (batch's docstring says why
+the bytes hold).
 """
 
 import functools
+import itertools
 import numbers
 import os
 from dataclasses import dataclass
@@ -147,7 +150,7 @@ def _sweep_users_block(args):
     gains = block_floor_gains(link, u[:, 0::2] * room.length, u[:, 1::2] * room.width)
     rates = block_sum_rates(gains, cfg.led_power, cfg.noise_power)
     if validate:
-        region_of = functools.partial(region_module.region_for_snr, validate=True)
+        region_of = functools.partial(region_module.LazyRegion, validate=True)
         for row in gains.tolist():
             adaptive_pairing(UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power),
                              region_of)
@@ -160,13 +163,13 @@ def run_sweep_users(
     """Mean sum-rate (and standard error) of the three schemes per user count.
 
     Trials are independent with per-trial RNG streams keyed by (K, trial).
-    The work is a list of blocks, trials [m * STREAM_BLOCK, (m + 1) *
+    The work is a stream of blocks, trials [m * STREAM_BLOCK, (m + 1) *
     STREAM_BLOCK) of each K, and each block's rates depend only on its K and
     range, which no worker count moves. The blocks run serially, or in a pool
     of min(workers, os.cpu_count(), number of blocks) processes, and each K's
-    blocks are joined in trial order, so the output bytes are identical for
-    any worker count. With validate, every drop is also cross-checked against
-    certified solver regions, which adds no byte.
+    blocks are joined in trial order as soon as they are in, so the output
+    bytes are identical for any worker count. With validate, every drop is
+    also cross-checked against certified solver regions, which adds no byte.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -179,22 +182,23 @@ def run_sweep_users(
         "adaptive_mean", "adaptive_se",
     )
     starts = range(0, cfg.trials, STREAM_BLOCK)
-    blocks = [(cfg, k, lo, min(lo + STREAM_BLOCK, cfg.trials), validate)
-              for k in cfg.user_counts() for lo in starts]
-    processes = min(workers, os.cpu_count() or 1, len(blocks))
+    blocks = ((cfg, k, lo, min(lo + STREAM_BLOCK, cfg.trials), validate)
+              for k in cfg.user_counts() for lo in starts)
+
+    def table(outputs):
+        rows = []
+        for k in cfg.user_counts():  # K's block list is freed once joined
+            means, ses = mean_and_se(np.concatenate(list(itertools.islice(outputs, len(starts)))))
+            rows.append((k, *np.stack((means, ses), axis=1).ravel().tolist()))
+        return ResultTable(columns, rows)
+
+    processes = min(workers, os.cpu_count() or 1, len(cfg.user_counts()) * len(starts))
     if processes == 1:
-        outputs = list(map(_sweep_users_block, blocks))
-    else:
-        import multiprocessing
+        return table(map(_sweep_users_block, blocks))
+    import multiprocessing
 
-        with multiprocessing.Pool(processes=processes) as pool:
-            outputs = pool.map(_sweep_users_block, blocks)
-
-    rows = []
-    for n, k in enumerate(cfg.user_counts()):
-        means, ses = mean_and_se(np.concatenate(outputs[n * len(starts):(n + 1) * len(starts)]))
-        rows.append((k, *np.stack((means, ses), axis=1).ravel().tolist()))
-    return ResultTable(columns, rows)
+    with multiprocessing.Pool(processes=processes) as pool:
+        return table(pool.imap(_sweep_users_block, blocks))
 
 
 def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTable:
@@ -207,7 +211,7 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
         rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(gains, p_led, cfg.noise_power)
         if validate:
             adaptive_pairing(UserChannelSet.from_gains(gains, p_led, cfg.noise_power),
-                             functools.partial(region_module.region_for_snr, validate=True))
+                             functools.partial(region_module.LazyRegion, validate=True))
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,
@@ -219,14 +223,9 @@ def pair_once(gains, cfg: ExperimentConfig, validate: bool = False):
     """One-shot adaptive pairing for explicit gains, each pair cross-checked
     against the solver region at its weak user's SNR; returns (plan, outcome).
 
-    Without validate the region is a region.LazyRegion, which solves only
-    the endpoint on the pair's side of the scan seed, to the solver's
-    tolerance. With validate it is region_for_snr's: both endpoints, each
-    certified within region.SOLVER_REL_BOUND by four exact gap-sign tests."""
+    The region is a region.LazyRegion: it solves only the endpoint on the
+    pair's side of the scan seed, and with validate certifies it within
+    region.SOLVER_REL_BOUND by two exact gap-sign tests."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    if validate:
-        region_of = functools.partial(region_module.region_for_snr, validate=True)
-    else:
-        region_of = region_module.LazyRegion
-    plan = adaptive_pairing(users, region_of)
+    plan = adaptive_pairing(users, functools.partial(region_module.LazyRegion, validate=validate))
     return plan, evaluate_schedule(plan, users)

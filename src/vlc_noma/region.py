@@ -5,24 +5,26 @@ linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 (an inner approximation, so every iterate stays inside the true region), and
 a brute-force bisection oracle licensed by the gap's unimodality. The solver
 is the production path; the oracle is the reference the tests compare it
-with. region_for_snr solves both endpoints, and with validate certifies
-them: the same unimodality lets four exact gap-sign tests (rates.noma_wins)
-prove each endpoint within SOLVER_REL_BOUND of the gap's sign change, with
-no second bisection. LazyRegion, which checks plain pair_once's pairs,
-solves each endpoint only when it is read.
+with. LazyRegion is the one solver region: it solves each endpoint only
+when it is read, and with validate certifies each as it is solved. The same
+unimodality lets two exact gap-sign tests (rates.noma_wins) prove an
+endpoint within SOLVER_REL_BOUND of the gap's sign change, with no second
+bisection. region_for_snr reads both endpoints of one, r_min first.
 
-Both run as fused kernels: each bisection step and bracket test evaluates
-rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope, rate_gap_at)
-inline, in rates' operation order, with only left-prefix subexpressions such
-as t*gamma in t*gamma*r hoisted per SNR, and the r_min run's NOMA side at
-r = 1 hoisted per run. Every value is therefore the one the rates functions
-give. Each bisection branches once on which bracket end is feasible and
-runs one loop per direction, and a step compares the NOMA side with the
-TDMA side (or its tangent) as p >= c where the generic route tests
-p - c >= 0.0: for finite floats a rounded difference is zero only when its
-operands are equal, and rounding never flips its sign, so every step takes
-the same branch. tests/test_bit_identity.py pins the kernels == to that
-generic route, down to brackets of adjacent floats.
+The solver runs as fused kernels: each bisection step and bracket test
+evaluates rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope,
+rate_gap_at) inline, in rates' operation order, with only left-prefix
+subexpressions such as t*gamma in t*gamma*r hoisted per SNR, and the r_min
+run's NOMA side at r = 1 hoisted per run. Every value is therefore the one
+the rates functions give. The surrogate-root bisection branches once on
+which bracket end is feasible and runs one loop per direction, and a step
+compares the NOMA side with the TDMA tangent as p >= c where the generic
+route tests p - c >= 0.0: for finite floats a rounded difference is zero
+only when its operands are equal, and rounding never flips its sign, so
+every step takes the same branch. tests/test_bit_identity.py pins the
+solver == to that generic route, down to brackets of adjacent floats. The
+oracle is that generic route itself, rates.rate_gap_at through _log_bisect,
+so it shares no fused code with the solver it checks.
 
 The feasibility scan that seeds both routes is scalar too: a bisection on
 the sign of the gap's forward difference over a frozen 256-point grid, and
@@ -33,8 +35,9 @@ results do not depend on which of numpy's SIMD loops a CPU gets.
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
-from .rates import _LN2, CAPACITY_SNR_FACTOR, noma_wins
+from .rates import _LN2, CAPACITY_SNR_FACTOR, noma_wins, rate_gap_at
 
 # The solver's range: weak-user SNRs up to 480 dB. Inside it every bracket
 # stops within 4 * r_max (r_max grows as about 0.19 * gamma^2), so t*r*gamma
@@ -221,7 +224,7 @@ def feasibility_scan(gamma: float) -> float | None:
     forward difference first stops rising: a bisection on that sign finds
     it with 16 gap evaluations instead of 256. Each gap is rate_gap_at's
     value, computed inline in its operation order with log2(1 + t*gamma)
-    hoisted, as _gap_root does.
+    hoisted.
     """
     _check_gamma(gamma)
     log2, t, grid = math.log2, _T, _SCAN_GRID
@@ -302,37 +305,22 @@ def _surrogate_root(gamma: float, q_r: float, q_slope: float, anchor: float,
     return hi
 
 
-def _gap_root(gamma: float, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
-    """Root of rate_gap_at(gamma, x) >= 0."""
-    log2, sqrt, t = math.log2, math.sqrt, _T
-    log_1tg = log2(1.0 + t * gamma)
-    if lo_feasible:
-        while hi - lo > rel_width * hi:
-            mid = sqrt(lo * hi)
-            if mid <= lo or mid >= hi:  # bracket at float resolution
-                break
-            x = t * mid * gamma
-            if (log2(1.0 + x / (mid + gamma + 1.0)) + log2(1.0 + x / (mid + 1.0))
-                    >= 0.5 * (log_1tg + log2(1.0 + x))):
-                lo = mid
-            else:
-                hi = mid
-        return lo
+def _log_bisect(fn, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
+    """Root of fn(x) >= 0, for any fn: the generic route."""
     while hi - lo > rel_width * hi:
-        mid = sqrt(lo * hi)
+        mid = math.sqrt(lo * hi)
         if mid <= lo or mid >= hi:  # bracket at float resolution
             break
-        x = t * mid * gamma
-        if (log2(1.0 + x / (mid + gamma + 1.0)) + log2(1.0 + x / (mid + 1.0))
-                >= 0.5 * (log_1tg + log2(1.0 + x))):
-            hi = mid
-        else:
+        if (fn(mid) >= 0.0) == lo_feasible:
             lo = mid
-    return hi
+        else:
+            hi = mid
+    return lo if lo_feasible else hi
 
 
 def oracle_region(gamma: float) -> NomaRegion:
-    """Brute-force region: grid seed plus bisection toward both endpoints.
+    """Brute-force region: grid seed plus bisection of rates.rate_gap_at
+    toward both endpoints.
 
     Valid because the gap has a single interior maximum, so each side of the
     seed crosses zero at most once.
@@ -340,20 +328,13 @@ def oracle_region(gamma: float) -> NomaRegion:
     seed = feasibility_scan(gamma)
     if seed is None:
         return NomaRegion.empty(gamma)
-
+    gap = partial(rate_gap_at, gamma)
     # The gap at r = 1 is negative at every SNR (t < 1), so r_min lies above 1.
-    r_min = _gap_root(gamma, 1.0, seed, False, ORACLE_REL_WIDTH)
-
-    log2, t = math.log2, _T
-    log_1tg = log2(1.0 + t * gamma)
+    r_min = _log_bisect(gap, 1.0, seed, False, ORACLE_REL_WIDTH)
     hi = max(seed * 2.0, SCAN_RANGE[1])
-    while True:
-        x = t * hi * gamma
-        if not (log2(1.0 + x / (hi + gamma + 1.0)) + log2(1.0 + x / (hi + 1.0))
-                - 0.5 * (log_1tg + log2(1.0 + x)) >= 0.0):
-            break
+    while gap(hi) >= 0.0:
         hi *= 4.0
-    r_max = _gap_root(gamma, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
+    r_max = _log_bisect(gap, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
     return NomaRegion(gamma, r_min, r_max)
 
 
@@ -432,22 +413,55 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
     return r, trace
 
 
+def _certify(gamma: float, objective: str, r: float, seed: float) -> None:
+    """Raise OracleMismatchError, naming the endpoint, unless the solver's
+    r_<objective> = r lies within SOLVER_REL_BOUND of the gap's sign change
+    on its side of the scan seed.
+
+    The gap is unimodal in r and positive at the seed s, so it is >= 0
+    exactly on the true region around s. With b = SOLVER_REL_BOUND, a ratio
+    the gap refuses at r_min/(1+b) puts the true r_min above it, and one it
+    takes at r_min/(1-b), or s itself where s <= r_min/(1-b), puts the true
+    r_min at or below it; r_max mirrors this. rates.noma_wins decides each
+    sign with + - * / alone, so the two tests prove what the oracle's
+    bisection to ORACLE_REL_WIDTH would only approximate. The endpoint must
+    also lie on its side of s, as solver runs from s never cross it:
+    LazyRegion.admits rests on that.
+    """
+    b = SOLVER_REL_BOUND
+    if objective == "min":
+        inside = r / (1.0 - b)
+        certified = (r <= seed and not noma_wins(gamma, r / (1.0 + b))
+                     and (seed <= inside or noma_wins(gamma, inside)))
+    else:
+        inside = r / (1.0 + b)
+        certified = (seed <= r and not noma_wins(gamma, r / (1.0 - b))
+                     and (seed >= inside or noma_wins(gamma, inside)))
+    if not certified:
+        raise OracleMismatchError(
+            f"solver r_{objective} {r:g} is not within {b:g} of the gap's sign change "
+            f"at gamma={gamma:g} (scan seed {seed:g})")
+
+
 class LazyRegion:
     """The solver region at one SNR, each endpoint solved when first read.
 
     Built from gamma, it runs feasibility_scan once; the scan's best ratio
     is the seed, and is_empty holds when there is none. Each endpoint is
-    one sca_solve run from the seed, to convergence, or RegionSolverError.
-    The r_min run never rises above the seed and the r_max run never falls
-    below it, so a ratio below the seed can lie outside the widened region
-    only past r_min, and one at or above it only past r_max: admits reads
-    that one endpoint and gives NomaRegion.admits' verdict bit for bit.
+    one sca_solve run from the seed, to convergence, or RegionSolverError;
+    with validate, each is certified as it is solved (_certify), or
+    OracleMismatchError. The r_min run never rises above the seed and the
+    r_max run never falls below it, so a ratio below the seed can lie
+    outside the widened region only past r_min, and one at or above it only
+    past r_max: admits reads that one endpoint and gives NomaRegion.admits'
+    verdict bit for bit.
     """
 
-    __slots__ = ("gamma", "seed", "_r_min", "_r_max")
+    __slots__ = ("gamma", "validate", "seed", "_r_min", "_r_max")
 
-    def __init__(self, gamma: float):
+    def __init__(self, gamma: float, validate: bool = False):
         self.gamma = gamma
+        self.validate = validate
         self.seed = feasibility_scan(gamma)
         self._r_min = self._r_max = None
 
@@ -461,6 +475,8 @@ class LazyRegion:
             raise RegionSolverError(
                 f"r_{objective} solve did not converge at gamma={self.gamma:g}"
             )
+        if self.validate:
+            _certify(self.gamma, objective, r, self.seed)
         return r
 
     @property
@@ -484,50 +500,15 @@ class LazyRegion:
         return r <= self.r_max * (1.0 + SOLVER_REL_BOUND)
 
 
-def _certify(region: NomaRegion, seed: float) -> None:
-    """Raise OracleMismatchError, naming the endpoint, unless each endpoint
-    of the solver region lies within SOLVER_REL_BOUND of the gap's sign
-    change on its side of the scan seed.
-
-    The gap is unimodal in r and positive at the seed s, so it is >= 0
-    exactly on the true region around s. With b = SOLVER_REL_BOUND, a ratio
-    the gap refuses at r_min/(1+b) puts the true r_min above it, and one it
-    takes at r_min/(1-b), or s itself where s <= r_min/(1-b), puts the true
-    r_min at or below it; r_max mirrors this. rates.noma_wins decides each
-    sign with + - * / alone, so the four tests prove what the oracle's
-    bisections to ORACLE_REL_WIDTH would only approximate. The seed must
-    also lie in [r_min, r_max], as solver runs from it never cross it:
-    LazyRegion.admits rests on that.
-    """
-    gamma, b = region.gamma, SOLVER_REL_BOUND
-    r_min, r_max = region.r_min, region.r_max
-    lo_in, hi_in = r_min / (1.0 - b), r_max / (1.0 + b)
-    ends = (
-        ("r_min", r_min, r_min <= seed and not noma_wins(gamma, r_min / (1.0 + b))
-         and (seed <= lo_in or noma_wins(gamma, lo_in))),
-        ("r_max", r_max, seed <= r_max and not noma_wins(gamma, r_max / (1.0 - b))
-         and (seed >= hi_in or noma_wins(gamma, hi_in))),
-    )
-    for name, end, certified in ends:
-        if not certified:
-            raise OracleMismatchError(
-                f"solver {name} {end:g} is not within {b:g} of the gap's sign change "
-                f"at gamma={gamma:g} (scan seed {seed:g})")
-
-
 def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
-    """Full region computation: feasibility scan, then one solver run toward
-    each endpoint from the scan's best point (LazyRegion's, r_min first);
-    with validate, each endpoint certified by four gap-sign tests from the
-    same scan seed. A gamma that is not finite and positive, or that exceeds
-    GAMMA_MAX, raises ValueError."""
-    solver = LazyRegion(gamma)
-    if solver.seed is None:
+    """Full region computation: both endpoints of LazyRegion(gamma,
+    validate), r_min first, so with validate each is certified by two
+    gap-sign tests from the scan seed. A gamma that is not finite and
+    positive, or that exceeds GAMMA_MAX, raises ValueError."""
+    solver = LazyRegion(gamma, validate)
+    if solver.is_empty:
         return NomaRegion.empty(gamma)
-    found = NomaRegion(gamma, solver.r_min, solver.r_max)
-    if validate:
-        _certify(found, solver.seed)
-    return found
+    return NomaRegion(gamma, solver.r_min, solver.r_max)
 
 
 class RegionCache:
@@ -537,7 +518,7 @@ class RegionCache:
     region equals a fresh region_for_snr call at the SNR that asks for it.
     Lookups from threads may race but at worst recompute the same value.
     No route of the package uses one: pair_once and the validated sweeps
-    solve each region at the weak user's own SNR.
+    check each pair against a LazyRegion at its weak user's own SNR.
     """
 
     def __init__(self):

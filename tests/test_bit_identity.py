@@ -48,7 +48,6 @@ from vlc_noma.region import (
     TOLERANCE,
     InfeasibleSeedError,
     RegionSolverError,
-    _gap_root,
     _surrogate_root,
     feasibility_scan,
     oracle_region,
@@ -539,11 +538,12 @@ def test_sweep_users_mean_and_se_equal_left_to_right_folds():
     for k in DEFAULT.user_counts():
         assert_mean_and_se_equal_the_folds(_sweep_users_block((DEFAULT, k, 0, 2000, False)))
 
-# The region solver's fused kernels (sca_solve's surrogate-root bisection and
-# the oracle's gap-root bisection) repeat rates' formulas inline. The
-# reference below is the generic route they replace: noma_rate_at,
-# tdma_rate_at, tdma_rate_slope and rate_gap_at through one bisection that
-# takes the function it bisects.
+# The region solver's fused kernels (sca_solve and its surrogate-root
+# bisection) repeat rates' formulas inline. The reference below is the
+# generic route they replace: noma_rate_at, tdma_rate_at, tdma_rate_slope and
+# rate_gap_at through one bisection that takes the function it bisects. The
+# oracle runs that route itself; this copy of it stays independent of
+# region.py, so the oracle's bits are pinned whatever its code becomes.
 
 def _log_bisect(fn, lo, hi, lo_feasible, rel_width):
     while hi - lo > rel_width * hi:
@@ -618,7 +618,7 @@ def fused_sca_solve(gamma, objective, seed):
     return r, trace.iterates, trace.gaps, trace.converged
 
 
-def fused_oracle(gamma):
+def oracle_endpoints(gamma):
     region = oracle_region(gamma)
     return None if region.is_empty else (region.r_min, region.r_max)
 
@@ -638,7 +638,7 @@ def assert_kernels_equal_reference(gamma):
     for objective in ("min", "max"):
         solved = outcome(fused_sca_solve, gamma, objective, seed)
         assert solved == outcome(reference_sca_solve, gamma, objective, seed), gamma
-    assert outcome(fused_oracle, gamma) == outcome(reference_oracle, gamma), gamma
+    assert outcome(oracle_endpoints, gamma) == outcome(reference_oracle, gamma), gamma
 
 
 # -10..480 dB, where both routes give a region or an empty one, then the
@@ -660,7 +660,7 @@ def test_region_kernels_raise_where_the_generic_route_raises():
     for gamma in (10.0 ** 48.5915, 1e300):
         for solve in (fused_sca_solve, reference_sca_solve):
             assert outcome(solve, gamma, "max", 10.0) is ValueError
-        for oracle in (fused_oracle, reference_oracle, region_for_snr):
+        for oracle in (oracle_endpoints, reference_oracle, region_for_snr):
             assert outcome(oracle, gamma) is ValueError
     # a seed with a negative gap, at 0 dB (empty region) and at 20 dB (below r_min)
     for gamma, seed in ((1.0, 10.0), (100.0, 2.0)):
@@ -698,18 +698,13 @@ RESOLUTION_GAMMAS = [10.0 ** (db / 10.0) for db in
 
 
 def test_bisection_kernels_equal_the_generic_bisection_at_float_resolution():
-    # With rel_width 0 each bisection runs until its bracket ends are
-    # adjacent floats, where the sign of a step rests on the formula's last
-    # bit: a reordered or re-associated operation, or a step decided other
-    # than by the sign of the generic route's difference, shows up here.
+    # With rel_width 0 the surrogate-root bisection runs until its bracket
+    # ends are adjacent floats, where the sign of a step rests on the
+    # formula's last bit: a reordered or re-associated operation, or a step
+    # decided other than by the sign of the generic route's difference,
+    # shows up here.
     for gamma in RESOLUTION_GAMMAS:
         seed = feasibility_scan(gamma)
-        ref = oracle_region(gamma)
-        gap = partial(rate_gap_at, gamma)
-        for lo, hi, lo_feasible in ((1.0, seed, False), (seed, 4.0 * ref.r_max, True)):
-            assert (_gap_root(gamma, lo, hi, lo_feasible, 0.0)
-                    == _log_bisect(gap, lo, hi, lo_feasible, 0.0)), (gamma, lo, hi)
-
         q_r, q_slope = tdma_rate_at(gamma, seed), tdma_rate_slope(gamma, seed)
 
         def surrogate(x):

@@ -258,19 +258,17 @@ def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
     assert captured.err == "" and "inf" not in captured.out
 
 
-@pytest.mark.parametrize("command, provider", [
-    pytest.param(["sweep-users", "--trials", "20", "--validate-oracle"], "region_for_snr",
-                 id="sweep-users"),
-    pytest.param(["sweep-power", "--validate-oracle"], "region_for_snr", id="sweep-power"),
-    # pair cross-checks its plan with or without the oracle; without it the
-    # region is a LazyRegion
-    pytest.param(["pair", "--gains", "1e-6,2e-6"], "LazyRegion", id="pair"),
-    pytest.param(["pair", "--gains", "1e-6,2e-6", "--validate-oracle"], "region_for_snr",
-                 id="pair-validated"),
+# every route checks its pairs against a LazyRegion; pair does so with or
+# without the oracle flag
+@pytest.mark.parametrize("command", [
+    pytest.param(["sweep-users", "--trials", "20", "--validate-oracle"], id="sweep-users"),
+    pytest.param(["sweep-power", "--validate-oracle"], id="sweep-power"),
+    pytest.param(["pair", "--gains", "1e-6,2e-6"], id="pair"),
+    pytest.param(["pair", "--gains", "1e-6,2e-6", "--validate-oracle"], id="pair-validated"),
 ])
 def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
-        command, provider, monkeypatch, capsys):
-    monkeypatch.setattr(region, provider,
+        command, monkeypatch, capsys):
+    monkeypatch.setattr(region, "LazyRegion",
                         lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
     assert main(command) == 2
     captured = capsys.readouterr()
@@ -281,7 +279,7 @@ def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
 
 def test_pair_exits_2_when_its_region_solve_does_not_converge(monkeypatch, capsys):
     # The pair (1, 4) has r = 10, below the scan seed 94.7 at gamma = 100:
-    # plain pair reads r_min alone, and the validated route solves it first.
+    # plain and validated pair both read r_min alone.
     monkeypatch.setattr(region, "MAX_ITERATIONS", 1)
     gains = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
     for flags in ([], ["--validate-oracle"]):

@@ -5,13 +5,14 @@ import hashlib
 import math
 import multiprocessing
 import os
+import weakref
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from vlc_noma.channel import RoomGeometry, floor_gains
-from vlc_noma import region
+from vlc_noma import experiments, region
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import (
     STREAM_BLOCK,
@@ -111,9 +112,10 @@ def pools(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items):
-            records.append((self.processes, list(items)))
-            return [fn(item) for item in items]
+        def imap(self, fn, items):
+            items = list(items)
+            records.append((self.processes, items))
+            return map(fn, items)
 
     monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
     return records
@@ -152,6 +154,28 @@ def test_sweep_users_blocks_do_not_depend_on_the_worker_count(pools, monkeypatch
         (cfg, k, lo, hi, False) for k in (2, 3, 4)
         for lo, hi in ((0, STREAM_BLOCK), (STREAM_BLOCK, 2 * STREAM_BLOCK),
                        (2 * STREAM_BLOCK, 5000))]
+
+
+def test_serial_sweep_holds_one_user_counts_blocks_at_a_time(monkeypatch):
+    # Each block's output is tracked until it is freed: when a block is
+    # made, no block of another user count may still be alive.
+    cfg = small_cfg(trials=5000)  # three blocks for each K = 2..4
+    expected = run_sweep_users(cfg).csv_text()
+    alive, made = Counter(), []
+    true_block = experiments._sweep_users_block
+
+    def block(args):
+        k, rates = args[1], true_block(args)
+        made.append((k, +alive))  # the live blocks of each K before this one
+        alive[k] += 1
+        weakref.finalize(rates, alive.subtract, [k])
+        return rates
+
+    monkeypatch.setattr(experiments, "_sweep_users_block", block)
+    assert run_sweep_users(cfg).csv_text() == expected
+    assert [k for k, _ in made] == [2, 2, 2, 3, 3, 3, 4, 4, 4]
+    assert all(set(live) <= {k} for k, live in made), made
+    assert not +alive
 
 
 # Seed 2, 3,000 trials: each K's second block holds the 952 trials past the
@@ -246,7 +270,7 @@ def test_pair_once_matches_library_pairing():
 
 def test_validated_sweeps_raise_when_a_region_disagrees_with_the_gap_sign(monkeypatch):
     # Solver regions that end at r = 1.5 leave out pairs the gap sign takes.
-    monkeypatch.setattr(region, "region_for_snr",
+    monkeypatch.setattr(region, "LazyRegion",
                         lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
     with pytest.raises(OracleMismatchError, match="outside the solver region"):
         run_sweep_users(small_cfg(), validate=True)
@@ -298,28 +322,27 @@ def solver_runs(monkeypatch):
     return runs
 
 
-def test_plain_pair_once_solves_the_one_bound_on_each_pairs_side_of_the_seed(solver_runs):
+def assert_one_bound_per_pair(solver_runs, validate):
     cfg = ExperimentConfig(seed=1)
     expected = []
     for gains in pair_pool(1):
-        pair_once(gains, cfg)
+        pair_once(gains, cfg, validate)
         expected += [(gamma, "min" if r < feasibility_scan(gamma) else "max")
                      for gamma, r in formed_pairs(gains, cfg)]
-    assert solver_runs == expected
+    assert solver_runs == expected  # and no oracle run
     # counted in advance: 3,438 pairs, 3,405 of them below the seed
     sides = [objective for _, objective in solver_runs]
     assert (sides.count("min"), sides.count("max")) == (3405, 33)
 
 
-def test_validated_pair_once_solves_both_bounds_and_no_oracle(solver_runs):
-    # the certificate's four gap-sign tests replace the oracle's bisections
-    cfg = ExperimentConfig(seed=1)
-    expected = []
-    for gains in pair_pool(1)[:200]:
-        pair_once(gains, cfg, validate=True)
-        expected += [(gamma, run) for gamma, _ in formed_pairs(gains, cfg)
-                     for run in ("min", "max")]
-    assert len(expected) > 400 and solver_runs == expected
+def test_plain_pair_once_solves_the_one_bound_on_each_pairs_side_of_the_seed(solver_runs):
+    assert_one_bound_per_pair(solver_runs, False)
+
+
+def test_validated_pair_once_solves_the_one_bound_on_each_pairs_side_of_the_seed(solver_runs):
+    # each solved bound is certified by two gap-sign tests, with no oracle
+    # bisection and no solve of the far bound
+    assert_one_bound_per_pair(solver_runs, True)
 
 
 @pytest.fixture

@@ -369,7 +369,8 @@ def test_region_cache_miss_equals_a_fresh_solve():
 
 
 def test_region_for_snr_validate_refuses_a_skewed_solver_endpoint(monkeypatch):
-    # region_for_snr(validate=True) certifies the solver's own endpoints
+    # a validated LazyRegion certifies each of the solver's own endpoints
+    # as it is solved, so only a read of the skewed r_max raises
     true_solve = region_module.sca_solve
 
     def skewed_solve(gamma, objective, seed):
@@ -378,13 +379,20 @@ def test_region_for_snr_validate_refuses_a_skewed_solver_endpoint(monkeypatch):
 
     monkeypatch.setattr(region_module, "sca_solve", skewed_solve)
     region_for_snr(100.0)  # no certificate without validate
-    with pytest.raises(OracleMismatchError):
+    with pytest.raises(OracleMismatchError, match="solver r_max"):
         region_for_snr(100.0, validate=True)
+    lazy = LazyRegion(100.0, validate=True)
+    assert lazy.admits(10.0)  # below the seed 94.7: r_min alone, certified
+    with pytest.raises(OracleMismatchError, match="solver r_max"):
+        lazy.admits(1000.0)
 
 
 def certify(gamma, r_min, r_max):
-    """region_module._certify on the given endpoints from gamma's scan seed."""
-    region_module._certify(NomaRegion(gamma, r_min, r_max), feasibility_scan(gamma))
+    """region_module._certify on each given endpoint, r_min first, from
+    gamma's scan seed."""
+    seed = feasibility_scan(gamma)
+    region_module._certify(gamma, "min", r_min, seed)
+    region_module._certify(gamma, "max", r_max, seed)
 
 
 @pytest.mark.parametrize("db", [10.1335, 30.0, 480.0])
@@ -438,7 +446,7 @@ def test_just_above_the_threshold_the_certified_region_is_the_seed_alone():
         assert (r, trace.iterates, trace.converged) == (seed, [seed, seed], True)
     region = region_for_snr(gamma, validate=True)
     assert (region.r_min, region.r_max) == (seed, seed)
-    region_module._certify(region, seed)
+    certify(gamma, region.r_min, region.r_max)
     ref = oracle_region(gamma)
     assert (ref.r_min, ref.r_max) == (7.192712288096711, 7.1981037914385375)
     assert abs(region.r_min - ref.r_min) <= SOLVER_REL_BOUND * ref.r_min
