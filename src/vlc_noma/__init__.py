@@ -17,7 +17,6 @@ from .channel import (
     concentrator_gain,
     lambertian_order,
     los_channel_gain,
-    snr,
     snr_db,
 )
 from .config import ConfigError, ExperimentConfig, load_config, parse_config_text

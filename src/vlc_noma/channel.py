@@ -196,13 +196,6 @@ def floor_gains(link: LinkConstants, points) -> list[float]:
     return [_los_link(link, p[0], p[1], 0.0) for p in points]
 
 
-def snr(link: LinkBudget, p_led: float) -> float:
-    """Electrical SNR of the link: P_LED * h^2 / sigma^2 (linear), in
-    UserChannelSet.from_gains' operations and order, so both agree bit for
-    bit."""
-    return p_led * link.channel_gain * link.channel_gain / link.noise_power
-
-
 def snr_db(gamma: float) -> float:
     """Linear SNR in dB; -inf for a dead (zero-gain) link."""
     if gamma <= 0.0:

@@ -16,8 +16,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="PATH",
                         help="output file (stdout if omitted)")
     parser.add_argument("--validate-oracle", action="store_true",
-                        help="certify solver regions by exact gap-sign tests, "
-                             "and check pairs against them")
+                        help="certify every region endpoint the run reads by "
+                             "exact gap-sign tests, and check pairs against them")
 
 
 def build_parser() -> argparse.ArgumentParser:

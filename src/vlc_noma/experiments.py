@@ -26,16 +26,16 @@ route _simulate_drop: floor_gains, then scheme_sum_rates, which evaluates
 the public TDMA, forced and adaptive plans.
 
 Every route decides each pair by the sign of the rate gap at the weak
-user's exact SNR. A solver region only cross-checks a plan:
+user's exact SNR. A region only cross-checks a plan:
 adaptive_pairing(users, region_of) raises if a pair lies outside the region
-at its weak user's SNR by more than the solver's validated bound. pair_once
+at its weak user's SNR by more than region.SOLVER_REL_BOUND. pair_once
 always cross-checks its plan, and the sum-rate sweeps do so with validate.
-Every route checks a pair against a region.LazyRegion, which solves only
-the bound on the pair's side of the scan seed, to the solver's tolerance;
-with validate it also certifies that bound within the solver's bound by
-exact gap-sign tests, with no oracle bisection. Every region is solved at
-the exact SNR that asks for it, and none is cached, so no result depends on
-the order of the lookups or on the worker count.
+Every route checks a pair against region.oracle_region, the bisection
+reference, and runs no solver; with validate it also certifies both of the
+oracle's endpoints within that bound by exact gap-sign tests. Only the
+region map runs the solver. Every region is computed at the exact SNR that
+asks for it, and none is cached, so no result depends on the order of the
+lookups or on the worker count.
 
 block_sum_rates holds a block user-major, one contiguous row per sorted
 user, and adds each scheme's group rates row by row in evaluate_schedule's
@@ -139,7 +139,7 @@ def _sweep_users_block(args):
     """Worker entry: simulate trials [lo, hi) of user count k, drop for drop
     equal to _simulate_drop; returns one (hi - lo, 3) array of (tdma,
     forced, adaptive) sum-rates. With validate, every drop's pairs are also
-    cross-checked against their certified solver regions."""
+    cross-checked against their certified oracle regions."""
     from .batch import block_floor_gains, block_sum_rates
     from .streams import uniform_streams
 
@@ -150,7 +150,7 @@ def _sweep_users_block(args):
     gains = block_floor_gains(link, u[:, 0::2] * room.length, u[:, 1::2] * room.width)
     rates = block_sum_rates(gains, cfg.led_power, cfg.noise_power)
     if validate:
-        region_of = functools.partial(region_module.LazyRegion, validate=True)
+        region_of = functools.partial(region_module.oracle_region, validate=True)
         for row in gains.tolist():
             adaptive_pairing(UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power),
                              region_of)
@@ -169,7 +169,7 @@ def run_sweep_users(
     of min(workers, os.cpu_count(), number of blocks) processes, and each K's
     blocks are joined in trial order as soon as they are in, so the output
     bytes are identical for any worker count. With validate, every drop is
-    also cross-checked against certified solver regions, which adds no byte.
+    also cross-checked against certified oracle regions, which adds no byte.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -211,7 +211,7 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
         rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(gains, p_led, cfg.noise_power)
         if validate:
             adaptive_pairing(UserChannelSet.from_gains(gains, p_led, cfg.noise_power),
-                             functools.partial(region_module.LazyRegion, validate=True))
+                             functools.partial(region_module.oracle_region, validate=True))
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,
@@ -221,11 +221,9 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
 
 def pair_once(gains, cfg: ExperimentConfig, validate: bool = False):
     """One-shot adaptive pairing for explicit gains, each pair cross-checked
-    against the solver region at its weak user's SNR; returns (plan, outcome).
-
-    The region is a region.LazyRegion: it solves only the endpoint on the
-    pair's side of the scan seed, and with validate certifies it within
-    region.SOLVER_REL_BOUND by two exact gap-sign tests."""
+    against region.oracle_region at its weak user's SNR; returns (plan,
+    outcome). With validate, both of the oracle's endpoints are certified
+    within region.SOLVER_REL_BOUND, each by two exact gap-sign tests."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    plan = adaptive_pairing(users, functools.partial(region_module.LazyRegion, validate=validate))
+    plan = adaptive_pairing(users, functools.partial(region_module.oracle_region, validate=validate))
     return plan, evaluate_schedule(plan, users)

@@ -3,13 +3,13 @@
 Two independent routes compute the interval: an iterative solver that
 linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 (an inner approximation, so every iterate stays inside the true region), and
-a brute-force bisection oracle licensed by the gap's unimodality. The solver
-is the production path; the oracle is the reference the tests compare it
-with. LazyRegion is the one solver region: it solves each endpoint only
-when it is read, and with validate certifies each as it is solved. The same
-unimodality lets two exact gap-sign tests (rates.noma_wins) prove an
-endpoint within SOLVER_REL_BOUND of the gap's sign change, with no second
-bisection. region_for_snr reads both endpoints of one, r_min first.
+a brute-force bisection oracle licensed by the gap's unimodality. The
+solver, the paper's method, serves only the region map (region_for_snr and
+RegionCache); the oracle is the reference the tests compare it with, and
+the region every pair check reads. The same unimodality lets two exact
+gap-sign tests (rates.noma_wins) prove an endpoint of either route within
+SOLVER_REL_BOUND of the gap's sign change, with no second bisection: that
+is what validate certifies.
 
 The solver runs as fused kernels: each bisection step and bracket test
 evaluates rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope,
@@ -70,8 +70,8 @@ class InfeasibleSeedError(RegionSolverError):
 
 
 class OracleMismatchError(RegionSolverError):
-    """A solver endpoint fails its certificate, or a gap-sign pair falls
-    outside the solver region."""
+    """A region endpoint fails its certificate, or a gap-sign pair falls
+    outside the region that checks it."""
 
 
 @dataclass(frozen=True)
@@ -107,7 +107,11 @@ class NomaRegion:
     def admits(self, r: float) -> bool:
         """Whether r lies in [r_min, r_max] widened at each end by
         SOLVER_REL_BOUND of that end: the ratios a true region can hold
-        when this one is a validated solver region."""
+        when this one is a validated solver region. The pair checks pass
+        oracle regions, whose endpoints may lie up to ORACLE_REL_WIDTH
+        inside the gap's sign change, so a pair nearer to it than that can
+        fall just outside one unwidened; solver regions reach it through
+        perfbench's traced replay."""
         return (not self.is_empty
                 and self.r_min * (1.0 - SOLVER_REL_BOUND) <= r
                 <= self.r_max * (1.0 + SOLVER_REL_BOUND))
@@ -318,9 +322,10 @@ def _log_bisect(fn, lo: float, hi: float, lo_feasible: bool, rel_width: float) -
     return lo if lo_feasible else hi
 
 
-def oracle_region(gamma: float) -> NomaRegion:
+def oracle_region(gamma: float, validate: bool = False) -> NomaRegion:
     """Brute-force region: grid seed plus bisection of rates.rate_gap_at
-    toward both endpoints.
+    toward both endpoints; with validate, each endpoint is certified from
+    the seed (_certify), r_min first, or OracleMismatchError.
 
     Valid because the gap has a single interior maximum, so each side of the
     seed crosses zero at most once.
@@ -335,6 +340,9 @@ def oracle_region(gamma: float) -> NomaRegion:
     while gap(hi) >= 0.0:
         hi *= 4.0
     r_max = _log_bisect(gap, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
+    if validate:
+        _certify(gamma, "min", r_min, seed)
+        _certify(gamma, "max", r_max, seed)
     return NomaRegion(gamma, r_min, r_max)
 
 
@@ -414,7 +422,7 @@ def sca_solve(gamma: float, objective: str, seed: float) -> tuple[float, ScaTrac
 
 
 def _certify(gamma: float, objective: str, r: float, seed: float) -> None:
-    """Raise OracleMismatchError, naming the endpoint, unless the solver's
+    """Raise OracleMismatchError, naming the endpoint, unless
     r_<objective> = r lies within SOLVER_REL_BOUND of the gap's sign change
     on its side of the scan seed.
 
@@ -423,10 +431,10 @@ def _certify(gamma: float, objective: str, r: float, seed: float) -> None:
     the gap refuses at r_min/(1+b) puts the true r_min above it, and one it
     takes at r_min/(1-b), or s itself where s <= r_min/(1-b), puts the true
     r_min at or below it; r_max mirrors this. rates.noma_wins decides each
-    sign with + - * / alone, so the two tests prove what the oracle's
-    bisection to ORACLE_REL_WIDTH would only approximate. The endpoint must
-    also lie on its side of s, as solver runs from s never cross it:
-    LazyRegion.admits rests on that.
+    sign with + - * / alone, so the two tests prove what a bisection to
+    ORACLE_REL_WIDTH would only approximate. The endpoint must also lie on
+    its side of s, as solver runs and oracle bisections from s never cross
+    it.
     """
     b = SOLVER_REL_BOUND
     if objective == "min":
@@ -439,76 +447,32 @@ def _certify(gamma: float, objective: str, r: float, seed: float) -> None:
                      and (seed >= inside or noma_wins(gamma, inside)))
     if not certified:
         raise OracleMismatchError(
-            f"solver r_{objective} {r:g} is not within {b:g} of the gap's sign change "
+            f"r_{objective} {r:g} is not within {b:g} of the gap's sign change "
             f"at gamma={gamma:g} (scan seed {seed:g})")
 
 
-class LazyRegion:
-    """The solver region at one SNR, each endpoint solved when first read.
-
-    Built from gamma, it runs feasibility_scan once; the scan's best ratio
-    is the seed, and is_empty holds when there is none. Each endpoint is
-    one sca_solve run from the seed, to convergence, or RegionSolverError;
-    with validate, each is certified as it is solved (_certify), or
-    OracleMismatchError. The r_min run never rises above the seed and the
-    r_max run never falls below it, so a ratio below the seed can lie
-    outside the widened region only past r_min, and one at or above it only
-    past r_max: admits reads that one endpoint and gives NomaRegion.admits'
-    verdict bit for bit.
-    """
-
-    __slots__ = ("gamma", "validate", "seed", "_r_min", "_r_max")
-
-    def __init__(self, gamma: float, validate: bool = False):
-        self.gamma = gamma
-        self.validate = validate
-        self.seed = feasibility_scan(gamma)
-        self._r_min = self._r_max = None
-
-    @property
-    def is_empty(self) -> bool:
-        return self.seed is None
-
-    def _solve(self, objective: str) -> float:
-        r, trace = sca_solve(self.gamma, objective, self.seed)
-        if not trace.converged:
-            raise RegionSolverError(
-                f"r_{objective} solve did not converge at gamma={self.gamma:g}"
-            )
-        if self.validate:
-            _certify(self.gamma, objective, r, self.seed)
-        return r
-
-    @property
-    def r_min(self) -> float | None:
-        if self._r_min is None and self.seed is not None:
-            self._r_min = self._solve("min")
-        return self._r_min
-
-    @property
-    def r_max(self) -> float | None:
-        if self._r_max is None and self.seed is not None:
-            self._r_max = self._solve("max")
-        return self._r_max
-
-    def admits(self, r: float) -> bool:
-        """NomaRegion.admits from the one endpoint on r's side of the seed."""
-        if self.seed is None:
-            return False
-        if r < self.seed:
-            return self.r_min * (1.0 - SOLVER_REL_BOUND) <= r
-        return r <= self.r_max * (1.0 + SOLVER_REL_BOUND)
+def _solve(gamma: float, objective: str, seed: float, validate: bool) -> float:
+    """r_<objective> by one sca_solve run from the scan seed, to convergence,
+    or RegionSolverError; with validate, certified by _certify, or
+    OracleMismatchError."""
+    r, trace = sca_solve(gamma, objective, seed)
+    if not trace.converged:
+        raise RegionSolverError(f"r_{objective} solve did not converge at gamma={gamma:g}")
+    if validate:
+        _certify(gamma, objective, r, seed)
+    return r
 
 
 def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
-    """Full region computation: both endpoints of LazyRegion(gamma,
-    validate), r_min first, so with validate each is certified by two
-    gap-sign tests from the scan seed. A gamma that is not finite and
-    positive, or that exceeds GAMMA_MAX, raises ValueError."""
-    solver = LazyRegion(gamma, validate)
-    if solver.is_empty:
+    """The solver region: the scan seed, then r_min and r_max each solved
+    from it (_solve), r_min first, so with validate each is certified by two
+    gap-sign tests. A gamma that is not finite and positive, or that exceeds
+    GAMMA_MAX, raises ValueError."""
+    seed = feasibility_scan(gamma)
+    if seed is None:
         return NomaRegion.empty(gamma)
-    return NomaRegion(gamma, solver.r_min, solver.r_max)
+    return NomaRegion(gamma, _solve(gamma, "min", seed, validate),
+                      _solve(gamma, "max", seed, validate))
 
 
 class RegionCache:
@@ -518,7 +482,7 @@ class RegionCache:
     region equals a fresh region_for_snr call at the SNR that asks for it.
     Lookups from threads may race but at worst recompute the same value.
     No route of the package uses one: pair_once and the validated sweeps
-    check each pair against a LazyRegion at its weak user's own SNR.
+    check each pair against oracle_region at its weak user's own SNR.
     """
 
     def __init__(self):

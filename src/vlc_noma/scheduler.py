@@ -3,7 +3,7 @@
 Three plans are supported for a set of downlink users: adaptive pairing
 (pair weakest-with-strongest only when the rate gap at the weak user's SNR
 is non-negative, which is the same as the gain ratio lying in that user's
-beneficial region; a solver region may only cross-check the pairs), the
+beneficial region; a region may only cross-check the pairs), the
 forced strongest-weakest baseline that always pairs, and plain
 one-user-per-slot TDMA. Slot durations are proportional to group size,
 which makes the per-pair unit-slot gap comparison exactly the system-level
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, noma_wins, squared_ratio
-from .region import LazyRegion, NomaRegion, OracleMismatchError
+from .region import NomaRegion, OracleMismatchError
 
 
 @dataclass(frozen=True)
@@ -97,7 +97,7 @@ class ScheduleOutcome:
 
 def adaptive_pairing(
     users: UserChannelSet,
-    region_of: Callable[[float], NomaRegion | LazyRegion] | None = None,
+    region_of: Callable[[float], NomaRegion] | None = None,
 ) -> PairingPlan:
     """Greedy weakest-with-strongest pairing wherever sharing the slot wins.
 
@@ -112,9 +112,10 @@ def adaptive_pairing(
     A given region_of only cross-checks the plan: it is called once per pair
     formed, at the weak user's SNR, and a pair whose r lies outside that
     region by more than region.SOLVER_REL_BOUND of an endpoint (see
-    NomaRegion.admits) raises OracleMismatchError. Of the region it reads
-    is_empty and admits(r), and r_min and r_max only to word that error.
-    It never changes the plan.
+    NomaRegion.admits) raises OracleMismatchError. The package's routes
+    pass region.oracle_region, the bisection reference; perfbench's traced
+    replay passes solver regions from a region.RegionCache. It never
+    changes the plan.
     """
     order = users.users
     k = len(order)
@@ -137,7 +138,7 @@ def adaptive_pairing(
                               else f"[{region.r_min!r}, {region.r_max!r}]")
                     raise OracleMismatchError(
                         f"the gap sign pairs r={r!r} at gamma={weak.snr!r}, "
-                        f"outside the solver region {bounds}")
+                        f"outside the region {bounds}")
             pairs.append((weak.user_id, order[j].user_id))
             paired[i] = paired[j] = True
             break

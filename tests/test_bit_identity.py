@@ -121,7 +121,7 @@ def test_an_overflowed_ratio_never_pairs_and_forces_the_limit(gains, p_led, nois
 
 
 # With validate the block also cross-checks every drop's pairs against
-# certified solver regions (cross_check), which must pass and change no
+# certified oracle regions (cross_check), which must pass and change no
 # rate. The trial ranges span a block boundary of the sweep and end at the
 # last trial the streams take.
 @pytest.mark.parametrize("validate", [False, True], ids=["gap_sign", "cross_check"])

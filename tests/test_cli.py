@@ -221,7 +221,7 @@ def test_snr_grid_bounds_past_the_float_range_fail_cleanly(text, key, tmp_path, 
 
 
 @pytest.mark.parametrize("text, command", [
-    # a weak-user SNR of 1.0201e48, 480.09 dB: the region solve of pair's
+    # a weak-user SNR of 1.0201e48, 480.09 dB: the oracle region of pair's
     # cross-check rejects it
     ("", ["pair", "--gains", "1.01e17,2e17"]),
     # a 1e301 weak-user SNR
@@ -240,6 +240,7 @@ def test_region_solver_failures_exit_2(text, command, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
+# region runs the solver, and pair and the validated sweep the oracle region
 @pytest.mark.parametrize("text, command", [
     # 160 dB, where r_max is about 2e31
     ("snr_db_min = 160\nsnr_db_max = 160\n", ["region", "--validate-oracle"]),
@@ -258,8 +259,8 @@ def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
     assert captured.err == "" and "inf" not in captured.out
 
 
-# every route checks its pairs against a LazyRegion; pair does so with or
-# without the oracle flag
+# every route checks its pairs against region.oracle_region; pair does so
+# with or without the oracle flag
 @pytest.mark.parametrize("command", [
     pytest.param(["sweep-users", "--trials", "20", "--validate-oracle"], id="sweep-users"),
     pytest.param(["sweep-power", "--validate-oracle"], id="sweep-power"),
@@ -268,7 +269,7 @@ def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
 ])
 def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
         command, monkeypatch, capsys):
-    monkeypatch.setattr(region, "LazyRegion",
+    monkeypatch.setattr(region, "oracle_region",
                         lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
     assert main(command) == 2
     captured = capsys.readouterr()
@@ -277,16 +278,22 @@ def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
     assert captured.err.count("\n") == 1
 
 
-def test_pair_exits_2_when_its_region_solve_does_not_converge(monkeypatch, capsys):
-    # The pair (1, 4) has r = 10, below the scan seed 94.7 at gamma = 100:
-    # plain and validated pair both read r_min alone.
+def test_region_exits_2_when_its_solve_does_not_converge(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(region, "MAX_ITERATIONS", 1)
-    gains = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("snr_db_min = 20\nsnr_db_max = 20\n")
     for flags in ([], ["--validate-oracle"]):
-        assert main(["pair", "--gains", gains, *flags]) == 2
+        assert main(["region", "--config", str(cfg), *flags]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: r_min solve did not converge at gamma=100\n"
+    # pair checks its pair (1, 4), r = 10 at gamma = 100, against the
+    # oracle region, so it runs no solver
+    gains = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
+    for flags in ([], ["--validate-oracle"]):
+        assert main(["pair", "--gains", gains, *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.out.startswith("PAIR 1 4\n") and captured.err == ""
 
 
 def test_pair_leaves_a_pair_single_whose_float_gap_is_zero_but_exact_gap_negative(capsys):
@@ -303,7 +310,9 @@ def test_pair_leaves_a_pair_single_whose_float_gap_is_zero_but_exact_gap_negativ
 def test_pair_takes_a_gap_sign_pair_just_past_the_solver_r_max(capsys):
     # At gamma = 400 this pair's exact gap is positive, but its
     # r = 29664.13946589052 lies 2.5e-12 relative above the solver's inner
-    # r_max, 29664.1394658151: inside the bound the solver is validated to.
+    # r_max, 29664.1394658151, and 5.9e-10 above the oracle's,
+    # 29664.139448351045, which pair checks it against: inside the bound a
+    # region is validated to.
     for flags in ([], ["--validate-oracle"]):
         assert main(["pair", "--gains", "2e-6,0.00034446561201890974", *flags]) == 0
         captured = capsys.readouterr()

@@ -23,13 +23,7 @@ from vlc_noma.experiments import (
     sample_user_positions,
 )
 from vlc_noma.rates import squared_ratio
-from vlc_noma.region import (
-    LazyRegion,
-    NomaRegion,
-    OracleMismatchError,
-    feasibility_scan,
-    region_for_snr,
-)
+from vlc_noma.region import NomaRegion, OracleMismatchError, oracle_region
 from vlc_noma.scheduler import UserChannelSet, adaptive_pairing
 
 # Frozen end-to-end values for the six fixed receivers at P = 1 W.
@@ -269,12 +263,12 @@ def test_pair_once_matches_library_pairing():
 
 
 def test_validated_sweeps_raise_when_a_region_disagrees_with_the_gap_sign(monkeypatch):
-    # Solver regions that end at r = 1.5 leave out pairs the gap sign takes.
-    monkeypatch.setattr(region, "LazyRegion",
+    # Regions that end at r = 1.5 leave out pairs the gap sign takes.
+    monkeypatch.setattr(region, "oracle_region",
                         lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
-    with pytest.raises(OracleMismatchError, match="outside the solver region"):
+    with pytest.raises(OracleMismatchError, match="outside the region"):
         run_sweep_users(small_cfg(), validate=True)
-    with pytest.raises(OracleMismatchError, match="outside the solver region"):
+    with pytest.raises(OracleMismatchError, match="outside the region"):
         run_sweep_power(ExperimentConfig(), validate=True)
     # without validate the rates consult no region
     assert run_sweep_users(small_cfg()).rows
@@ -304,45 +298,41 @@ def formed_pairs(gains, cfg):
 
 @pytest.fixture
 def solver_runs(monkeypatch):
-    """Record each sca_solve run as (gamma, objective) and each oracle run
-    as (gamma, "oracle")."""
+    """Record each sca_solve run as (gamma, objective), each oracle run as
+    (gamma, "oracle") and each certificate as (gamma, "certify <objective>")."""
     runs = []
-    true_solve, true_oracle = region.sca_solve, region.oracle_region
+    true_solve, true_oracle, true_certify = (
+        region.sca_solve, region.oracle_region, region._certify)
 
     def solve(gamma, objective, seed):
         runs.append((gamma, objective))
         return true_solve(gamma, objective, seed)
 
-    def oracle(gamma):
+    def oracle(gamma, validate=False):
         runs.append((gamma, "oracle"))
-        return true_oracle(gamma)
+        return true_oracle(gamma, validate)
+
+    def certify(gamma, objective, r, seed):
+        runs.append((gamma, f"certify {objective}"))
+        return true_certify(gamma, objective, r, seed)
 
     monkeypatch.setattr(region, "sca_solve", solve)
     monkeypatch.setattr(region, "oracle_region", oracle)
+    monkeypatch.setattr(region, "_certify", certify)
     return runs
 
 
-def assert_one_bound_per_pair(solver_runs, validate):
+@pytest.mark.parametrize("validate", [False, True])
+def test_pair_once_reads_one_oracle_region_per_pair_and_runs_no_solver(solver_runs, validate):
+    # with validate, each oracle region certifies both endpoints, r_min first
     cfg = ExperimentConfig(seed=1)
+    checks = ["oracle", "certify min", "certify max"] if validate else ["oracle"]
     expected = []
     for gains in pair_pool(1):
         pair_once(gains, cfg, validate)
-        expected += [(gamma, "min" if r < feasibility_scan(gamma) else "max")
-                     for gamma, r in formed_pairs(gains, cfg)]
-    assert solver_runs == expected  # and no oracle run
-    # counted in advance: 3,438 pairs, 3,405 of them below the seed
-    sides = [objective for _, objective in solver_runs]
-    assert (sides.count("min"), sides.count("max")) == (3405, 33)
-
-
-def test_plain_pair_once_solves_the_one_bound_on_each_pairs_side_of_the_seed(solver_runs):
-    assert_one_bound_per_pair(solver_runs, False)
-
-
-def test_validated_pair_once_solves_the_one_bound_on_each_pairs_side_of_the_seed(solver_runs):
-    # each solved bound is certified by two gap-sign tests, with no oracle
-    # bisection and no solve of the far bound
-    assert_one_bound_per_pair(solver_runs, True)
+        expected += [(gamma, check) for gamma, _ in formed_pairs(gains, cfg) for check in checks]
+    assert solver_runs == expected  # and no sca_solve
+    assert len(expected) == 3438 * len(checks)  # counted in advance
 
 
 @pytest.fixture
@@ -358,10 +348,10 @@ def log2_calls(monkeypatch):
         return true_log2(x)
 
     def staged(fn, name):
-        def run(*args):
-            stage.append(name(*args))
+        def run(*args, **kwargs):
+            stage.append(name(*args, **kwargs))
             try:
-                return fn(*args)
+                return fn(*args, **kwargs)
             finally:
                 stage.pop()
         return run
@@ -372,7 +362,7 @@ def log2_calls(monkeypatch):
     monkeypatch.setattr(region, "sca_solve",
                         staged(region.sca_solve, lambda gamma, objective, seed: f"r_{objective}"))
     monkeypatch.setattr(region, "oracle_region",
-                        staged(region.oracle_region, lambda gamma: "oracle"))
+                        staged(region.oracle_region, lambda gamma, validate=False: "oracle"))
     return calls
 
 
@@ -389,19 +379,24 @@ def test_validated_region_map_log2_calls(log2_calls):
 
 
 def test_plain_pair_pool_log2_calls(log2_calls):
-    # counted in advance, down from 1,598,694
+    # counted in advance: one oracle region per formed pair
     cfg = ExperimentConfig(seed=1)
     pool = pair_pool(1)
     log2_calls.clear()
     for gains in pool:
         pair_once(gains, cfg)
-    assert sum(log2_calls.values()) == 1525622
+    assert sum(log2_calls.values()) == 1037113
 
 
 @pytest.mark.parametrize("seed", [1, 2])
-def test_lazy_region_admits_each_pool_pair_as_region_for_snr_does(seed):
+def test_every_pool_pair_lies_in_its_unwidened_oracle_region(seed):
+    # No pool pair needs the widening. admits keeps SOLVER_REL_BOUND all the
+    # same: solver regions can reach it, and an oracle endpoint may lie up to
+    # ORACLE_REL_WIDTH inside the gap's sign change, as the oracle r_max at
+    # gamma = 400 lies 5.9e-10 below a pair tests/test_cli.py forms.
     cfg = ExperimentConfig(seed=seed)
     pairs = [pair for gains in pair_pool(seed) for pair in formed_pairs(gains, cfg)]
-    assert len(pairs) > 3000
+    assert len(pairs) == {1: 3438, 2: 3384}[seed]  # counted in advance
     for gamma, r in pairs:
-        assert LazyRegion(gamma).admits(r) == region_for_snr(gamma).admits(r), (gamma, r)
+        ref = oracle_region(gamma)
+        assert not ref.is_empty and ref.r_min <= r <= ref.r_max, (gamma, r)

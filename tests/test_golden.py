@@ -56,7 +56,7 @@ def test_sweep_power_bytes():
 
 
 def test_sweep_power_bytes_with_the_region_cross_check():
-    # Every gap-sign pair lies in its solver region, and the check adds no byte.
+    # Every gap-sign pair lies in its oracle region, and the check adds no byte.
     assert _sha(run_sweep_power(ExperimentConfig(), validate=True).csv_text()) == SWEEP_POWER
 
 
@@ -126,7 +126,7 @@ def test_sweep_users_default_bytes():
 
 
 def test_sweep_users_bytes_through_the_validated_region_route():
-    # Every gap-sign pair must also lie in a certified solver region, and
+    # Every gap-sign pair must also lie in a certified oracle region, and
     # the check adds no byte.
     cfg = ExperimentConfig(trials=200, seed=1)
     assert _sha(run_sweep_users(cfg, validate=True).csv_text()) == SWEEP_USERS_200

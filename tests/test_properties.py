@@ -88,7 +88,7 @@ def test_cross_check_fails_exactly_when_a_gap_sign_pair_leaves_the_region(gains,
            for w, s in plan.pairs):
         assert adaptive_pairing(users, fixed_region) == plan
     else:
-        with pytest.raises(OracleMismatchError, match="outside the solver region"):
+        with pytest.raises(OracleMismatchError, match="outside the region"):
             adaptive_pairing(users, fixed_region)
 
 

@@ -10,15 +10,15 @@ import pytest
 from vlc_noma import region as region_module
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import run_region_map
-from vlc_noma.rates import rate_gap_at, rate_gap_curve
+from vlc_noma.rates import noma_wins, rate_gap_at, rate_gap_curve
 from vlc_noma.region import (
     GAMMA_MAX,
     SCAN_POINTS,
     SCAN_RANGE,
     InfeasibleSeedError,
-    LazyRegion,
     NomaRegion,
     OracleMismatchError,
+    ORACLE_REL_WIDTH,
     RegionSolverError,
     SOLVER_REL_BOUND,
     TOLERANCE,
@@ -146,8 +146,8 @@ def seeded_gammas(seed, count):
 
 
 def test_sca_runs_never_cross_the_scan_seed():
-    # LazyRegion.admits rests on this, exactly: from its scan seed the r_min
-    # run never rises and the r_max run never falls.
+    # _certify's side-of-seed condition rests on this, exactly: from its scan
+    # seed the r_min run never rises and the r_max run never falls.
     for gamma in seeded_gammas(7, 200):
         seed = feasibility_scan(gamma)
         r_min, low = sca_solve(gamma, "min", seed)
@@ -311,30 +311,14 @@ def test_admits_widens_each_end_by_the_solver_bound():
     assert not NomaRegion.empty(100.0).admits(1.0)
 
 
-def test_lazy_region_admits_what_the_solved_region_admits():
-    # Each probe asks a fresh LazyRegion, which solves one endpoint only.
-    seen = set()
-    for gamma in seeded_gammas(11, 100):
-        region = region_for_snr(gamma)
-        seed = feasibility_scan(gamma)
-        probes = [end * f for end in (region.r_min, region.r_max)
-                  for f in (1 - 2e-3, 1 - 1e-3, 1 - 1e-9, 1.0, 1 + 1e-9, 1 + 1e-3, 1 + 2e-3)]
-        probes += [seed, math.nextafter(seed, 0.0)]
-        for r in probes:
-            verdict = LazyRegion(gamma).admits(r)
-            assert verdict == region.admits(r), (gamma, r)
-            seen.add((r < seed, verdict))
-        lazy = LazyRegion(gamma)
-        assert (lazy.seed, lazy.r_min, lazy.r_max) == (seed, region.r_min, region.r_max)
-    # ratios taken and refused on both sides of the seed
-    assert seen == {(True, True), (True, False), (False, True), (False, False)}
-
-
-def test_lazy_region_is_empty_where_the_scan_finds_no_ratio():
-    lazy = LazyRegion(10.0)
-    assert lazy.is_empty and lazy.seed is None
-    assert lazy.r_min is None and lazy.r_max is None
-    assert not lazy.admits(2.0)
+def test_an_oracle_region_admits_a_gap_sign_pair_only_widened():
+    # tests/test_cli.py's pair at gamma = 400 has a positive exact gap, but
+    # the oracle's bisection stops within ORACLE_REL_WIDTH below it
+    r = 29664.13946589052
+    assert noma_wins(400.0, r)
+    ref = oracle_region(400.0)
+    assert ref.r_max < r <= ref.r_max * (1.0 + ORACLE_REL_WIDTH)
+    assert ref.admits(r)
 
 
 def test_a_solve_that_does_not_converge_raises(monkeypatch):
@@ -342,9 +326,8 @@ def test_a_solve_that_does_not_converge_raises(monkeypatch):
     with pytest.raises(RegionSolverError) as err:
         region_for_snr(100.0)
     assert str(err.value) == "r_min solve did not converge at gamma=100"
-    # a ratio at or above the seed reads r_max alone
     with pytest.raises(RegionSolverError) as err:
-        LazyRegion(100.0).admits(1000.0)
+        region_module._solve(100.0, "max", feasibility_scan(100.0), False)
     assert str(err.value) == "r_max solve did not converge at gamma=100"
 
 
@@ -369,8 +352,8 @@ def test_region_cache_miss_equals_a_fresh_solve():
 
 
 def test_region_for_snr_validate_refuses_a_skewed_solver_endpoint(monkeypatch):
-    # a validated LazyRegion certifies each of the solver's own endpoints
-    # as it is solved, so only a read of the skewed r_max raises
+    # a validated region_for_snr certifies each of the solver's own
+    # endpoints as it is solved, so the skewed r_max raises
     true_solve = region_module.sca_solve
 
     def skewed_solve(gamma, objective, seed):
@@ -379,12 +362,8 @@ def test_region_for_snr_validate_refuses_a_skewed_solver_endpoint(monkeypatch):
 
     monkeypatch.setattr(region_module, "sca_solve", skewed_solve)
     region_for_snr(100.0)  # no certificate without validate
-    with pytest.raises(OracleMismatchError, match="solver r_max"):
+    with pytest.raises(OracleMismatchError, match="^r_max "):
         region_for_snr(100.0, validate=True)
-    lazy = LazyRegion(100.0, validate=True)
-    assert lazy.admits(10.0)  # below the seed 94.7: r_min alone, certified
-    with pytest.raises(OracleMismatchError, match="solver r_max"):
-        lazy.admits(1000.0)
 
 
 def certify(gamma, r_min, r_max):
@@ -402,9 +381,9 @@ def test_the_certificate_refuses_an_endpoint_off_by_2e_3_and_takes_one_off_by_5e
     gamma = 10.0 ** (db / 10.0)
     region = region_for_snr(gamma, validate=True)
     for f in (1.0 - 2e-3, 1.0 + 2e-3):
-        with pytest.raises(OracleMismatchError, match="solver r_min"):
+        with pytest.raises(OracleMismatchError, match="^r_min "):
             certify(gamma, region.r_min * f, region.r_max)
-        with pytest.raises(OracleMismatchError, match="solver r_max"):
+        with pytest.raises(OracleMismatchError, match="^r_max "):
             certify(gamma, region.r_min, region.r_max * f)
     for f in (1.0 - 5e-4, 1.0 + 5e-4):
         certify(gamma, region.r_min * f, region.r_max)
@@ -415,11 +394,11 @@ def test_the_certificate_refuses_an_endpoint_off_by_2e_3_and_takes_one_off_by_5e
     # At 10.13444 dB the seed is a grid point on the region's lower edge,
     # where the solver's r_min equals it: 1e-4 above it every gap sign
     # passes, and only the seed's order refuses the endpoint.
-    (10.13444, 1.0001, 1.0, "solver r_min 7.03238 is not within 0.001 of the gap's "
+    (10.13444, 1.0001, 1.0, "r_min 7.03238 is not within 0.001 of the gap's "
      "sign change at gamma=10.3144 (scan seed 7.03168)"),
     # At 10.1334 dB the region is the seed alone; 1e-4 below it, the same
     # holds for r_max.
-    (10.1334, 0.9998, 0.9999, "solver r_max 7.19261 is not within 0.001 of the gap's "
+    (10.1334, 0.9998, 0.9999, "r_max 7.19261 is not within 0.001 of the gap's "
      "sign change at gamma=10.3119 (scan seed 7.19333)"),
 ])
 def test_the_certificate_refuses_an_endpoint_across_the_scan_seed(

@@ -181,7 +181,7 @@ def test_gap_sign_cross_check_error_prints_exact_values():
         adaptive_pairing(users, lambda gamma: NomaRegion(gamma, r_min, 1e3))
     assert str(err.value) == (
         f"the gap sign pairs r={r!r} at gamma={weak.snr!r}, "
-        f"outside the solver region [{r_min!r}, 1000.0]")
+        f"outside the region [{r_min!r}, 1000.0]")
 
 
 def test_cross_check_takes_the_solver_bound_but_not_a_one_percent_shrink():
@@ -198,7 +198,7 @@ def test_cross_check_takes_the_solver_bound_but_not_a_one_percent_shrink():
     def shrunk(gamma):
         return NomaRegion(gamma, region.r_min * 1.01, region.r_max * 0.99)
 
-    with pytest.raises(OracleMismatchError, match="outside the solver region"):
+    with pytest.raises(OracleMismatchError, match="outside the region"):
         adaptive_pairing(users, shrunk)
 
 
