@@ -207,4 +207,6 @@ def mean_and_se(drops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if n == 1:
         return means, np.zeros(3)
     dev = drops - means
-    return means, np.sqrt(np.add.accumulate(dev * dev)[-1] / (n - 1)) / math.sqrt(n)
+    dev *= dev  # squared and folded in place: no second n x 3 buffer
+    np.add.accumulate(dev, out=dev)
+    return means, np.sqrt(dev[-1] / (n - 1)) / math.sqrt(n)

@@ -15,9 +15,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="key = value config file (defaults otherwise)")
     parser.add_argument("--out", metavar="PATH",
                         help="output file (stdout if omitted)")
-    parser.add_argument("--validate-oracle", action="store_true",
-                        help="certify every region endpoint the run reads by "
-                             "exact gap-sign tests, and check pairs against them")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -39,6 +36,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_users.add_argument("--workers", type=int, default=1, metavar="N",
                          help="parallel worker processes, at most the CPU count "
                               "(output bytes unaffected)")
+    p_users.add_argument("--validate-oracle", action="store_true",
+                         help="also check every drop's pairs against oracle regions "
+                              "certified by exact gap-sign tests, as region, "
+                              "sweep-power and pair always do (about 10x slower)")
 
     p_power = sub.add_parser("sweep-power", help="sum-rate vs LED power, fixed users")
     _add_common(p_power)
@@ -75,21 +76,21 @@ def main(argv=None) -> int:
     try:
         cfg = _load(args)
         if args.command == "region":
-            table = run_region_map(cfg, validate=args.validate_oracle)
+            table = run_region_map(cfg, validate=True)
             _emit(table.csv_text(), args.out)
         elif args.command == "sweep-users":
             table = run_sweep_users(cfg, validate=args.validate_oracle,
                                     workers=args.workers)
             _emit(table.csv_text(), args.out)
         elif args.command == "sweep-power":
-            table = run_sweep_power(cfg, validate=args.validate_oracle)
+            table = run_sweep_power(cfg)
             _emit(table.csv_text(), args.out)
         elif args.command == "pair":
             try:
                 gains = parse_float_list(args.gains)
             except ValueError as exc:
                 raise ConfigError(f"--gains has a bad value: {exc}") from None
-            plan, outcome = pair_once(gains, cfg, validate=args.validate_oracle)
+            plan, outcome = pair_once(gains, cfg)
             text = plan.serialize() + f"SUM_RATE {outcome.sum_rate!r}\n"
             _emit(text, args.out)
     except (ConfigError, ValueError, OSError, RegionSolverError) as exc:

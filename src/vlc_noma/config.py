@@ -101,7 +101,7 @@ class ExperimentConfig:
         sin_fov = math.sin(math.radians(self.fov_deg))
         if sin_fov * sin_fov == 0.0:
             raise ConfigError("fov_deg is too small: the square of its sine underflows to 0")
-        for name in ("snr_db_min", "snr_db_max"):
+        for name in ("dc_offset", "conversion_efficiency", "snr_db_min", "snr_db_max"):
             if not math.isfinite(getattr(self, name)):
                 raise ConfigError(f"{name} must be finite")
         if not SNR_DB_RESOLUTION <= self.snr_db_step < math.inf:

@@ -28,14 +28,14 @@ the public TDMA, forced and adaptive plans.
 Every route decides each pair by the sign of the rate gap at the weak
 user's exact SNR. A region only cross-checks a plan:
 adaptive_pairing(users, region_of) raises if a pair lies outside the region
-at its weak user's SNR by more than region.SOLVER_REL_BOUND. pair_once
-always cross-checks its plan, and the sum-rate sweeps do so with validate.
-Every route checks a pair against region.oracle_region, the bisection
-reference, and runs no solver; with validate it also certifies both of the
-oracle's endpoints within that bound by exact gap-sign tests. Only the
-region map runs the solver. Every region is computed at the exact SNR that
-asks for it, and none is cached, so no result depends on the order of the
-lookups or on the worker count.
+at its weak user's SNR by more than region.SOLVER_REL_BOUND. pair_once and
+the power sweep always cross-check their plans; the user sweep does so only
+with validate, since the check makes that sweep about ten times slower.
+Every check reads region.oracle_region, the bisection reference, with both
+of its endpoints certified within that bound by exact gap-sign tests, and
+runs no solver. Only the region map runs the solver. Every region is
+computed at the exact SNR that asks for it, and none is cached, so no
+result depends on the order of the lookups or on the worker count.
 
 block_sum_rates holds a block user-major, one contiguous row per sorted
 user, and adds each scheme's group rates row by row in evaluate_schedule's
@@ -139,7 +139,8 @@ def _sweep_users_block(args):
     """Worker entry: simulate trials [lo, hi) of user count k, drop for drop
     equal to _simulate_drop; returns one (hi - lo, 3) array of (tdma,
     forced, adaptive) sum-rates. With validate, every drop's pairs are also
-    cross-checked against their certified oracle regions."""
+    cross-checked against their certified oracle regions, as pair_once
+    checks them."""
     from .batch import block_floor_gains, block_sum_rates
     from .streams import uniform_streams
 
@@ -201,17 +202,17 @@ def run_sweep_users(
         return table(pool.imap(_sweep_users_block, blocks))
 
 
-def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTable:
+def run_sweep_power(cfg: ExperimentConfig) -> ResultTable:
     """Deterministic sum-rates of the three schemes at the fixed receiver
-    cluster, per LED power; validate cross-checks as run_sweep_users does."""
+    cluster, per LED power, each power's pairs cross-checked against their
+    certified oracle regions as pair_once checks them."""
     columns = ("p_led", "tdma", "forced", "adaptive", "adaptive_minus_forced")
     gains = floor_gains(cfg.link(), cfg.fixed_positions)
+    region_of = functools.partial(region_module.oracle_region, validate=True)
     rows = []
     for p_led in cfg.power_grid:
         rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(gains, p_led, cfg.noise_power)
-        if validate:
-            adaptive_pairing(UserChannelSet.from_gains(gains, p_led, cfg.noise_power),
-                             functools.partial(region_module.oracle_region, validate=True))
+        adaptive_pairing(UserChannelSet.from_gains(gains, p_led, cfg.noise_power), region_of)
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,
@@ -219,11 +220,11 @@ def run_sweep_power(cfg: ExperimentConfig, validate: bool = False) -> ResultTabl
     return ResultTable(columns, rows)
 
 
-def pair_once(gains, cfg: ExperimentConfig, validate: bool = False):
+def pair_once(gains, cfg: ExperimentConfig):
     """One-shot adaptive pairing for explicit gains, each pair cross-checked
-    against region.oracle_region at its weak user's SNR; returns (plan,
-    outcome). With validate, both of the oracle's endpoints are certified
-    within region.SOLVER_REL_BOUND, each by two exact gap-sign tests."""
+    against region.oracle_region at its weak user's SNR, with both of the
+    oracle's endpoints certified within region.SOLVER_REL_BOUND, each by two
+    exact gap-sign tests; returns (plan, outcome)."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    plan = adaptive_pairing(users, functools.partial(region_module.oracle_region, validate=validate))
+    plan = adaptive_pairing(users, functools.partial(region_module.oracle_region, validate=True))
     return plan, evaluate_schedule(plan, users)

@@ -481,8 +481,9 @@ class RegionCache:
     A miss runs region_for_snr at the SNR that missed, so every cached
     region equals a fresh region_for_snr call at the SNR that asks for it.
     Lookups from threads may race but at worst recompute the same value.
-    No route of the package uses one: pair_once and the validated sweeps
-    check each pair against oracle_region at its weak user's own SNR.
+    No route of the package uses one: pair_once, the power sweep and the
+    validated user sweep check each pair against oracle_region(gamma,
+    validate=True) at its weak user's own SNR.
     """
 
     def __init__(self):

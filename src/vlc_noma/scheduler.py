@@ -113,9 +113,10 @@ def adaptive_pairing(
     formed, at the weak user's SNR, and a pair whose r lies outside that
     region by more than region.SOLVER_REL_BOUND of an endpoint (see
     NomaRegion.admits) raises OracleMismatchError. The package's routes
-    pass region.oracle_region, the bisection reference; perfbench's traced
-    replay passes solver regions from a region.RegionCache. It never
-    changes the plan.
+    pass region.oracle_region, the bisection reference, with validate=True,
+    so each region's endpoints are certified before the pair is checked;
+    perfbench's traced replay passes solver regions from a
+    region.RegionCache. It never changes the plan.
     """
     order = users.users
     k = len(order)

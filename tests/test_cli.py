@@ -6,7 +6,7 @@ import math
 import pytest
 
 from vlc_noma import region
-from vlc_noma.cli import main
+from vlc_noma.cli import build_parser, main
 from vlc_noma.region import NomaRegion
 
 SMALL_SWEEP = "trials = 30\nusers_min = 2\nusers_max = 3\nseed = 11\n"
@@ -22,12 +22,52 @@ def test_region_subcommand_writes_csv(tmp_path):
     assert len(lines) == 4  # header + 10, 15, 20 dB
 
 
-def test_region_subcommand_validate_oracle(tmp_path):
+def test_region_exits_2_on_a_skewed_solver_endpoint(tmp_path, monkeypatch, capsys):
+    # region certifies each endpoint it solves, so a solver r_min 1% too
+    # high fails its certificate
+    true_solve = region.sca_solve
+
+    def skewed_solve(gamma, objective, seed):
+        r, trace = true_solve(gamma, objective, seed)
+        return (r * 1.01 if objective == "min" else r), trace
+
+    monkeypatch.setattr(region, "sca_solve", skewed_solve)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("snr_db_min = 20\nsnr_db_max = 22\nsnr_db_step = 1\n")
-    out = tmp_path / "region.csv"
-    rc = main(["region", "--config", str(cfg), "--out", str(out), "--validate-oracle"])
-    assert rc == 0
+    assert main(["region", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: r_min ") and " is not within " in captured.err
+    assert captured.err.count("\n") == 1
+
+
+def test_pair_exits_2_on_a_skewed_oracle_endpoint(monkeypatch, capsys):
+    # pair certifies both endpoints of each oracle region it checks a pair
+    # against, so an oracle r_min bisected 1% too high fails its certificate
+    true_bisect = region._log_bisect
+
+    def skewed_bisect(fn, lo, hi, lo_feasible, rel_width):
+        r = true_bisect(fn, lo, hi, lo_feasible, rel_width)
+        return r if lo_feasible else r * 1.01
+
+    monkeypatch.setattr(region, "_log_bisect", skewed_bisect)
+    assert main(["pair", "--gains", "1e-6,1.05e-6,1.1502173707608487e-6,"
+                 "3.162277660168379e-6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: r_min ") and " is not within " in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", [
+    ["region"], ["sweep-power"], ["pair", "--gains", "1e-6,2e-6"]])
+def test_validate_oracle_is_a_usage_error_outside_sweep_users(command, capsys):
+    # region, sweep-power and pair always certify the regions they read
+    assert build_parser().parse_args(["sweep-users", "--validate-oracle"]).validate_oracle
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--validate-oracle"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --validate-oracle" in capsys.readouterr().err
 
 
 def test_sweep_users_workers_do_not_change_bytes(tmp_path):
@@ -228,6 +268,8 @@ def test_snr_grid_bounds_past_the_float_range_fail_cleanly(text, key, tmp_path, 
     ("led_power = 1e9\nnoise_power = 1e-20\n", ["pair", "--gains", "1e136,2e136"]),
     # SNRs of about 1e240, through the user sweep's region cross-check
     ("noise_power = 1e-250\n", ["sweep-users", "--trials", "20", "--validate-oracle"]),
+    # fixed receivers past 480 dB, through the power sweep's region cross-check
+    ("noise_power = 1e-60\n", ["sweep-power"]),
 ])
 def test_region_solver_failures_exit_2(text, command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
@@ -243,7 +285,7 @@ def test_region_solver_failures_exit_2(text, command, tmp_path, capsys):
 # region runs the solver, and pair and the validated sweep the oracle region
 @pytest.mark.parametrize("text, command", [
     # 160 dB, where r_max is about 2e31
-    ("snr_db_min = 160\nsnr_db_max = 160\n", ["region", "--validate-oracle"]),
+    ("snr_db_min = 160\nsnr_db_max = 160\n", ["region"]),
     ("", ["pair", "--gains", "1e3,2e3"]),  # weak-user SNR 1e20
     # weak-user SNRs of about 1e17
     ("led_power = 1e9\nnoise_power = 1e-20\n",
@@ -259,13 +301,12 @@ def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
     assert captured.err == "" and "inf" not in captured.out
 
 
-# every route checks its pairs against region.oracle_region; pair does so
-# with or without the oracle flag
+# every route checks its pairs against region.oracle_region; the user sweep
+# does so only with the oracle flag
 @pytest.mark.parametrize("command", [
     pytest.param(["sweep-users", "--trials", "20", "--validate-oracle"], id="sweep-users"),
-    pytest.param(["sweep-power", "--validate-oracle"], id="sweep-power"),
+    pytest.param(["sweep-power"], id="sweep-power"),
     pytest.param(["pair", "--gains", "1e-6,2e-6"], id="pair"),
-    pytest.param(["pair", "--gains", "1e-6,2e-6", "--validate-oracle"], id="pair-validated"),
 ])
 def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
         command, monkeypatch, capsys):
@@ -282,29 +323,26 @@ def test_region_exits_2_when_its_solve_does_not_converge(tmp_path, monkeypatch, 
     monkeypatch.setattr(region, "MAX_ITERATIONS", 1)
     cfg = tmp_path / "run.cfg"
     cfg.write_text("snr_db_min = 20\nsnr_db_max = 20\n")
-    for flags in ([], ["--validate-oracle"]):
-        assert main(["region", "--config", str(cfg), *flags]) == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert captured.err == "error: r_min solve did not converge at gamma=100\n"
+    assert main(["region", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: r_min solve did not converge at gamma=100\n"
     # pair checks its pair (1, 4), r = 10 at gamma = 100, against the
     # oracle region, so it runs no solver
     gains = "1e-6,1.05e-6,1.1502173707608487e-6,3.162277660168379e-6"
-    for flags in ([], ["--validate-oracle"]):
-        assert main(["pair", "--gains", gains, *flags]) == 0
-        captured = capsys.readouterr()
-        assert captured.out.startswith("PAIR 1 4\n") and captured.err == ""
+    assert main(["pair", "--gains", gains]) == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("PAIR 1 4\n") and captured.err == ""
 
 
 def test_pair_leaves_a_pair_single_whose_float_gap_is_zero_but_exact_gap_negative(capsys):
     # At gamma = 100 this r lies 14,460 ulps below the solver's r_min. Its
     # float gap rounds to 0.0, but the exact gap is negative (rho is about
     # -6.2e-16), so the users stay single and the cross-check has no pair.
-    for flags in ([], ["--validate-oracle"]):
-        assert main(["pair", "--gains", "1e-6,1.7683513499195429e-06", *flags]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == "SOLO 1\nSOLO 2\nSUM_RATE 6.279256311674917\n"
-        assert captured.err == ""
+    assert main(["pair", "--gains", "1e-6,1.7683513499195429e-06"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "SOLO 1\nSOLO 2\nSUM_RATE 6.279256311674917\n"
+    assert captured.err == ""
 
 
 def test_pair_takes_a_gap_sign_pair_just_past_the_solver_r_max(capsys):
@@ -313,20 +351,17 @@ def test_pair_takes_a_gap_sign_pair_just_past_the_solver_r_max(capsys):
     # r_max, 29664.1394658151, and 5.9e-10 above the oracle's,
     # 29664.139448351045, which pair checks it against: inside the bound a
     # region is validated to.
-    for flags in ([], ["--validate-oracle"]):
-        assert main(["pair", "--gains", "2e-6,0.00034446561201890974", *flags]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == "PAIR 1 2\nSUM_RATE 14.867427805084258\n"
-        assert captured.err == ""
+    assert main(["pair", "--gains", "2e-6,0.00034446561201890974"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "PAIR 1 2\nSUM_RATE 14.867427805084258\n"
+    assert captured.err == ""
 
 
 def test_pair_takes_a_gap_sign_pair_whose_region_is_narrower_than_the_scan_grid(capsys):
     # The weak user sits at 10.1344 dB, where the feasibility scan's grid
     # finds no positive gap although the gap at this pair's r is positive:
     # its refine finds the region, and the pair lies inside it.
-    for flags in ([], ["--validate-oracle"]):
-        assert main(["pair", "--gains", "3.211589282887969e-07,8.616109156911085e-07",
-                     *flags]) == 0
-        captured = capsys.readouterr()
-        assert captured.out == "PAIR 1 2\nSUM_RATE 3.749563150320988\n"
-        assert captured.err == ""
+    assert main(["pair", "--gains", "3.211589282887969e-07,8.616109156911085e-07"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "PAIR 1 2\nSUM_RATE 3.749563150320988\n"
+    assert captured.err == ""

@@ -222,6 +222,9 @@ def test_degenerate_channels_are_config_errors(text, key):
     *((key, ["0", "-1", "inf", "nan"], "must be finite and > 0")
       for key in ("room_length", "room_width", "room_height", "pd_area",
                   "pd_responsivity", "filter_gain")),
+    # stored only, so any finite value loads
+    ("dc_offset", ["nan", "inf", "-inf"], "must be finite"),
+    ("conversion_efficiency", ["nan", "inf", "-inf"], "must be finite"),
 ])
 def test_device_bounds_name_the_config_key(key, values, message):
     for value in values:

@@ -269,10 +269,9 @@ def test_validated_sweeps_raise_when_a_region_disagrees_with_the_gap_sign(monkey
     with pytest.raises(OracleMismatchError, match="outside the region"):
         run_sweep_users(small_cfg(), validate=True)
     with pytest.raises(OracleMismatchError, match="outside the region"):
-        run_sweep_power(ExperimentConfig(), validate=True)
-    # without validate the rates consult no region
+        run_sweep_power(ExperimentConfig())
+    # without validate the user sweep's rates consult no region
     assert run_sweep_users(small_cfg()).rows
-    assert run_sweep_power(ExperimentConfig()).rows
 
 
 @functools.cache
@@ -322,14 +321,13 @@ def solver_runs(monkeypatch):
     return runs
 
 
-@pytest.mark.parametrize("validate", [False, True])
-def test_pair_once_reads_one_oracle_region_per_pair_and_runs_no_solver(solver_runs, validate):
-    # with validate, each oracle region certifies both endpoints, r_min first
+def test_pair_once_reads_one_oracle_region_per_pair_and_runs_no_solver(solver_runs):
+    # each oracle region certifies both endpoints, r_min first
     cfg = ExperimentConfig(seed=1)
-    checks = ["oracle", "certify min", "certify max"] if validate else ["oracle"]
+    checks = ["oracle", "certify min", "certify max"]
     expected = []
     for gains in pair_pool(1):
-        pair_once(gains, cfg, validate)
+        pair_once(gains, cfg)
         expected += [(gamma, check) for gamma, _ in formed_pairs(gains, cfg) for check in checks]
     assert solver_runs == expected  # and no sca_solve
     assert len(expected) == 3438 * len(checks)  # counted in advance
