@@ -29,13 +29,15 @@ Every route decides each pair by the sign of the rate gap at the weak
 user's exact SNR. A region only cross-checks a plan:
 adaptive_pairing(users, region_of) raises if a pair lies outside the region
 at its weak user's SNR by more than region.SOLVER_REL_BOUND. pair_once and
-the power sweep always cross-check their plans; the user sweep does so only
-with validate, since the check makes that sweep about ten times slower.
-Every check reads region.oracle_region, the bisection reference, with both
-of its endpoints certified within that bound by exact gap-sign tests, and
-runs no solver. Only the region map runs the solver. Every region is
-computed at the exact SNR that asks for it, and none is cached, so no
-result depends on the order of the lookups or on the worker count.
+the power sweep always cross-check their plans, the power sweep through
+scheme_sum_rates, so each power's one greedy is both rated and checked; the
+user sweep does so only with validate, since the check makes that sweep
+about ten times slower. Every check passes region.oracle_region itself, the
+bisection reference, which certifies both of its endpoints within that
+bound by exact gap-sign tests and runs no solver. Only the region map runs
+the solver. Every region is computed at the exact SNR that asks for it, and
+none is cached, so no result depends on the order of the lookups or on the
+worker count.
 
 block_sum_rates holds a block user-major, one contiguous row per sorted
 user, and adds each scheme's group rates row by row in evaluate_schedule's
@@ -48,7 +50,6 @@ never with numpy's pairwise np.sum or np.mean (batch's docstring says why
 the bytes hold).
 """
 
-import functools
 import itertools
 import numbers
 import os
@@ -140,7 +141,8 @@ def _sweep_users_block(args):
     equal to _simulate_drop; returns one (hi - lo, 3) array of (tdma,
     forced, adaptive) sum-rates. With validate, every drop's pairs are also
     cross-checked against their certified oracle regions, as pair_once
-    checks them."""
+    checks them, by a second scalar greedy per drop: block_sum_rates, which
+    rates the block, takes no region."""
     from .batch import block_floor_gains, block_sum_rates
     from .streams import uniform_streams
 
@@ -151,10 +153,9 @@ def _sweep_users_block(args):
     gains = block_floor_gains(link, u[:, 0::2] * room.length, u[:, 1::2] * room.width)
     rates = block_sum_rates(gains, cfg.led_power, cfg.noise_power)
     if validate:
-        region_of = functools.partial(region_module.oracle_region, validate=True)
         for row in gains.tolist():
             adaptive_pairing(UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power),
-                             region_of)
+                             region_module.oracle_region)
     return rates
 
 
@@ -204,15 +205,16 @@ def run_sweep_users(
 
 def run_sweep_power(cfg: ExperimentConfig) -> ResultTable:
     """Deterministic sum-rates of the three schemes at the fixed receiver
-    cluster, per LED power, each power's pairs cross-checked against their
-    certified oracle regions as pair_once checks them."""
+    cluster, per LED power. scheme_sum_rates hands region.oracle_region to
+    adaptive_pairing, so the one greedy per power that the rates come from
+    also has its pairs cross-checked against their certified oracle regions,
+    as pair_once checks them."""
     columns = ("p_led", "tdma", "forced", "adaptive", "adaptive_minus_forced")
     gains = floor_gains(cfg.link(), cfg.fixed_positions)
-    region_of = functools.partial(region_module.oracle_region, validate=True)
     rows = []
     for p_led in cfg.power_grid:
-        rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(gains, p_led, cfg.noise_power)
-        adaptive_pairing(UserChannelSet.from_gains(gains, p_led, cfg.noise_power), region_of)
+        rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(
+            gains, p_led, cfg.noise_power, region_module.oracle_region)
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,
@@ -222,9 +224,9 @@ def run_sweep_power(cfg: ExperimentConfig) -> ResultTable:
 
 def pair_once(gains, cfg: ExperimentConfig):
     """One-shot adaptive pairing for explicit gains, each pair cross-checked
-    against region.oracle_region at its weak user's SNR, with both of the
-    oracle's endpoints certified within region.SOLVER_REL_BOUND, each by two
-    exact gap-sign tests; returns (plan, outcome)."""
+    against region.oracle_region at its weak user's SNR, which certifies
+    both of its endpoints within region.SOLVER_REL_BOUND, each by two exact
+    gap-sign tests; returns (plan, outcome)."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    plan = adaptive_pairing(users, functools.partial(region_module.oracle_region, validate=True))
+    plan = adaptive_pairing(users, region_module.oracle_region)
     return plan, evaluate_schedule(plan, users)

@@ -8,8 +8,9 @@ solver, the paper's method, serves only the region map (region_for_snr and
 RegionCache); the oracle is the reference the tests compare it with, and
 the region every pair check reads. The same unimodality lets two exact
 gap-sign tests (rates.noma_wins) prove an endpoint of either route within
-SOLVER_REL_BOUND of the gap's sign change, with no second bisection: that
-is what validate certifies.
+SOLVER_REL_BOUND of the gap's sign change, with no second bisection:
+every oracle region is certified so, and a solver region when
+region_for_snr is asked to validate it.
 
 The solver runs as fused kernels: each bisection step and bracket test
 evaluates rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope,
@@ -322,10 +323,10 @@ def _log_bisect(fn, lo: float, hi: float, lo_feasible: bool, rel_width: float) -
     return lo if lo_feasible else hi
 
 
-def oracle_region(gamma: float, validate: bool = False) -> NomaRegion:
+def oracle_region(gamma: float) -> NomaRegion:
     """Brute-force region: grid seed plus bisection of rates.rate_gap_at
-    toward both endpoints; with validate, each endpoint is certified from
-    the seed (_certify), r_min first, or OracleMismatchError.
+    toward both endpoints, each endpoint then certified from the seed
+    (_certify), r_min first, or OracleMismatchError.
 
     Valid because the gap has a single interior maximum, so each side of the
     seed crosses zero at most once.
@@ -340,9 +341,8 @@ def oracle_region(gamma: float, validate: bool = False) -> NomaRegion:
     while gap(hi) >= 0.0:
         hi *= 4.0
     r_max = _log_bisect(gap, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
-    if validate:
-        _certify(gamma, "min", r_min, seed)
-        _certify(gamma, "max", r_max, seed)
+    _certify(gamma, "min", r_min, seed)
+    _certify(gamma, "max", r_max, seed)
     return NomaRegion(gamma, r_min, r_max)
 
 
@@ -482,8 +482,8 @@ class RegionCache:
     region equals a fresh region_for_snr call at the SNR that asks for it.
     Lookups from threads may race but at worst recompute the same value.
     No route of the package uses one: pair_once, the power sweep and the
-    validated user sweep check each pair against oracle_region(gamma,
-    validate=True) at its weak user's own SNR.
+    validated user sweep check each pair against oracle_region, certified,
+    at its weak user's own SNR.
     """
 
     def __init__(self):

@@ -113,8 +113,8 @@ def adaptive_pairing(
     formed, at the weak user's SNR, and a pair whose r lies outside that
     region by more than region.SOLVER_REL_BOUND of an endpoint (see
     NomaRegion.admits) raises OracleMismatchError. The package's routes
-    pass region.oracle_region, the bisection reference, with validate=True,
-    so each region's endpoints are certified before the pair is checked;
+    pass region.oracle_region, the bisection reference, which certifies
+    each region's endpoints before the pair is checked;
     perfbench's traced replay passes solver regions from a
     region.RegionCache. It never changes the plan.
     """
@@ -211,11 +211,15 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
 
 
 def scheme_sum_rates(
-    gains: Sequence[float], p_led: float, noise_power: float
+    gains: Sequence[float],
+    p_led: float,
+    noise_power: float,
+    region_of: Callable[[float], NomaRegion] | None = None,
 ) -> tuple[float, float, float]:
     """(TDMA, forced, adaptive) sum-rates of users 1..K with these gains:
     evaluate_schedule of tdma_plan, forced_pairing and adaptive_pairing over
-    UserChannelSet.from_gains(gains, p_led, noise_power)."""
+    UserChannelSet.from_gains(gains, p_led, noise_power). A given region_of
+    goes to adaptive_pairing, which cross-checks the plan it rates."""
     users = UserChannelSet.from_gains(gains, p_led, noise_power)
-    plans = (tdma_plan(users), forced_pairing(users), adaptive_pairing(users))
+    plans = (tdma_plan(users), forced_pairing(users), adaptive_pairing(users, region_of))
     return tuple(evaluate_schedule(plan, users).sum_rate for plan in plans)

@@ -311,7 +311,7 @@ def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
 def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
         command, monkeypatch, capsys):
     monkeypatch.setattr(region, "oracle_region",
-                        lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
+                        lambda gamma: NomaRegion(gamma, 1.0, 1.5))
     assert main(command) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from vlc_noma.channel import RoomGeometry, floor_gains
-from vlc_noma import experiments, region
+from vlc_noma import experiments, region, scheduler
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import (
     STREAM_BLOCK,
@@ -265,13 +265,31 @@ def test_pair_once_matches_library_pairing():
 def test_validated_sweeps_raise_when_a_region_disagrees_with_the_gap_sign(monkeypatch):
     # Regions that end at r = 1.5 leave out pairs the gap sign takes.
     monkeypatch.setattr(region, "oracle_region",
-                        lambda gamma, validate=False: NomaRegion(gamma, 1.0, 1.5))
+                        lambda gamma: NomaRegion(gamma, 1.0, 1.5))
     with pytest.raises(OracleMismatchError, match="outside the region"):
         run_sweep_users(small_cfg(), validate=True)
     with pytest.raises(OracleMismatchError, match="outside the region"):
         run_sweep_power(ExperimentConfig())
     # without validate the user sweep's rates consult no region
     assert run_sweep_users(small_cfg()).rows
+
+
+def test_the_power_sweep_runs_one_checked_greedy_per_power(monkeypatch):
+    # scheme_sum_rates passes the oracle to the greedy whose plan it rates,
+    # so no second greedy runs only to check the pairs
+    calls = []
+    true_pairing = adaptive_pairing
+
+    def counted(users, region_of=None):
+        calls.append(region_of)
+        return true_pairing(users, region_of)
+
+    monkeypatch.setattr(scheduler, "adaptive_pairing", counted)
+    monkeypatch.setattr(experiments, "adaptive_pairing", counted)
+    cfg = ExperimentConfig()
+    run_sweep_power(cfg)
+    assert len(calls) == len(cfg.power_grid)
+    assert all(region_of is not None for region_of in calls)
 
 
 @functools.cache
@@ -307,9 +325,9 @@ def solver_runs(monkeypatch):
         runs.append((gamma, objective))
         return true_solve(gamma, objective, seed)
 
-    def oracle(gamma, validate=False):
+    def oracle(gamma):
         runs.append((gamma, "oracle"))
-        return true_oracle(gamma, validate)
+        return true_oracle(gamma)
 
     def certify(gamma, objective, r, seed):
         runs.append((gamma, f"certify {objective}"))
@@ -360,7 +378,7 @@ def log2_calls(monkeypatch):
     monkeypatch.setattr(region, "sca_solve",
                         staged(region.sca_solve, lambda gamma, objective, seed: f"r_{objective}"))
     monkeypatch.setattr(region, "oracle_region",
-                        staged(region.oracle_region, lambda gamma, validate=False: "oracle"))
+                        staged(region.oracle_region, lambda gamma: "oracle"))
     return calls
 
 

@@ -17,6 +17,7 @@ from pathlib import Path
 import numpy as np
 
 import vlc_noma
+from vlc_noma.channel import floor_gains
 from vlc_noma.cli import main
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import run_region_map, run_sweep_power, run_sweep_users
@@ -24,6 +25,8 @@ from vlc_noma.rates import noma_rate_at, noma_user_rates
 
 REGION_MAP = "4e3435b510220a648b55a504281445b17c19e5fa4b0a02ed8f7256a0276ad79a"
 SWEEP_POWER = "8c3fc59e584ac2a2c6eca4a0ae206d88846b9be22152fe74ce8037624e4130e1"
+# fov_deg = 50: two of the six fixed receivers lie outside the field of view.
+SWEEP_POWER_FOV50 = "f531b1db41f1552b45208ebd6eee6655b61f085108ff77d85e6443fd01b9a8e0"
 # -10..480 dB at step 0.5 (981 rows), validated or not: unlike the default
 # 0..60 dB map it reaches the solver's high-SNR iteration counts and its
 # bracket growth.
@@ -55,6 +58,15 @@ def test_sweep_power_bytes():
     # Every gap-sign pair lies in its certified oracle region, and the
     # check adds no byte.
     assert _sha(run_sweep_power(ExperimentConfig()).csv_text()) == SWEEP_POWER
+
+
+def test_narrow_fov_sweep_power_bytes():
+    # Receivers 5 and 6, at (5, 6, 0) and (6, 1, 0), are dead, so the
+    # checked greedy skips them and forced pairing rates zero-gain pairs.
+    cfg = ExperimentConfig(fov_deg=50.0)
+    gains = floor_gains(cfg.link(), cfg.fixed_positions)
+    assert [i for i, h in enumerate(gains, 1) if h == 0.0] == [5, 6]
+    assert _sha(run_sweep_power(cfg).csv_text()) == SWEEP_POWER_FOV50
 
 
 def test_pair_bytes(capsys):

@@ -366,6 +366,19 @@ def test_region_for_snr_validate_refuses_a_skewed_solver_endpoint(monkeypatch):
         region_for_snr(100.0, validate=True)
 
 
+def test_the_oracle_certifies_its_endpoints_with_no_argument(monkeypatch):
+    # oracle_region has one form: every region it returns is certified, r_min
+    # first, so endpoints bisected 1% too high raise on r_min
+    true_bisect = region_module._log_bisect
+
+    def skewed_bisect(fn, lo, hi, lo_feasible, rel_width):
+        return true_bisect(fn, lo, hi, lo_feasible, rel_width) * 1.01
+
+    monkeypatch.setattr(region_module, "_log_bisect", skewed_bisect)
+    with pytest.raises(OracleMismatchError, match="^r_min "):
+        oracle_region(100.0)
+
+
 def certify(gamma, r_min, r_max):
     """region_module._certify on each given endpoint, r_min first, from
     gamma's scan seed."""
