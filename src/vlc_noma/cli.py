@@ -39,7 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_users.add_argument("--validate-oracle", action="store_true",
                          help="also check every drop's pairs against oracle regions "
                               "certified by exact gap-sign tests, as region, "
-                              "sweep-power and pair always do (about 10x slower)")
+                              "sweep-power and pair always do (about 6x slower)")
 
     p_power = sub.add_parser("sweep-power", help="sum-rate vs LED power, fixed users")
     _add_common(p_power)

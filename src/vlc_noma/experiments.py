@@ -32,10 +32,10 @@ at its weak user's SNR by more than region.SOLVER_REL_BOUND. pair_once and
 the power sweep always cross-check their plans, the power sweep through
 scheme_sum_rates, so each power's one greedy is both rated and checked; the
 user sweep does so only with validate, since the check makes that sweep
-about ten times slower. Every check passes region.oracle_region itself, the
-bisection reference, which certifies both of its endpoints within that
-bound by exact gap-sign tests and runs no solver. Only the region map runs
-the solver. Every region is computed at the exact SNR that asks for it, and
+about six times slower. Every check passes region.oracle_region itself, the
+bisection reference, which bisects the same exact gap sign, certifies both
+of its endpoints within that bound by two more such sign tests, and runs
+no solver. Only the region map runs the solver. Every region is computed at the exact SNR that asks for it, and
 none is cached, so no result depends on the order of the lookups or on the
 worker count.
 

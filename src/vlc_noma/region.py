@@ -6,8 +6,10 @@ linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 a brute-force bisection oracle licensed by the gap's unimodality. The
 solver, the paper's method, serves only the region map (region_for_snr and
 RegionCache); the oracle is the reference the tests compare it with, and
-the region every pair check reads. The same unimodality lets two exact
-gap-sign tests (rates.noma_wins) prove an endpoint of either route within
+the region every pair check reads. The oracle bisects the exact gap sign,
+rates.noma_wins, in + - * / alone: the same predicate that forms every
+pair, so past the scan it takes no log2. The same unimodality lets two
+exact gap-sign tests prove an endpoint of either route within
 SOLVER_REL_BOUND of the gap's sign change, with no second bisection:
 every oracle region is certified so, and a solver region when
 region_for_snr is asked to validate it.
@@ -23,9 +25,10 @@ compares the NOMA side with the TDMA tangent as p >= c where the generic
 route tests p - c >= 0.0: for finite floats a rounded difference is zero
 only when its operands are equal, and rounding never flips its sign, so
 every step takes the same branch. tests/test_bit_identity.py pins the
-solver == to that generic route, down to brackets of adjacent floats. The
-oracle is that generic route itself, rates.rate_gap_at through _log_bisect,
-so it shares no fused code with the solver it checks.
+solver == to that generic route, down to brackets of adjacent floats, and
+the oracle == to a bisection of rates.rate_gap_at's float sign. The oracle
+shares no fused code with the solver it checks: it runs noma_wins through
+_log_bisect.
 
 The feasibility scan that seeds both routes is scalar too: a bisection on
 the sign of the gap's forward difference over a frozen 256-point grid, and
@@ -38,7 +41,7 @@ import math
 from dataclasses import dataclass, field
 from functools import partial
 
-from .rates import _LN2, CAPACITY_SNR_FACTOR, noma_wins, rate_gap_at
+from .rates import _LN2, CAPACITY_SNR_FACTOR, noma_wins
 
 # The solver's range: weak-user SNRs up to 480 dB. Inside it every bracket
 # stops within 4 * r_max (r_max grows as about 0.19 * gamma^2), so t*r*gamma
@@ -109,10 +112,11 @@ class NomaRegion:
         """Whether r lies in [r_min, r_max] widened at each end by
         SOLVER_REL_BOUND of that end: the ratios a true region can hold
         when this one is a validated solver region. The pair checks pass
-        oracle regions, whose endpoints may lie up to ORACLE_REL_WIDTH
-        inside the gap's sign change, so a pair nearer to it than that can
-        fall just outside one unwidened; solver regions reach it through
-        perfbench's traced replay."""
+        oracle regions, bisected on the noma_wins sign that forms each
+        pair, whose endpoints may lie up to ORACLE_REL_WIDTH inside that
+        sign's change, so a pair nearer to it than that can fall just
+        outside one unwidened; solver regions reach it through perfbench's
+        traced replay."""
         return (not self.is_empty
                 and self.r_min * (1.0 - SOLVER_REL_BOUND) <= r
                 <= self.r_max * (1.0 + SOLVER_REL_BOUND))
@@ -310,13 +314,14 @@ def _surrogate_root(gamma: float, q_r: float, q_slope: float, anchor: float,
     return hi
 
 
-def _log_bisect(fn, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
-    """Root of fn(x) >= 0, for any fn: the generic route."""
+def _log_bisect(wins, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
+    """Bracket end on the feasible side of the one point in [lo, hi] where
+    the predicate wins(x) changes value."""
     while hi - lo > rel_width * hi:
         mid = math.sqrt(lo * hi)
         if mid <= lo or mid >= hi:  # bracket at float resolution
             break
-        if (fn(mid) >= 0.0) == lo_feasible:
+        if wins(mid) == lo_feasible:
             lo = mid
         else:
             hi = mid
@@ -324,23 +329,23 @@ def _log_bisect(fn, lo: float, hi: float, lo_feasible: bool, rel_width: float) -
 
 
 def oracle_region(gamma: float) -> NomaRegion:
-    """Brute-force region: grid seed plus bisection of rates.rate_gap_at
-    toward both endpoints, each endpoint then certified from the seed
-    (_certify), r_min first, or OracleMismatchError.
+    """Brute-force region: grid seed plus bisection of the exact gap sign,
+    rates.noma_wins, toward both endpoints, each endpoint then certified
+    from the seed (_certify), r_min first, or OracleMismatchError.
 
     Valid because the gap has a single interior maximum, so each side of the
-    seed crosses zero at most once.
+    seed crosses zero at most once. Past the scan it takes no log2.
     """
     seed = feasibility_scan(gamma)
     if seed is None:
         return NomaRegion.empty(gamma)
-    gap = partial(rate_gap_at, gamma)
+    wins = partial(noma_wins, gamma)
     # The gap at r = 1 is negative at every SNR (t < 1), so r_min lies above 1.
-    r_min = _log_bisect(gap, 1.0, seed, False, ORACLE_REL_WIDTH)
+    r_min = _log_bisect(wins, 1.0, seed, False, ORACLE_REL_WIDTH)
     hi = max(seed * 2.0, SCAN_RANGE[1])
-    while gap(hi) >= 0.0:
+    while wins(hi):
         hi *= 4.0
-    r_max = _log_bisect(gap, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
+    r_max = _log_bisect(wins, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
     _certify(gamma, "min", r_min, seed)
     _certify(gamma, "max", r_max, seed)
     return NomaRegion(gamma, r_min, r_max)
@@ -431,10 +436,10 @@ def _certify(gamma: float, objective: str, r: float, seed: float) -> None:
     the gap refuses at r_min/(1+b) puts the true r_min above it, and one it
     takes at r_min/(1-b), or s itself where s <= r_min/(1-b), puts the true
     r_min at or below it; r_max mirrors this. rates.noma_wins decides each
-    sign with + - * / alone, so the two tests prove what a bisection to
-    ORACLE_REL_WIDTH would only approximate. The endpoint must also lie on
-    its side of s, as solver runs and oracle bisections from s never cross
-    it.
+    sign with + - * / alone, the predicate the oracle bisects, so two sign
+    tests bound an endpoint of either route with no bisection of their
+    own. The endpoint must also lie on its side of s, as solver runs and
+    oracle bisections from s never cross it.
     """
     b = SOLVER_REL_BOUND
     if objective == "min":

@@ -113,8 +113,9 @@ def adaptive_pairing(
     formed, at the weak user's SNR, and a pair whose r lies outside that
     region by more than region.SOLVER_REL_BOUND of an endpoint (see
     NomaRegion.admits) raises OracleMismatchError. The package's routes
-    pass region.oracle_region, the bisection reference, which certifies
-    each region's endpoints before the pair is checked;
+    pass region.oracle_region, the bisection reference, which bisects the
+    same noma_wins sign and certifies each region's endpoints before the
+    pair is checked;
     perfbench's traced replay passes solver regions from a
     region.RegionCache. It never changes the plan.
     """

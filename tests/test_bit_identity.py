@@ -558,8 +558,9 @@ def test_mean_and_se_holds_one_buffer_the_size_of_its_input():
 # bisection) repeat rates' formulas inline. The reference below is the
 # generic route they replace: noma_rate_at, tdma_rate_at, tdma_rate_slope and
 # rate_gap_at through one bisection that takes the function it bisects. The
-# oracle runs that route itself; this copy of it stays independent of
-# region.py, so the oracle's bits are pinned whatever its code becomes.
+# oracle bisects the exact sign noma_wins instead; this copy bisects the
+# float rate_gap_at and stays independent of region.py, so the oracle's bits
+# are pinned to the log2 route's whatever its code becomes.
 
 def _log_bisect(fn, lo, hi, lo_feasible, rel_width):
     while hi - lo > rel_width * hi:

@@ -6,9 +6,11 @@ diagnostic whose values reach no output, is exempt.
 For the same reason no decision takes a transcendental: the block kernels
 map only math.log2 and pow (for the values that reach an output), and
 neither the scheduler nor the kernels name rate_gap_at, so every pair is
-decided by rates.noma_wins's + - * /. No module names acos either: a
-field-of-view cut compares a cosine with cos(fov), and no route computes
-an angle.
+decided by rates.noma_wins's + - * /. Nor does region: the oracle every
+pair check reads bisects noma_wins, and only the feasibility scan and the
+solver compute the gap, inline, with math.log2. No module names acos
+either: a field-of-view cut compares a cosine with cos(fov), and no route
+computes an angle.
 """
 
 import ast
@@ -107,10 +109,10 @@ def test_the_checkers_find_every_transcendental_decision():
 def test_no_pair_or_field_of_view_decision_takes_a_transcendental():
     package = Path(vlc_noma.__file__).parent
     trees = {name: ast.parse((package / name).read_text(encoding="utf-8"))
-             for name in ("batch.py", "scheduler.py")}
+             for name in ("batch.py", "region.py", "scheduler.py")}
     assert mapped_functions(trees["batch.py"]) == []
     assert {name: gap_names(tree) for name, tree in trees.items()} == {
-        "batch.py": [], "scheduler.py": []}
+        "batch.py": [], "region.py": [], "scheduler.py": []}
 
 
 def arccosines(tree: ast.AST) -> list[int]:
