@@ -17,8 +17,9 @@ Every sum of the user sweep is a left fold from its first term, in the
 loops' order. block_sum_rates holds its block user-major, one row per
 sorted user, and adds a scheme's group rates row by row
 (total = rows[0].copy(), then total += row for each later row);
-mean_and_se keeps np.add.accumulate's last partial sum down each column.
-Both are the loops' fold from 0.0, bit for bit:
+mean_and_se keeps np.add.accumulate's last partial sum down each column,
+taken FOLD_ROWS rows at a time, each block accumulated behind the partial
+sums before it. Both are the loops' fold from 0.0, bit for bit:
 
 * numpy defines accumulate on a 1-D array as t = op(t, A[i]) for i
   ascending, applied along the chosen axis: evaluate_schedule's order, and
@@ -48,13 +49,18 @@ import numpy as np
 from .channel import _TWO_PI, LinkConstants
 from .rates import CAPACITY_SNR_FACTOR, noma_wins, squared_ratio
 
+# Rows mean_and_se folds at a time, so its memory does not grow with n.
+FOLD_ROWS = 2048
+
 
 def mapped(fn, values: np.ndarray, *args) -> np.ndarray:
     """fn(v, *args) for each element v of a float array, by the scalar
     function itself (math's or a builtin) mapped at C speed: numpy's own
-    transcendentals can differ from math's in the last bit."""
-    return np.fromiter(map(fn, values.ravel().tolist(), *args), float,
-                       count=values.size).reshape(values.shape)
+    transcendentals can differ from math's in the last bit. The map reads
+    the elements through a memoryview, one Python float at a time, so it
+    builds no list of them."""
+    flat = memoryview(np.ascontiguousarray(values).ravel())
+    return np.fromiter(map(fn, flat, *args), float, count=values.size).reshape(values.shape)
 
 
 def _on_live(live: np.ndarray, fn, *arrays: np.ndarray) -> np.ndarray:
@@ -73,21 +79,34 @@ def block_floor_gains(link: LinkConstants, xs: np.ndarray, ys: np.ndarray) -> np
     to it element by element. channel._los_link's +, -, *, / and sqrt (d*d
     too) and its cosine test are IEEE-exact in numpy in the same order, and
     overflow to inf silently as Python's floats do; its cos**m is builtin
-    pow mapped over the live cosines (see _on_live)."""
+    pow mapped over the live cosines (see _on_live). Each full-size step
+    after the first writes into the array it reads."""
     lx, ly, lz = link.led_position
     with np.errstate(over="ignore"):
-        dx = xs - lx
-        dy = ys - ly
         dz = 0.0 - lz
-        distance = np.sqrt(dx * dx + dy * dy + dz * dz)
+        # sqrt(dx * dx + dy * dy + dz * dz), left to right in one buffer
+        distance = xs - lx
+        distance *= distance
+        dy = ys - ly
+        dy *= dy
+        distance += dy
+        del dy
+        distance += dz * dz
+        np.sqrt(distance, out=distance)
         if (distance == 0.0).any():
             raise ValueError("receiver is collocated with the LED")
         cos_angle = -dz / distance
 
         def gain(d, cos):
-            return (link.scale / (_TWO_PI * (d * d))
-                    * mapped(pow, cos, repeat(link.m)) * link.filter_gain * link.concentrator
-                    * cos)
+            # scale / (2 pi (d * d)) * cos**m * filter_gain * concentrator * cos
+            out = d * d
+            out *= _TWO_PI
+            np.divide(link.scale, out, out=out)
+            out *= mapped(pow, cos, repeat(link.m))
+            out *= link.filter_gain
+            out *= link.concentrator
+            out *= cos
+            return out
 
         return _on_live(cos_angle >= link.cos_fov, gain, distance, cos_angle)
 
@@ -98,13 +117,26 @@ def _block_pair_rates(weak, strong, gamma, solo_unit, tau) -> np.ndarray:
     an r overflowed to inf earning the r -> inf limit of both unit rates,
     the weak user's solo_unit."""
     r = squared_ratio(strong, weak)
-    x = CAPACITY_SNR_FACTOR * r * gamma
-    unit_weak = mapped(math.log2, 1.0 + x / (r + gamma + 1.0))
-    unit_strong = mapped(math.log2, 1.0 + x / (r + 1.0))
+    x = CAPACITY_SNR_FACTOR * r
+    x *= gamma
+    # 1 + x / (r + gamma + 1) and 1 + x / (r + 1), each in its divisor's buffer
+    weak_arg = r + gamma
+    weak_arg += 1.0
+    np.divide(x, weak_arg, out=weak_arg)
+    weak_arg += 1.0
+    strong_arg = r + 1.0
+    np.divide(x, strong_arg, out=strong_arg)
+    strong_arg += 1.0
+    del x
+    unit_weak = mapped(math.log2, weak_arg)
+    unit_strong = mapped(math.log2, strong_arg)
     limit = r == math.inf
     if limit.any():
         unit_weak[limit] = unit_strong[limit] = solo_unit[limit]
-    return tau * unit_weak + tau * unit_strong
+    unit_weak *= tau
+    unit_strong *= tau
+    unit_weak += unit_strong
+    return unit_weak
 
 
 def _fold(rows) -> np.ndarray:
@@ -161,11 +193,16 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
         raise ValueError("need at least one user")
     g = g.T.copy()  # user-major: row i is sorted user i of every drop
     with np.errstate(all="ignore"):
-        snrs = p_led * g * g / noise_power
+        snrs = p_led * g
+        snrs *= g
+        snrs /= noise_power
         if not ((0.0 <= g) & (g < math.inf) & (0.0 <= snrs) & (snrs < math.inf)).all():
             raise ValueError("gains and SNRs must be finite and non-negative")
         solo_tau, pair_tau = 1.0 / k, 2.0 / k
-        units = mapped(math.log2, 1.0 + CAPACITY_SNR_FACTOR * snrs)
+        arg = CAPACITY_SNR_FACTOR * snrs
+        arg += 1.0
+        units = mapped(math.log2, arg)
+        del arg
         solo = solo_tau * units
 
         # Forced pairs (i, k - 1 - i): a dead weak user earns (0, 0).
@@ -198,15 +235,38 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
                      _fold([*pair_rates, *np.where(paired, 0.0, solo)])], axis=1)
 
 
+def _column_fold(drops: np.ndarray, mean=None) -> np.ndarray:
+    """np.add.accumulate's last partial sum down each column of the terms:
+    the rows of drops, or with mean each row's squared deviation
+    (row - mean) * (row - mean). The terms are made and folded FOLD_ROWS
+    rows at a time, each block after the first behind the partial sums
+    before it, as [carry, *block]: numpy's left fold continued, bit for
+    bit, in one block-size buffer."""
+    buf = np.empty((FOLD_ROWS + 1, drops.shape[1]))  # row 0: the carry
+    for lo in range(0, len(drops), FOLD_ROWS):
+        block = drops[lo:lo + FOLD_ROWS]
+        terms = buf[1:len(block) + 1]
+        if mean is None:
+            terms[...] = block
+        else:
+            np.subtract(block, mean, out=terms)
+            terms *= terms
+        run = buf[:len(block) + 1] if lo else terms
+        np.add.accumulate(run, out=run)
+        buf[0] = run[-1]
+    return buf[0].copy()
+
+
 def mean_and_se(drops: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sample means and standard errors of the columns of an (n, 3) array
-    of sum-rates, each sum by np.add.accumulate: the sample standard
-    deviation (n - 1 denominator) over sqrt(n), and 0.0 for a single drop."""
+    of sum-rates, each sum np.add.accumulate's fold (see _column_fold): the
+    sample standard deviation (n - 1 denominator) over sqrt(n), and 0.0
+    for a single drop. Beyond the input it holds a few FOLD_ROWS-row
+    buffers, whatever n."""
     n = len(drops)
-    means = np.add.accumulate(drops)[-1] / n
+    if n == 0:
+        raise ValueError("need at least one drop")
+    means = _column_fold(drops) / n
     if n == 1:
         return means, np.zeros(3)
-    dev = drops - means
-    dev *= dev  # squared and folded in place: no second n x 3 buffer
-    np.add.accumulate(dev, out=dev)
-    return means, np.sqrt(dev[-1] / (n - 1)) / math.sqrt(n)
+    return means, np.sqrt(_column_fold(drops, means) / (n - 1)) / math.sqrt(n)

@@ -108,4 +108,5 @@ def uniform_streams(seed: int, k: int, lo: int, hi: int) -> np.ndarray:
         xored, rot = state_hi ^ state_lo, state_hi >> 58
         draw = xored >> rot | xored << (-rot & 63)
         out[:, column] = draw >> 11
-    return out * _DOUBLE_UNIT
+    out *= _DOUBLE_UNIT
+    return out

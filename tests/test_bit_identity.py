@@ -16,6 +16,7 @@ import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from functools import partial
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -540,18 +541,44 @@ def test_sweep_users_mean_and_se_equal_left_to_right_folds():
         assert_mean_and_se_equal_the_folds(_sweep_users_block((DEFAULT, k, 0, 2000, False)))
 
 
-def test_mean_and_se_holds_one_buffer_the_size_of_its_input():
-    # the deviations are squared and folded in place; a fresh array per
-    # step took 72 MB above this 24 MB input
+def traced_peak(fn, *args) -> int:
+    """The tracemalloc peak, in bytes, of one call of fn(*args)."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_mean_and_se_holds_one_fold_block_beyond_its_input():
+    # the terms are made and folded batch.FOLD_ROWS rows at a time, so a
+    # few block-size buffers (about 0.15 MB) serve this 24 MB input, or any
     drops = np.random.default_rng(0).random((10**6, 3))
+    block_bytes = (batch.FOLD_ROWS + 1) * drops.shape[1] * drops.itemsize
     for layout in (drops, np.asfortranarray(drops)):
-        tracemalloc.start()
-        try:
-            batch.mean_and_se(layout)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 1.1 * drops.nbytes
+        assert traced_peak(batch.mean_and_se, layout) <= 4 * block_bytes
+
+
+@pytest.mark.parametrize("fn", [math.log2, pow])
+def test_mapped_builds_no_list_of_its_input(fn):
+    # the map reads a memoryview: no list of Python floats, 4x the array
+    x = np.random.default_rng(0).random(10**5) + 0.5
+    args = (repeat(1.5),) if fn is pow else ()
+    assert traced_peak(batch.mapped, fn, x, *args) <= 1.5 * x.nbytes
+    # a strided view is mapped through one contiguous copy
+    assert traced_peak(batch.mapped, fn, x[::2], *args) <= 1.5 * x.nbytes
+
+
+def test_a_sweep_block_holds_a_few_times_its_uniforms():
+    # K = 100 over one full block: the uniforms are scaled in place and
+    # freed before the rates, and each kernel step writes into the array it
+    # reads (3.8x here)
+    k = 100
+    block = (DEFAULT, k, 0, STREAM_BLOCK, False)
+    _sweep_users_block(block)  # imports and first-call allocations
+    uniform_bytes = STREAM_BLOCK * 2 * k * 8
+    assert traced_peak(_sweep_users_block, block) <= 5 * uniform_bytes
 
 
 # The region solver's fused kernels (sca_solve and its surrogate-root

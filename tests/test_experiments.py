@@ -118,7 +118,7 @@ def pools(monkeypatch):
 
 
 def test_sweep_users_pool_is_sized_by_its_blocks(pools, monkeypatch):
-    monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 16)
     cfg = small_cfg(trials=10)
     table = run_sweep_users(cfg, workers=64)
     assert [size for size, _ in pools] == [3]  # one block for each K = 2..4
@@ -131,16 +131,31 @@ def test_sweep_users_pool_is_sized_by_its_blocks(pools, monkeypatch):
 @pytest.mark.parametrize("cpus, processes", [(3, [3]), (1, []), (None, [])])
 def test_sweep_users_starts_at_most_one_process_per_cpu(pools, monkeypatch,
                                                          cpus, processes):
-    # 100,000 workers over 1,000 trials used to ask for 1,000 processes
+    # 100,000 workers over 1,000 trials used to ask for 1,000 processes;
+    # None: an OS with no affinity mask that cannot count its CPUs
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert experiments._usable_cpus() == (cpus or 1)
     cfg = small_cfg(trials=1000, users_max=6)  # five blocks
     table = run_sweep_users(cfg, workers=100_000)
     assert [size for size, _ in pools] == processes  # no pool where one process is left
     assert table.csv_text() == run_sweep_users(cfg).csv_text()
 
 
-def test_sweep_users_blocks_do_not_depend_on_the_worker_count(pools, monkeypatch):
+def test_sweep_users_starts_at_most_one_process_per_cpu_it_may_run_on(pools, monkeypatch):
+    # taskset -c 0 on a 16-CPU host: two workers used to share the one CPU
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 16)
+    assert experiments._usable_cpus() == 1
+    cfg = small_cfg(trials=1000, users_max=6)  # five blocks
+    run_sweep_users(cfg, workers=2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5, 7})
+    run_sweep_users(cfg, workers=8)
+    assert [size for size, _ in pools] == [3]
+
+
+def test_sweep_users_blocks_do_not_depend_on_the_worker_count(pools, monkeypatch):
+    monkeypatch.setattr(experiments, "_usable_cpus", lambda: 16)
     cfg = small_cfg(trials=5000)
     run_sweep_users(cfg, workers=2)
     run_sweep_users(cfg, workers=3)
