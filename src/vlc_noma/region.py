@@ -14,21 +14,22 @@ SOLVER_REL_BOUND of the gap's sign change, with no second bisection:
 every oracle region is certified so, and a solver region when
 region_for_snr is asked to validate it.
 
-The solver runs as fused kernels: each bisection step and bracket test
+Both routes run as fused kernels: each bisection step and bracket test
 evaluates rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope,
-rate_gap_at) inline, in rates' operation order, with only left-prefix
-subexpressions such as t*gamma in t*gamma*r hoisted per SNR, and the r_min
-run's NOMA side at r = 1 hoisted per run. Every value is therefore the one
-the rates functions give. The surrogate-root bisection branches once on
-which bracket end is feasible and runs one loop per direction, and a step
-compares the NOMA side with the TDMA tangent as p >= c where the generic
-route tests p - c >= 0.0: for finite floats a rounded difference is zero
-only when its operands are equal, and rounding never flips its sign, so
-every step takes the same branch. tests/test_bit_identity.py pins the
-solver == to that generic route, down to brackets of adjacent floats, and
-the oracle == to a bisection of rates.rate_gap_at's float sign. The oracle
-shares no fused code with the solver it checks: it runs noma_wins through
-_log_bisect.
+rate_gap_at, and for the oracle noma_wins) inline, in rates' operation
+order, with only left-prefix subexpressions such as t*gamma in t*gamma*r,
+or noma_wins' 1 + t*gamma, hoisted per SNR, and the r_min run's NOMA side
+at r = 1 hoisted per run. Every value is therefore the one the rates
+functions give. Each bisection branches once on which bracket end is
+feasible and runs one loop per direction. A solver step compares the NOMA
+side with the TDMA tangent as p >= c where the generic route tests
+p - c >= 0.0: for finite floats a rounded difference is zero only when its
+operands are equal, and rounding never flips its sign, so every step takes
+the same branch. tests/test_bit_identity.py pins both kernels == to that
+generic route, down to brackets of adjacent floats, and the oracle == to a
+bisection of rates.rate_gap_at's float sign. The oracle's bisection,
+_log_bisect, shares no code with the solver it checks; its bracket growth
+and certificates call noma_wins itself.
 
 The feasibility scan that seeds both routes is scalar too: a bisection on
 the sign of the gap's forward difference over a frozen 256-point grid, and
@@ -39,7 +40,6 @@ results do not depend on which of numpy's SIMD loops a CPU gets.
 
 import math
 from dataclasses import dataclass, field
-from functools import partial
 
 from .rates import _LN2, CAPACITY_SNR_FACTOR, noma_wins
 
@@ -314,24 +314,45 @@ def _surrogate_root(gamma: float, q_r: float, q_slope: float, anchor: float,
     return hi
 
 
-def _log_bisect(wins, lo: float, hi: float, lo_feasible: bool, rel_width: float) -> float:
+def _log_bisect(gamma: float, lo: float, hi: float, lo_feasible: bool,
+                rel_width: float) -> float:
     """Bracket end on the feasible side of the one point in [lo, hi] where
-    the predicate wins(x) changes value."""
+    rates.noma_wins(gamma, r) changes value: noma_wins inline, in its
+    operation order, with 1 + t*gamma hoisted."""
+    sqrt, t = math.sqrt, _T
+    c = 1.0 + t * gamma
+    if lo_feasible:
+        while hi - lo > rel_width * hi:
+            mid = sqrt(lo * hi)
+            if mid <= lo or mid >= hi:  # bracket at float resolution
+                break
+            x = t * mid * gamma
+            a = 1.0 + x / (mid + gamma + 1.0)
+            b = 1.0 + x / (mid + 1.0)
+            if a / c * b >= (1.0 + x) / b / a:
+                lo = mid
+            else:
+                hi = mid
+        return lo
     while hi - lo > rel_width * hi:
-        mid = math.sqrt(lo * hi)
+        mid = sqrt(lo * hi)
         if mid <= lo or mid >= hi:  # bracket at float resolution
             break
-        if wins(mid) == lo_feasible:
-            lo = mid
-        else:
+        x = t * mid * gamma
+        a = 1.0 + x / (mid + gamma + 1.0)
+        b = 1.0 + x / (mid + 1.0)
+        if a / c * b >= (1.0 + x) / b / a:
             hi = mid
-    return lo if lo_feasible else hi
+        else:
+            lo = mid
+    return hi
 
 
 def oracle_region(gamma: float) -> NomaRegion:
     """Brute-force region: grid seed plus bisection of the exact gap sign,
-    rates.noma_wins, toward both endpoints, each endpoint then certified
-    from the seed (_certify), r_min first, or OracleMismatchError.
+    rates.noma_wins, toward both endpoints (_log_bisect, which evaluates it
+    inline), each endpoint then certified from the seed (_certify), r_min
+    first, or OracleMismatchError.
 
     Valid because the gap has a single interior maximum, so each side of the
     seed crosses zero at most once. Past the scan it takes no log2.
@@ -339,13 +360,12 @@ def oracle_region(gamma: float) -> NomaRegion:
     seed = feasibility_scan(gamma)
     if seed is None:
         return NomaRegion.empty(gamma)
-    wins = partial(noma_wins, gamma)
     # The gap at r = 1 is negative at every SNR (t < 1), so r_min lies above 1.
-    r_min = _log_bisect(wins, 1.0, seed, False, ORACLE_REL_WIDTH)
+    r_min = _log_bisect(gamma, 1.0, seed, False, ORACLE_REL_WIDTH)
     hi = max(seed * 2.0, SCAN_RANGE[1])
-    while wins(hi):
+    while noma_wins(gamma, hi):
         hi *= 4.0
-    r_max = _log_bisect(wins, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
+    r_max = _log_bisect(gamma, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
     _certify(gamma, "min", r_min, seed)
     _certify(gamma, "max", r_max, seed)
     return NomaRegion(gamma, r_min, r_max)

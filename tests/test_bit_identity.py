@@ -50,6 +50,7 @@ from vlc_noma.region import (
     TOLERANCE,
     InfeasibleSeedError,
     RegionSolverError,
+    _log_bisect as oracle_bisect,
     _surrogate_root,
     feasibility_scan,
     oracle_region,
@@ -581,20 +582,20 @@ def test_a_sweep_block_holds_a_few_times_its_uniforms():
     assert traced_peak(_sweep_users_block, block) <= 5 * uniform_bytes
 
 
-# The region solver's fused kernels (sca_solve and its surrogate-root
-# bisection) repeat rates' formulas inline. The reference below is the
-# generic route they replace: noma_rate_at, tdma_rate_at, tdma_rate_slope and
-# rate_gap_at through one bisection that takes the function it bisects. The
-# oracle bisects the exact sign noma_wins instead; this copy bisects the
-# float rate_gap_at and stays independent of region.py, so the oracle's bits
-# are pinned to the log2 route's whatever its code becomes.
+# The region's fused kernels (sca_solve and its surrogate-root bisection,
+# and the oracle's bisection of noma_wins) repeat rates' formulas inline.
+# The reference below is the generic route they replace: noma_rate_at,
+# tdma_rate_at, tdma_rate_slope, rate_gap_at and noma_wins through one
+# bisection that takes the predicate it bisects. reference_oracle bisects
+# the float rate_gap_at's sign and stays independent of region.py, so the
+# oracle's bits are pinned to the log2 route's whatever its code becomes.
 
-def _log_bisect(fn, lo, hi, lo_feasible, rel_width):
+def _log_bisect(wins, lo, hi, lo_feasible, rel_width):
     while hi - lo > rel_width * hi:
         mid = math.sqrt(lo * hi)
         if mid <= lo or mid >= hi:
             break
-        if (fn(mid) >= 0.0) == lo_feasible:
+        if wins(mid) == lo_feasible:
             lo = mid
         else:
             hi = mid
@@ -617,19 +618,19 @@ def reference_sca_solve(gamma, objective, seed):
         q_slope = tdma_rate_slope(gamma, r)
         anchor = r
 
-        def surrogate(x):
-            return noma_rate_at(gamma, x) - (q_r + q_slope * (x - anchor))
+        def surrogate_wins(x):
+            return noma_rate_at(gamma, x) - (q_r + q_slope * (x - anchor)) >= 0.0
 
         if objective == "min":
-            if surrogate(1.0) >= 0.0:
+            if surrogate_wins(1.0):
                 nxt = 1.0
             else:
-                nxt = _log_bisect(surrogate, 1.0, r, False, inner_width)
+                nxt = _log_bisect(surrogate_wins, 1.0, r, False, inner_width)
         else:
             hi = r * 2.0
-            while surrogate(hi) >= 0.0:
+            while surrogate_wins(hi):
                 hi *= 2.0
-            nxt = _log_bisect(surrogate, r, hi, True, inner_width)
+            nxt = _log_bisect(surrogate_wins, r, hi, True, inner_width)
         iterates.append(nxt)
         gaps.append(rate_gap_at(gamma, nxt))
         step = abs(nxt - r)
@@ -646,15 +647,32 @@ def reference_oracle(gamma):
     seed = feasibility_scan(gamma)
     if seed is None:
         return None
-    gap = partial(rate_gap_at, gamma)
-    if gap(1.0) >= 0.0:
+
+    def gap_wins(r):
+        return rate_gap_at(gamma, r) >= 0.0
+
+    if gap_wins(1.0):
         r_min = 1.0
     else:
-        r_min = _log_bisect(gap, 1.0, seed, False, ORACLE_REL_WIDTH)
+        r_min = _log_bisect(gap_wins, 1.0, seed, False, ORACLE_REL_WIDTH)
     hi = max(seed * 2.0, SCAN_RANGE[1])
-    while gap(hi) >= 0.0:
+    while gap_wins(hi):
         hi *= 4.0
-    return r_min, _log_bisect(gap, seed, hi, gap(seed) >= 0.0, ORACLE_REL_WIDTH)
+    return r_min, _log_bisect(gap_wins, seed, hi, gap_wins(seed), ORACLE_REL_WIDTH)
+
+
+def reference_sign_oracle(gamma):
+    """oracle_region's (r_min, r_max), or None, by the generic route on the
+    exact gap sign: partial(noma_wins, gamma) through _log_bisect."""
+    seed = feasibility_scan(gamma)
+    if seed is None:
+        return None
+    wins = partial(noma_wins, gamma)
+    r_min = _log_bisect(wins, 1.0, seed, False, ORACLE_REL_WIDTH)
+    hi = max(seed * 2.0, SCAN_RANGE[1])
+    while wins(hi):
+        hi *= 4.0
+    return r_min, _log_bisect(wins, seed, hi, True, ORACLE_REL_WIDTH)
 
 
 def fused_sca_solve(gamma, objective, seed):
@@ -751,12 +769,33 @@ def test_bisection_kernels_equal_the_generic_bisection_at_float_resolution():
         seed = feasibility_scan(gamma)
         q_r, q_slope = tdma_rate_at(gamma, seed), tdma_rate_slope(gamma, seed)
 
-        def surrogate(x):
-            return noma_rate_at(gamma, x) - (q_r + q_slope * (x - seed))
+        def surrogate_wins(x):
+            return noma_rate_at(gamma, x) - (q_r + q_slope * (x - seed)) >= 0.0
 
         hi = 2.0 * seed
-        while surrogate(hi) >= 0.0:
+        while surrogate_wins(hi):
             hi *= 2.0
         for lo, hi, lo_feasible in ((1.0, seed, False), (seed, hi, True)):
             assert (_surrogate_root(gamma, q_r, q_slope, seed, lo, hi, lo_feasible, 0.0)
-                    == _log_bisect(surrogate, lo, hi, lo_feasible, 0.0)), (gamma, lo, hi)
+                    == _log_bisect(surrogate_wins, lo, hi, lo_feasible, 0.0)), (gamma, lo, hi)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(db=st.floats(10.14, 480.0), below=st.floats(-16.0, 0.0), above=st.floats(-16.0, 0.0),
+       rel_width=st.sampled_from([0.0, ORACLE_REL_WIDTH, 1e-3]))
+def test_the_oracle_kernel_equals_the_generic_bisection_of_noma_wins(db, below, above, rel_width):
+    # The oracle's bisection evaluates noma_wins inline with 1 + t*gamma
+    # hoisted, one loop per direction. On brackets from 1e-16 to 1 relative
+    # around each of its endpoints, cut at 1 and at the scan seed, it must
+    # end where the generic bisection of partial(noma_wins, gamma) ends,
+    # down to adjacent floats at rel_width 0.
+    gamma = 10.0 ** (db / 10.0)
+    seed = feasibility_scan(gamma)
+    region = oracle_region(gamma)
+    wins = partial(noma_wins, gamma)
+    for end, floor, ceiling, lo_feasible in ((region.r_min, 1.0, seed, False),
+                                             (region.r_max, seed, math.inf, True)):
+        lo = max(floor, end / (1.0 + 10.0 ** below))
+        hi = min(ceiling, end * (1.0 + 10.0 ** above))
+        assert (oracle_bisect(gamma, lo, hi, lo_feasible, rel_width)
+                == _log_bisect(wins, lo, hi, lo_feasible, rel_width)), (gamma, lo, hi)

@@ -41,22 +41,36 @@ def test_region_exits_2_on_a_skewed_solver_endpoint(tmp_path, monkeypatch, capsy
     assert captured.err.count("\n") == 1
 
 
-def test_pair_exits_2_on_a_skewed_oracle_endpoint(monkeypatch, capsys):
-    # pair certifies both endpoints of each oracle region it checks a pair
-    # against, so an oracle r_min bisected 1% too high fails its certificate
+def assert_pair_exits_2_on_a_skewed_oracle(objective, monkeypatch, capsys):
+    """pair, with each oracle r_<objective> bisected 1% too high, prints
+    nothing to stdout and one error line naming that endpoint."""
     true_bisect = region._log_bisect
 
-    def skewed_bisect(fn, lo, hi, lo_feasible, rel_width):
-        r = true_bisect(fn, lo, hi, lo_feasible, rel_width)
-        return r if lo_feasible else r * 1.01
+    def skewed_bisect(gamma, lo, hi, lo_feasible, rel_width):
+        r = true_bisect(gamma, lo, hi, lo_feasible, rel_width)
+        return r * 1.01 if lo_feasible == (objective == "max") else r
 
     monkeypatch.setattr(region, "_log_bisect", skewed_bisect)
     assert main(["pair", "--gains", "1e-6,1.05e-6,1.1502173707608487e-6,"
                  "3.162277660168379e-6"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: r_min ") and " is not within " in captured.err
+    assert (captured.err.startswith(f"error: r_{objective} ")
+            and " is not within " in captured.err)
     assert captured.err.count("\n") == 1
+
+
+def test_pair_exits_2_on_a_skewed_oracle_endpoint(monkeypatch, capsys):
+    # pair certifies both endpoints of each oracle region it checks a pair
+    # against, so an oracle r_min bisected 1% too high, by the bisection's
+    # lo_feasible=False branch, fails its certificate
+    assert_pair_exits_2_on_a_skewed_oracle("min", monkeypatch, capsys)
+
+
+def test_pair_exits_2_on_a_skewed_oracle_r_max(monkeypatch, capsys):
+    # the same for an r_max from the lo_feasible=True branch, certified
+    # after an r_min that passes
+    assert_pair_exits_2_on_a_skewed_oracle("max", monkeypatch, capsys)
 
 
 @pytest.mark.parametrize("command", [

@@ -371,8 +371,8 @@ def test_the_oracle_certifies_its_endpoints_with_no_argument(monkeypatch):
     # first, so endpoints bisected 1% too high raise on r_min
     true_bisect = region_module._log_bisect
 
-    def skewed_bisect(fn, lo, hi, lo_feasible, rel_width):
-        return true_bisect(fn, lo, hi, lo_feasible, rel_width) * 1.01
+    def skewed_bisect(gamma, lo, hi, lo_feasible, rel_width):
+        return true_bisect(gamma, lo, hi, lo_feasible, rel_width) * 1.01
 
     monkeypatch.setattr(region_module, "_log_bisect", skewed_bisect)
     with pytest.raises(OracleMismatchError, match="^r_min "):
