@@ -20,12 +20,12 @@ rate_gap_at, and for the oracle noma_wins) inline, in rates' operation
 order, with only left-prefix subexpressions such as t*gamma in t*gamma*r,
 or noma_wins' 1 + t*gamma, hoisted per SNR, and the r_min run's NOMA side
 at r = 1 hoisted per run. Every value is therefore the one the rates
-functions give. Each bisection branches once on which bracket end is
-feasible and runs one loop per direction. A solver step compares the NOMA
-side with the TDMA tangent as p >= c where the generic route tests
-p - c >= 0.0: for finite floats a rounded difference is zero only when its
-operands are equal, and rounding never flips its sign, so every step takes
-the same branch. tests/test_bit_identity.py pins both kernels == to that
+functions give. The surrogate-root bisection branches once on which
+bracket end is feasible and runs one loop per direction, and a solver step
+compares the NOMA side with the TDMA tangent as p >= c where the generic
+route tests p - c >= 0.0: for finite floats a rounded difference is zero
+only when its operands are equal, and rounding never flips its sign, so
+every step takes the same branch. tests/test_bit_identity.py pins both kernels == to that
 generic route, down to brackets of adjacent floats, and the oracle == to a
 bisection of rates.rate_gap_at's float sign. The oracle's bisection,
 _log_bisect, shares no code with the solver it checks; its bracket growth
@@ -321,19 +321,6 @@ def _log_bisect(gamma: float, lo: float, hi: float, lo_feasible: bool,
     operation order, with 1 + t*gamma hoisted."""
     sqrt, t = math.sqrt, _T
     c = 1.0 + t * gamma
-    if lo_feasible:
-        while hi - lo > rel_width * hi:
-            mid = sqrt(lo * hi)
-            if mid <= lo or mid >= hi:  # bracket at float resolution
-                break
-            x = t * mid * gamma
-            a = 1.0 + x / (mid + gamma + 1.0)
-            b = 1.0 + x / (mid + 1.0)
-            if a / c * b >= (1.0 + x) / b / a:
-                lo = mid
-            else:
-                hi = mid
-        return lo
     while hi - lo > rel_width * hi:
         mid = sqrt(lo * hi)
         if mid <= lo or mid >= hi:  # bracket at float resolution
@@ -341,11 +328,11 @@ def _log_bisect(gamma: float, lo: float, hi: float, lo_feasible: bool,
         x = t * mid * gamma
         a = 1.0 + x / (mid + gamma + 1.0)
         b = 1.0 + x / (mid + 1.0)
-        if a / c * b >= (1.0 + x) / b / a:
-            hi = mid
-        else:
+        if (a / c * b >= (1.0 + x) / b / a) == lo_feasible:
             lo = mid
-    return hi
+        else:
+            hi = mid
+    return lo if lo_feasible else hi
 
 
 def oracle_region(gamma: float) -> NomaRegion:

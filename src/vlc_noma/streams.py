@@ -21,28 +21,8 @@ _MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
 # PCG64's 128-bit multiplier as high and low uint64 halves, the low half
 # also as 32-bit limbs for the high word of the low-by-low product.
 _PCG_HI, _PCG_LO = 2549297995355413924, 4865540595714422341
+_PCG_LO_0, _PCG_LO_1 = _PCG_LO & _M32, _PCG_LO >> 32
 _DOUBLE_UNIT = 1.0 / 9007199254740992.0  # 2**-53
-
-# The array operands as numpy scalars: a Python int costs a conversion on
-# every ufunc call.
-_U16, _MIX_R_U32 = np.uint32(16), np.uint32(_MIX_R)
-_U1, _U11, _U32, _U58, _U63 = (np.uint64(n) for n in (1, 11, 32, 58, 63))
-_M32_U64 = np.uint64(_M32)
-_PCG_HI_U64, _PCG_LO_U64 = np.uint64(_PCG_HI), np.uint64(_PCG_LO)
-_PCG_LO_0, _PCG_LO_1 = np.uint64(_PCG_LO & _M32), np.uint64(_PCG_LO >> 32)
-
-
-def _hashmix_consts(init: int, mult: int, count: int) -> list[int]:
-    """The count + 1 hashmix multipliers from init: init, then each times mult."""
-    consts = [init]
-    for _ in range(count):
-        consts.append(consts[-1] * mult & _M32)
-    return consts
-
-
-# generate_state's 8 hashmix steps xor step i's word with const i and
-# multiply it by const i + 1.
-_STATE_CONSTS = [np.uint32(c) for c in _hashmix_consts(_INIT_B, _MULT_B, 8)]
 
 
 def _words(n: int) -> list[int]:
@@ -56,11 +36,10 @@ def _words(n: int) -> list[int]:
 
 def _seed_pool(seed: int, k: int, trials: np.ndarray) -> list[np.ndarray]:
     """SeedSequence(seed, spawn_key=(k, trial)).pool as four uint32 arrays
-    over trials. Words that do not depend on the trial are mixed as Python
-    ints, masked to 32 bits; the trial word, last, is mixed in on uint32
-    arrays, which wrap mod 2**32 as the C code does."""
+    over trials. Words that do not depend on the trial stay Python ints,
+    masked to 32 bits, until the trial word is mixed in."""
     run = _words(seed)
-    entropy = run + [0] * (_POOL_SIZE - len(run)) + _words(k)
+    entropy = run + [0] * (_POOL_SIZE - len(run)) + _words(k) + [trials]
     const = _INIT_A
 
     def hashmix(value):
@@ -82,60 +61,30 @@ def _seed_pool(seed: int, k: int, trials: np.ndarray) -> list[np.ndarray]:
     for word in entropy[_POOL_SIZE:]:
         for dst in range(_POOL_SIZE):
             pool[dst] = mix(pool[dst], hashmix(word))
-    consts = [np.uint32(c) for c in _hashmix_consts(const, _MULT_A, _POOL_SIZE)]
-    for dst in range(_POOL_SIZE):
-        value = trials ^ consts[dst]  # hashmix(trials)
-        value *= consts[dst + 1]
-        value ^= value >> _U16
-        value *= _MIX_R_U32  # mix(pool[dst], hashmix(trials))
-        result = np.uint32(_MIX_L * pool[dst] & _M32) - value
-        result ^= result >> _U16
-        pool[dst] = result
     return pool
 
 
 def _generate_state(pool: list[np.ndarray]) -> list[np.ndarray]:
     """SeedSequence.generate_state(4, np.uint64) as four uint64 arrays."""
+    const = _INIT_B
     words = []
-    for i, word in enumerate(pool + pool):
-        value = word ^ _STATE_CONSTS[i]
-        value *= _STATE_CONSTS[i + 1]
-        value ^= value >> _U16
-        words.append(value.astype(np.uint64))
-    for i in range(1, 8, 2):
-        words[i] <<= _U32
-        words[i - 1] |= words[i]
-    return words[0::2]
+    for word in pool + pool:
+        value = word ^ const
+        const = const * _MULT_B & _M32
+        value = value * const & _M32
+        words.append((value ^ value >> 16).astype(np.uint64))
+    return [words[i] | words[i + 1] << 32 for i in range(0, 8, 2)]
 
 
 def _lcg_step(hi, lo, inc_hi, inc_lo):
-    """state * multiplier + inc, mod 2**128, on (high, low) uint64 halves,
-    each updated in place."""
-    # The high word of lo * _PCG_LO from 32-bit limbs: with lo = l1:l0 and
-    # _PCG_LO = m1:m0, it is l1*m1 + (l1*m0 + (l0*m0 >> 32) >> 32) + the
-    # carry out of ((l1*m0 + (l0*m0 >> 32)) & _M32) + l0*m1. No sum wraps.
-    l0 = lo & _M32_U64
-    l1 = lo >> _U32
-    low = l0 * _PCG_LO_0
-    low >>= _U32
-    cross = l1 * _PCG_LO_0
-    cross += low
-    l0 *= _PCG_LO_1
-    l0 += cross & _M32_U64
-    cross >>= _U32
-    l1 *= _PCG_LO_1
-    l1 += cross
-    l0 >>= _U32
-    l1 += l0
-    hi *= _PCG_LO_U64
-    hi += l1
-    l1 = lo * _PCG_HI_U64
-    hi += l1
-    hi += inc_hi
-    lo *= _PCG_LO_U64
-    lo += inc_lo
-    hi += lo < inc_lo
-    return hi, lo
+    """state * multiplier + inc, mod 2**128, on (high, low) uint64 halves."""
+    lo0, lo1 = lo & _M32, lo >> 32
+    p00, p01, p10 = lo0 * _PCG_LO_0, lo0 * _PCG_LO_1, lo1 * _PCG_LO_0
+    mid = (p00 >> 32) + (p01 & _M32) + (p10 & _M32)
+    carry_lo_lo = lo1 * _PCG_LO_1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32)
+    new_lo = lo * _PCG_LO + inc_lo
+    new_hi = carry_lo_lo + hi * _PCG_LO + lo * _PCG_HI + inc_hi + (new_lo < inc_lo)
+    return new_hi, new_lo
 
 
 def uniform_streams(seed: int, k: int, lo: int, hi: int) -> np.ndarray:
@@ -149,20 +98,15 @@ def uniform_streams(seed: int, k: int, lo: int, hi: int) -> np.ndarray:
     s0, s1, s2, s3 = _generate_state(_seed_pool(seed, k, trials))
     # pcg_setseq_128_srandom_r: inc = (s2:s3) << 1 | 1, state = 0, step,
     # state += (s0:s1), step.
-    inc_hi, inc_lo = s2 << _U1 | s3 >> _U63, s3 << _U1 | _U1
+    inc_hi, inc_lo = s2 << 1 | s3 >> 63, s3 << 1 | 1
     state_lo = inc_lo + s1
-    state_hi = inc_hi + s0
-    state_hi += state_lo < s1
+    state_hi = inc_hi + s0 + (state_lo < s1)
     state_hi, state_lo = _lcg_step(state_hi, state_lo, inc_hi, inc_lo)
     out = np.empty((hi - lo, 2 * k))
     for column in range(2 * k):
         state_hi, state_lo = _lcg_step(state_hi, state_lo, inc_hi, inc_lo)
-        draw = state_hi ^ state_lo  # XSL-RR: rotate right by the top 6 bits
-        rot = state_hi >> _U58
-        left = draw << (-rot & _U63)
-        draw >>= rot
-        draw |= left
-        draw >>= _U11
-        out[:, column] = draw
+        xored, rot = state_hi ^ state_lo, state_hi >> 58
+        draw = xored >> rot | xored << (-rot & 63)
+        out[:, column] = draw >> 11
     out *= _DOUBLE_UNIT
     return out

@@ -661,20 +661,6 @@ def reference_oracle(gamma):
     return r_min, _log_bisect(gap_wins, seed, hi, gap_wins(seed), ORACLE_REL_WIDTH)
 
 
-def reference_sign_oracle(gamma):
-    """oracle_region's (r_min, r_max), or None, by the generic route on the
-    exact gap sign: partial(noma_wins, gamma) through _log_bisect."""
-    seed = feasibility_scan(gamma)
-    if seed is None:
-        return None
-    wins = partial(noma_wins, gamma)
-    r_min = _log_bisect(wins, 1.0, seed, False, ORACLE_REL_WIDTH)
-    hi = max(seed * 2.0, SCAN_RANGE[1])
-    while wins(hi):
-        hi *= 4.0
-    return r_min, _log_bisect(wins, seed, hi, True, ORACLE_REL_WIDTH)
-
-
 def fused_sca_solve(gamma, objective, seed):
     r, trace = sca_solve(gamma, objective, seed)
     return r, trace.iterates, trace.gaps, trace.converged
@@ -785,10 +771,10 @@ def test_bisection_kernels_equal_the_generic_bisection_at_float_resolution():
        rel_width=st.sampled_from([0.0, ORACLE_REL_WIDTH, 1e-3]))
 def test_the_oracle_kernel_equals_the_generic_bisection_of_noma_wins(db, below, above, rel_width):
     # The oracle's bisection evaluates noma_wins inline with 1 + t*gamma
-    # hoisted, one loop per direction. On brackets from 1e-16 to 1 relative
-    # around each of its endpoints, cut at 1 and at the scan seed, it must
-    # end where the generic bisection of partial(noma_wins, gamma) ends,
-    # down to adjacent floats at rel_width 0.
+    # hoisted. On brackets from 1e-16 to 1 relative around each of its
+    # endpoints, cut at 1 and at the scan seed, it must end where the
+    # generic bisection of partial(noma_wins, gamma) ends, down to adjacent
+    # floats at rel_width 0.
     gamma = 10.0 ** (db / 10.0)
     seed = feasibility_scan(gamma)
     region = oracle_region(gamma)

@@ -26,7 +26,7 @@ from vlc_noma.rates import squared_ratio
 from vlc_noma.region import NomaRegion, OracleMismatchError, oracle_region
 from vlc_noma.scheduler import UserChannelSet, adaptive_pairing
 
-from test_bit_identity import reference_oracle, reference_sign_oracle
+from test_bit_identity import reference_oracle
 
 # Frozen end-to-end values for the six fixed receivers at P = 1 W.
 SWEEP_POWER_P1 = {
@@ -447,16 +447,3 @@ def test_the_oracle_equals_the_log2_gap_bisection_at_every_pool_pair(seed):
         for gamma, _ in formed_pairs(gains, cfg):
             region = oracle_region(gamma)
             assert (region.r_min, region.r_max) == reference_oracle(gamma), gamma
-
-
-@pytest.mark.parametrize("seed", [1, 2])
-def test_the_oracle_equals_the_generic_bisection_of_noma_wins_at_every_pool_pair(seed):
-    # The oracle's bisection evaluates noma_wins inline; at every SNR a pair
-    # check reads, both of its endpoints are those the generic route,
-    # partial(noma_wins, gamma) through a bisection that takes its
-    # predicate, gives.
-    cfg = ExperimentConfig(seed=seed)
-    for gains in pair_pool(seed):
-        for gamma, _ in formed_pairs(gains, cfg):
-            region = oracle_region(gamma)
-            assert (region.r_min, region.r_max) == reference_sign_oracle(gamma), gamma
