@@ -47,7 +47,7 @@ from itertools import repeat
 import numpy as np
 
 from .channel import _TWO_PI, LinkConstants
-from .rates import CAPACITY_SNR_FACTOR, noma_wins, squared_ratio
+from .rates import CAPACITY_SNR_FACTOR, GAMMA_FLOOR, R_FLOOR, noma_wins, squared_ratio
 
 # Rows mean_and_se folds at a time, so its memory does not grow with n.
 FOLD_ROWS = 2048
@@ -139,6 +139,33 @@ def _block_pair_rates(weak, strong, gamma, solo_unit, tau) -> np.ndarray:
     return unit_weak
 
 
+def _search_below(g, taken, g_i, snr_i, i, drops, j):
+    """adaptive_pairing's search for weak index i below each drop's top,
+    from partner j down, over the drops that lost at their top: a compacted
+    loop, one step of every drop still searching per pass. A drop skips a
+    taken j, stops at j = i or at its first free j with r < R_FLOOR, and
+    pairs (i, j) at its first j where noma_wins. Returns the drops that
+    paired and their partners."""
+    won, mates = [drops[:0]], [j[:0]]
+    searching = j > i
+    drops, j = drops[searching], j[searching]
+    while drops.size:
+        r = squared_ratio(g[j, drops], g_i[drops])
+        free = ~taken[j, drops]
+        tested = r >= R_FLOOR
+        tested &= free
+        tested = np.flatnonzero(tested)
+        wins = noma_wins(snr_i[drops[tested]], r[tested])
+        won.append(drops[tested[wins]])
+        mates.append(j[tested[wins]])
+        free[tested[~wins]] = False  # a loser searches on, as a taken j does
+        j -= 1
+        searching = ~free
+        searching &= j > i
+        drops, j = drops[searching], j[searching]
+    return np.concatenate(won), np.concatenate(mates)
+
+
 def _fold(rows) -> np.ndarray:
     """The left fold of equal-length rows, rows[0] + rows[1] + ... in that
     order: np.add.accumulate's last partial sum along the rows."""
@@ -158,21 +185,28 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
     mapped). The block is sorted drop by drop and then held user-major, a
     C-contiguous (K, B) array whose row i is every drop's sorted user i, so
     each step reads a user as a contiguous row and gathers drops with 1-D
-    indices. The greedy is adaptive_pairing's own two loops, run over every
-    drop of the block at once: for weak index i ascending, the drops whose
-    user i is unpaired and live search j from K-1 down to i+1; at each j
-    the drops still searching whose j is unpaired test the gap with
-    adaptive_pairing's own rates.noma_wins on the arrays, and those with
-    gap >= 0 pair (i, j) and stop searching. So each drop tests exactly the
-    pairs the scalar greedy reaches, in its order, and only the pairs formed
-    have their rates computed, after each i's search. Each pair
-    (i, k-1-i) is rated once, by _block_pair_rates (evaluate_schedule's
-    pair branch): the forced kernel rates it for every live weak user, the
-    only users the greedy searches for, and the drops whose winner at i is
-    k-1-i copy forced[i]. Only winners at another partner are rated
-    again, by the same kernel on the same operands, so either route gives
-    the same bits. A weak user's solo log2(1 + t*gamma) is tdma_rate_at's
-    first term, bit for bit.
+    indices. The greedy is adaptive_pairing's, one pass per weak index i
+    ascending over every drop of the block at once. Each drop keeps top,
+    its highest index no pair has taken, and top's gain. At weak index i
+    the drops whose user i is untaken, at or above rates.GAMMA_FLOOR and
+    below top take r = squared_ratio(top's gain, user i's); those with
+    r < R_FLOOR stop, as the scalar j loop breaks; the rest test the gap
+    with adaptive_pairing's own rates.noma_wins on the arrays, and the
+    winners pair (i, top) and move their top down past the indices taken.
+    Each loser searches on below its top, one step per pass over the drops
+    still searching (_search_below), as the scalar loop goes on. The last
+    weak index moves no top. So each drop tests exactly the pairs the
+    scalar greedy tests, in its order, and a drop whose pairs all form at
+    its top needs no look at the indices taken below it: tangled marks the
+    first pair below a top in the block.
+
+    Each pair is rated after the search, once, by _block_pair_rates
+    (evaluate_schedule's pair branch): the forced kernel rates the pair
+    (i, k-1-i) for every live weak user, the only users the greedy
+    searches for, and the drops whose partner of i is k-1-i copy forced[i].
+    Only pairs at another partner are rated again, by the same kernel on
+    the same operands, so either route gives the same bits. A weak user's
+    solo log2(1 + t*gamma) is tdma_rate_at's first term, bit for bit.
 
     Each scheme's group rates are rows in evaluate_schedule's group order,
     summed by _fold, np.add.accumulate's left fold written out row by row:
@@ -210,27 +244,68 @@ def block_sum_rates(gains: np.ndarray, p_led: float, noise_power: float) -> np.n
         forced = _on_live(g[:half] > 0.0, partial(_block_pair_rates, tau=pair_tau),
                           g[:half], g[::-1][:half], snrs[:half], units[:half])
 
-        # Adaptive: adaptive_pairing's two loops over the whole block.
-        paired = np.zeros((k, b), dtype=bool)
-        pair_rates = np.zeros((k - 1, b))  # row i: weak index i's pair
+        # Adaptive: adaptive_pairing's greedy, one pass per weak index i.
+        partner = np.zeros((k - 1, b), dtype=np.int32)  # row i: i's partner, 0 for none
+        taken = np.zeros((k, b), dtype=bool)  # the partners taken so far
+        top = np.full(b, k - 1, dtype=np.intp)  # each drop's highest index not taken
+        g_top = g[k - 1].copy()
+        tangled = False  # whether a drop has paired below its top
         for i in range(k - 1):
             g_i, snr_i = g[i], snrs[i]
-            searching = ~paired[i] & (g_i > 0.0) & (snr_i > 0.0)
-            partner = np.zeros(b, dtype=np.intp)  # 0: no partner, as j > i >= 0
-            for j in range(k - 1, i, -1):
-                drops = np.flatnonzero(searching & ~paired[j])
-                won = drops[noma_wins(snr_i[drops], squared_ratio(g[j][drops], g_i[drops]))]
-                paired[i, won] = paired[j, won] = True
-                searching[won] = False
-                partner[won] = j
-            won = np.flatnonzero(partner)
-            if i < half:  # the forced kernel has rated the pair (i, k - 1 - i)
-                mate = partner[won] == k - 1 - i
-                pair_rates[i, won[mate]] = forced[i, won[mate]]
-                won = won[~mate]
-            if won.size:
-                pair_rates[i, won] = _block_pair_rates(g_i[won], g[partner[won], won],
-                                                       snr_i[won], units[i, won], pair_tau)
+            live = snr_i >= GAMMA_FLOOR
+            if i:
+                live &= top > i
+                if tangled:  # else no index below top is taken
+                    live &= ~taken[i]
+            drops = np.flatnonzero(live)
+            if not drops.size:
+                continue
+            r = squared_ratio(g_top[drops], g_i[drops])
+            near = r >= R_FLOOR
+            drops, r = drops[near], r[near]
+            wins = noma_wins(snr_i[drops], r)
+            won = drops[wins]
+            mate = top[won]
+            partner[i, won] = mate
+            taken[mate, won] = True
+            if i == k - 2:  # no later weak index reads top
+                break
+            lost = drops[~wins]
+            if lost.size:
+                won_below, mate_below = _search_below(g, taken, g_i, snr_i, i,
+                                                      lost, top[lost] - 1)
+                if won_below.size:
+                    tangled = True
+                    partner[i, won_below] = mate_below
+                    taken[mate_below, won_below] = True
+            # Each winner's top moves down past the indices taken; no later
+            # weak index reads a top at i + 1 or below.
+            step = mate - 1
+            while tangled:
+                skip = taken[step, won]
+                skip &= step > i + 1
+                if not skip.any():
+                    break
+                step[skip] -= 1
+            top[won] = step
+            g_top[won] = g[step, won]
+
+        # Each pair's rate, after the search: forced[i] where i's partner is
+        # k - 1 - i, else _block_pair_rates on the same operands.
+        weak = partner > 0
+        paired = taken  # from here on: every user paired
+        paired[:-1] |= weak
+        pair_rates = np.zeros((k - 1, b))  # row i: weak index i's pair
+        if half:
+            at_forced = partner[:half] == np.arange(k - 1, k - 1 - half, -1)[:, None]
+            np.copyto(pair_rates[:half], forced, where=at_forced)
+            weak[:half] &= ~at_forced
+        if weak.any():
+            rows, drops = np.nonzero(weak)
+            pair_rates[rows, drops] = _block_pair_rates(
+                g[rows, drops], g[partner[rows, drops], drops], snrs[rows, drops],
+                units[rows, drops], pair_tau)
+        del partner, weak, snrs, units  # every rate is in: free them before the folds
     return np.stack([_fold(solo), _fold([*forced, *solo[half:half + k % 2]]),
                      _fold([*pair_rates, *np.where(paired, 0.0, solo)])], axis=1)
 

@@ -23,7 +23,13 @@ power differ from math's in the last bit on some hosts; and the
 field-of-view and pairing tests are + - * / on both routes (a cosine
 against cos(fov), and rates.noma_wins). So each drop equals the per-drop
 route _simulate_drop: floor_gains, then scheme_sum_rates, which evaluates
-the public TDMA, forced and adaptive plans.
+the public TDMA, forced and adaptive plans. The block's greedy makes one
+pass per weak index from each drop's highest free partner, and both
+greedies stop a search at rates.R_FLOOR and skip weak users below
+rates.GAMMA_FLOOR, so the block tests the scalar greedy's pairs in its
+order, and its cost at large K follows the pairs tested, not K(K-1)/2:
+users_min = users_max = K runs any single user count up to
+config.USER_LIMIT.
 
 Every route decides each pair by the sign of the rate gap at the weak
 user's exact SNR. A region only cross-checks a plan:

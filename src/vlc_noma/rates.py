@@ -15,6 +15,20 @@ CAPACITY_SNR_FACTOR = math.e / (2.0 * math.pi)  # t in log2(1 + t * SNR)
 _LN2 = math.log(2.0)
 _T = CAPACITY_SNR_FACTOR
 
+# The pairing floors, tested on floats (tests/test_rates.py), not proved.
+# GAMMA_FLOOR: a weak user below 10 dB never pairs, and has no region. The
+# exact gap first turns non-negative at gamma* = 10.3119 (10.13 dB), and
+# noma_wins is False below the floor down to gamma = 1e-7; below about
+# 1.6e-8 its four arguments all round to 1.0, so it would read that tie as
+# a win.
+GAMMA_FLOOR = 10.0
+# R_FLOOR: noma_wins is False for r < 3 wherever gamma >= GAMMA_FLOOR (the
+# smallest r_min over 10.14-480 dB is 3.048 at 118 dB, near its asymptote
+# 3.0479512). Users are sorted, so r never rises as a weak user's partner
+# index falls, and both greedies stop its search at the first unpaired
+# partner with r < R_FLOOR.
+R_FLOOR = 3.0
+
 
 def squared_ratio(strong_gain: float, weak_gain: float) -> float:
     """r = ratio * ratio with ratio = strong_gain / weak_gain, correctly rounded

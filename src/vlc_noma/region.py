@@ -41,7 +41,7 @@ results do not depend on which of numpy's SIMD loops a CPU gets.
 import math
 from dataclasses import dataclass, field
 
-from .rates import _LN2, CAPACITY_SNR_FACTOR, noma_wins
+from .rates import _LN2, CAPACITY_SNR_FACTOR, GAMMA_FLOOR, noma_wins
 
 # The solver's range: weak-user SNRs up to 480 dB. Inside it every bracket
 # stops within 4 * r_max (r_max grows as about 0.19 * gamma^2), so t*r*gamma
@@ -227,7 +227,10 @@ def feasibility_scan(gamma: float) -> float | None:
     """Best (largest-gap, first on ties) ratio on a log-spaced grid; where
     that gap is not positive, a ratio between grid points with a positive
     gap, or None if the refine finds none. A gamma that is not finite and
-    positive, or that exceeds GAMMA_MAX, raises ValueError.
+    positive, or that exceeds GAMMA_MAX, raises ValueError. Below
+    rates.GAMMA_FLOOR (10 dB, under the 10.13 dB threshold) it returns None
+    with no gap evaluated: far below it the float gaps round to ties, and
+    the refine would seed a region of width 0.
 
     The gap is unimodal in r, so its first maximum on the grid is where the
     forward difference first stops rising: a bisection on that sign finds
@@ -236,6 +239,8 @@ def feasibility_scan(gamma: float) -> float | None:
     hoisted.
     """
     _check_gamma(gamma)
+    if gamma < GAMMA_FLOOR:
+        return None
     log2, t, grid = math.log2, _T, _SCAN_GRID
     log_1tg = log2(1.0 + t * gamma)
 

@@ -14,7 +14,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
-from .rates import CAPACITY_SNR_FACTOR, noma_user_rates, noma_wins, squared_ratio
+from .rates import (CAPACITY_SNR_FACTOR, GAMMA_FLOOR, R_FLOOR, noma_user_rates, noma_wins,
+                    squared_ratio)
 from .region import NomaRegion, OracleMismatchError
 
 
@@ -106,8 +107,14 @@ def adaptive_pairing(
     non-negative rate gap at the weak user's exact SNR is taken, as
     rates.noma_wins decides it with + - * / alone. The gap is unimodal in r,
     so that sign test is the same as r lying in the region [r_min, r_max] at
-    that SNR, and no region is needed. Users with zero gain or zero SNR (a
-    gain so small that P * h^2 underflows) are never paired.
+    that SNR, and no region is needed. Users are sorted, so r never rises
+    as j falls: a search stops at the first unpaired candidate with
+    r < rates.R_FLOOR, where noma_wins is False. A weak user below
+    rates.GAMMA_FLOOR (10 dB) is never paired, zero gains and SNRs that
+    underflow to 0 among them: no ratio has a region there, and below about
+    -78 dB noma_wins would read a rounding tie as a win. Both floors are
+    tested on floats, not proved. batch.block_sum_rates tests the same
+    pairs in the same order.
 
     A given region_of only cross-checks the plan: it is called once per pair
     formed, at the weak user's SNR, and a pair whose r lies outside that
@@ -125,12 +132,14 @@ def adaptive_pairing(
     pairs: list[tuple[int, int]] = []
     for i in range(k - 1):
         weak = order[i]
-        if paired[i] or weak.gain <= 0.0 or weak.snr <= 0.0:
+        if paired[i] or weak.snr < GAMMA_FLOOR:
             continue
         for j in range(k - 1, i, -1):
             if paired[j]:
                 continue
             r = squared_ratio(order[j].gain, weak.gain)
+            if r < R_FLOOR:
+                break
             if not noma_wins(weak.snr, r):
                 continue
             if region_of is not None:

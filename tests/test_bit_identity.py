@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from vlc_noma import batch
+from vlc_noma import batch, scheduler
 from vlc_noma.batch import block_floor_gains, block_sum_rates
 from vlc_noma.channel import UserPosition, floor_gains, los_channel_gain
 from vlc_noma.config import ExperimentConfig
@@ -34,6 +34,7 @@ from vlc_noma.experiments import (
 )
 from vlc_noma.rates import (
     CAPACITY_SNR_FACTOR,
+    GAMMA_FLOOR,
     noma_rate_at,
     noma_user_rates,
     noma_wins,
@@ -492,6 +493,94 @@ def test_block_sum_rates_rejects_what_scheme_sum_rates_rejects(gains):
     with pytest.raises(ValueError) as block:
         block_sum_rates(np.array(gains), 1.0, 1e-14)
     assert str(block.value) == str(lean.value)
+
+
+def sweep_gains(cfg, k, trials):
+    """One seeded sweep block's (trials, k) gains, as _sweep_users_block
+    computes them."""
+    u = uniform_streams(cfg.seed, k, 0, trials)
+    return block_floor_gains(cfg.link(), u[:, 0::2] * cfg.room().length,
+                             u[:, 1::2] * cfg.room().width)
+
+
+def record_ratios(monkeypatch, module):
+    """Patch module.noma_wins to record the ratios it tests, in call order,
+    keyed by the weak user's SNR."""
+    tested = {}
+
+    def wins(gamma, r):
+        for g, x in zip(np.ravel(gamma).tolist(), np.ravel(r).tolist()):
+            tested.setdefault(g, []).append(x)
+        return noma_wins(gamma, r)
+
+    monkeypatch.setattr(module, "noma_wins", wins)
+    return tested
+
+
+def pairs_below_top(row, p_led, noise_power):
+    """How many of a row's greedy pairs take a partner below the highest
+    index still free when its weak user searches."""
+    free, below = set(range(len(row))), 0
+    for weak, strong in greedy_partners(row, p_led, noise_power):
+        free -= {weak}
+        below += strong != max(free)
+        free -= {strong}
+    return below
+
+
+# K = 100 blocks: the default room; a 50 degree field of view, where 5.3%
+# of the users are dead; 0.05 W, where 2,218 pairs in 506 of the first 512
+# drops form below their weak user's top; and 1e-12 W, where every weak
+# user lies below rates.GAMMA_FLOOR.
+LOW_POWER = dataclasses.replace(DEFAULT, led_power=0.05)
+TINY_POWER = dataclasses.replace(DEFAULT, led_power=1e-12)
+K100_CONFIGS = pytest.mark.parametrize(
+    "cfg", [DEFAULT, dataclasses.replace(DEFAULT, fov_deg=50.0), LOW_POWER, TINY_POWER],
+    ids=["default", "fov50", "low_power", "tiny_power"])
+
+
+@K100_CONFIGS
+def test_the_block_greedy_tests_the_pairs_the_scalar_greedy_tests(monkeypatch, cfg):
+    # Each weak user (each SNR is one user's) tests the same ratios in the
+    # same order on both routes: the block's one pass per weak index, from
+    # each drop's top and on below it, is adaptive_pairing's j loop.
+    gains = sweep_gains(cfg, 100, 512)
+    snrs = cfg.led_power * gains * gains / cfg.noise_power
+    live = snrs[snrs >= GAMMA_FLOOR]
+    assert np.unique(live).size == live.size
+    block = record_ratios(monkeypatch, batch)
+    block_sum_rates(gains, cfg.led_power, cfg.noise_power)
+    scalar = record_ratios(monkeypatch, scheduler)
+    for row in gains.tolist():
+        adaptive_pairing(UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power))
+    assert block == scalar
+    assert (len(block) > 0) == (cfg is not TINY_POWER)
+    if cfg is LOW_POWER:
+        assert sum(pairs_below_top(row, cfg.led_power, cfg.noise_power)
+                   for row in gains.tolist()) == 2218
+
+
+def test_a_k100_block_tests_fewer_ratios_than_one_pass_per_pair(monkeypatch):
+    # One pass per (i, j) tested 1,403,316 elements in 4,950 noma_wins calls
+    # on this block; one pass per weak index, stopping at R_FLOOR, tests
+    # 66,654 in 126.
+    calls = Counter()
+    wins = batch.noma_wins
+
+    def counted(gamma, r):
+        calls["calls"] += 1
+        calls["elements"] += r.size
+        return wins(gamma, r)
+
+    monkeypatch.setattr(batch, "noma_wins", counted)
+    block_sum_rates(sweep_gains(DEFAULT, 100, STREAM_BLOCK), DEFAULT.led_power,
+                    DEFAULT.noise_power)
+    assert calls == {"calls": 126, "elements": 66654}
+
+
+@K100_CONFIGS
+def test_block_sum_rates_equal_scheme_sum_rates_at_k100(cfg):
+    assert_rows_equal(sweep_gains(cfg, 100, 256), cfg.led_power, cfg.noise_power)
 
 
 def fold_mean_and_se(values):

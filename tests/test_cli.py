@@ -379,3 +379,41 @@ def test_pair_takes_a_gap_sign_pair_whose_region_is_narrower_than_the_scan_grid(
     captured = capsys.readouterr()
     assert captured.out == "PAIR 1 2\nSUM_RATE 3.749563150320988\n"
     assert captured.err == ""
+
+
+# Weak users below rates.GAMMA_FLOOR (10 dB) never pair. Without the floor,
+# noma_wins read a rounding tie as a win below about 1.6e-8 (-78 dB), the
+# greedy paired there, and the scan seeded regions of width 0.0 dB.
+def test_pair_leaves_users_below_the_snr_floor_single(capsys):
+    # gamma = 1e-16 and r = 1.96, a tie noma_wins takes: without the floor the
+    # greedy paired it and its region check exited 2
+    assert main(["pair", "--gains", "1e-15,1.4e-15"]) == 0
+    captured = capsys.readouterr()
+    assert captured.out == "SOLO 1\nSOLO 2\nSUM_RATE 0.0\n"
+    assert captured.err == ""
+
+
+def test_a_sweep_below_the_snr_floor_pairs_nobody(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("led_power = 1e-12\nusers_max = 4\n")
+    assert main(["sweep-users", "--config", str(cfg), "--trials", "200"]) == 0
+    plain = capsys.readouterr().out
+    rows = [line.split(",") for line in plain.strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["2", "3", "4"]
+    for row in rows:
+        assert row[5:7] == row[1:3]  # adaptive's mean and SE are TDMA's
+        assert float(row[3]) < float(row[1])  # forced pairs lose there
+    assert main(["sweep-users", "--config", str(cfg), "--trials", "200",
+                 "--validate-oracle"]) == 0
+    assert capsys.readouterr().out == plain
+
+
+def test_region_rows_below_the_snr_floor_are_empty(tmp_path, capsys):
+    cfg = tmp_path / "tiny.cfg"
+    cfg.write_text("snr_db_min = -100\nsnr_db_max = -75\nsnr_db_step = 5\n")
+    assert main(["region", "--config", str(cfg)]) == 0
+    captured = capsys.readouterr()
+    rows = [line.split(",") for line in captured.out.strip().split("\n")[1:]]
+    assert [row[0] for row in rows] == ["-100.0", "-95.0", "-90.0", "-85.0", "-80.0", "-75.0"]
+    assert all(row[2:] == ["empty", "", "", "", "", ""] for row in rows)
+    assert captured.err == ""

@@ -78,6 +78,14 @@ def test_region_map_rows():
     assert row20[7] == pytest.approx(row20[6] - row20[5], abs=1e-9)
 
 
+def test_region_map_rows_below_the_snr_floor_are_empty():
+    # Without rates.GAMMA_FLOOR, 10 of these 11 rows read nonempty with
+    # width 0.0 dB, from scan seeds on rounding ties.
+    cfg = ExperimentConfig(snr_db_min=-85.0, snr_db_max=-75.0, snr_db_step=1.0)
+    rows = run_region_map(cfg).rows
+    assert len(rows) == 11 and all(row[2] == "empty" for row in rows)
+
+
 def test_region_map_reproducible():
     cfg = ExperimentConfig(snr_db_min=5.0, snr_db_max=25.0, snr_db_step=5.0)
     assert run_region_map(cfg).csv_text() == run_region_map(cfg).csv_text()
@@ -404,11 +412,13 @@ def test_validated_region_map_log2_calls(log2_calls):
     # (16 gaps, not 17), and each r_min run takes its NOMA side at r = 1 once,
     # not in each of the map's 557 r_min iterations; down from 57,138 calls
     # (scan 3,172, r_min 22,535). Validation certifies each endpoint by
-    # + - * / gap signs, so it takes no log2; the oracle took 9,495.
+    # + - * / gap signs, so it takes no log2; the oracle took 9,495. The
+    # map's ten rows from 0 to 9 dB lie below rates.GAMMA_FLOOR, where the
+    # scan returns None with no log2: 49 calls each, 2,989 calls before.
     cfg = ExperimentConfig()
     log2_calls.clear()  # the config's Lambertian order takes two
     run_region_map(cfg, validate=True)
-    assert log2_calls == {"scan": 2989, "r_min": 21521, "r_max": 21936}
+    assert log2_calls == {"scan": 2499, "r_min": 21521, "r_max": 21936}
 
 
 def test_plain_pair_pool_log2_calls(log2_calls):

@@ -2,14 +2,19 @@
 
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlc_noma.rates import (
     CAPACITY_SNR_FACTOR,
+    GAMMA_FLOOR,
+    R_FLOOR,
     PairState,
     noma_rate_at,
+    noma_wins,
     quartic_coefficients,
     rate_gap_at,
     rate_gap_curve,
@@ -18,6 +23,7 @@ from vlc_noma.rates import (
     squared_ratio,
     tdma_rate_at,
 )
+from vlc_noma.region import GAMMA_MAX
 from vlc_noma.scheduler import UserChannelSet
 
 # Frozen from direct evaluation of the closed forms with t = e/(2*pi).
@@ -245,3 +251,46 @@ def test_gap_is_unimodal_on_log_grid():
         assert len(flips) <= 1
         if len(flips) == 1:
             assert signs[flips[0]] > 0.0 > signs[flips[0] + 1]
+
+
+# The greedies' two floors rest on these premises, tested on floats here,
+# not proved: above GAMMA_FLOOR no ratio below R_FLOOR wins, and from 1e-7
+# up to GAMMA_FLOOR no ratio wins at all.
+LOG_GAMMA_FLOOR, LOG_GAMMA_MAX = math.log10(GAMMA_FLOOR), math.log10(GAMMA_MAX)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.floats(LOG_GAMMA_FLOOR, LOG_GAMMA_MAX),
+       st.floats(1.0, R_FLOOR, exclude_max=True))
+def test_no_ratio_below_the_ratio_floor_wins(log_gamma, r):
+    assert not noma_wins(max(GAMMA_FLOOR, 10.0 ** log_gamma), r)
+
+
+@settings(deadline=None, derandomize=True, max_examples=300)
+@given(st.floats(-7.0, LOG_GAMMA_FLOOR), st.floats(0.0, 300.0))
+def test_no_ratio_wins_below_the_snr_floor(log_gamma, log_r):
+    assert not noma_wins(min(GAMMA_FLOOR, 10.0 ** log_gamma), 10.0 ** log_r)
+
+
+def test_the_floor_premises_hold_on_a_million_seeded_points():
+    rng = np.random.default_rng(22)
+    n = 10**6
+    gamma = GAMMA_FLOOR * (GAMMA_MAX / GAMMA_FLOOR) ** rng.random(n)
+    r = 1.0 + (R_FLOOR - 1.0) * rng.random(n)
+    assert not noma_wins(gamma, r).any()
+    gamma = 1e-7 * (GAMMA_FLOOR / 1e-7) ** rng.random(n)
+    assert not noma_wins(gamma, 10.0 ** (300.0 * rng.random(n))).any()
+    # the corners of the first range
+    assert not noma_wins(np.array([GAMMA_FLOOR, GAMMA_MAX]), np.nextafter(R_FLOOR, 0.0)).any()
+
+
+def test_below_about_1e_8_noma_wins_reads_a_rounding_tie_as_a_win():
+    # At gamma = 1e-16 all four of noma_wins' arguments round to 1.0, so it
+    # returns True although the exact gap is negative: the reason the
+    # greedies skip every weak user below GAMMA_FLOOR.
+    gamma, r = 1e-16, squared_ratio(1.4e-15, 1e-15)
+    assert 1.0 + CAPACITY_SNR_FACTOR * gamma == 1.0
+    assert noma_wins(gamma, r)
+    t, g, x = Fraction(CAPACITY_SNR_FACTOR), Fraction(gamma), Fraction(r)
+    ab = (1 + t * x * g / (x + g + 1)) * (1 + t * x * g / (x + 1))
+    assert ab * ab < (1 + t * g) * (1 + t * x * g)

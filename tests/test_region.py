@@ -10,7 +10,7 @@ import pytest
 from vlc_noma import region as region_module
 from vlc_noma.config import ExperimentConfig
 from vlc_noma.experiments import run_region_map
-from vlc_noma.rates import noma_wins, rate_gap_at, rate_gap_curve
+from vlc_noma.rates import GAMMA_FLOOR, noma_wins, rate_gap_at, rate_gap_curve
 from vlc_noma.region import (
     GAMMA_MAX,
     SCAN_POINTS,
@@ -45,6 +45,17 @@ def test_feasibility_scan_finds_positive_gap_at_100():
 
 def test_feasibility_scan_empty_at_unit_snr():
     assert feasibility_scan(1.0) is None
+
+
+def test_the_snr_floor_lies_below_the_threshold():
+    # Regions first appear at gamma* = 10.3119 (10.13 dB), above the floor.
+    assert oracle_region(10.31).is_empty
+    assert not oracle_region(10.312).is_empty
+    # Below the floor the scan returns None at once. Without the floor its
+    # float log2 gaps round to ties at tiny SNRs, and it seeded r = 1.000196
+    # at 1e-8 (-80 dB), a region of width 0.0 dB.
+    assert [feasibility_scan(g) for g in (1e-8, 1e-3, GAMMA_FLOOR * (1 - 2**-52))] == [None] * 3
+    assert feasibility_scan(GAMMA_FLOOR) is None  # the gap is negative at 10 dB too
 
 
 # sha256 of ",".join(repr(v) for v in _SCAN_GRID): the grid np.logspace(0,
