@@ -36,10 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_users.add_argument("--workers", type=int, default=1, metavar="N",
                          help="parallel worker processes, at most the CPU count "
                               "(output bytes unaffected)")
-    p_users.add_argument("--validate-oracle", action="store_true",
-                         help="also check every drop's pairs against oracle regions "
-                              "certified by exact gap-sign tests, as region, "
-                              "sweep-power and pair always do (about 6x slower)")
 
     p_power = sub.add_parser("sweep-power", help="sum-rate vs LED power, fixed users")
     _add_common(p_power)
@@ -79,8 +75,7 @@ def main(argv=None) -> int:
             table = run_region_map(cfg, validate=True)
             _emit(table.csv_text(), args.out)
         elif args.command == "sweep-users":
-            table = run_sweep_users(cfg, validate=args.validate_oracle,
-                                    workers=args.workers)
+            table = run_sweep_users(cfg, workers=args.workers)
             _emit(table.csv_text(), args.out)
         elif args.command == "sweep-power":
             table = run_sweep_power(cfg)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .channel import LedConfig, LinkConstants, PhotodiodeConfig, RoomGeometry, floor_gains
-from .region import SNR_DB_MAX
+from .region import GAMMA_MAX, SNR_DB_MAX
 
 
 class ConfigError(ValueError):
@@ -142,7 +142,8 @@ class ExperimentConfig:
     def _check_link_under_led(self) -> None:
         """The floor point under the LED has the room's largest gain and
         SNR: it must have a finite positive gain, or every drop is silently
-        dead, and an SNR that does not overflow at the largest LED power.
+        dead, and at the largest LED power an SNR within the pairing rule's
+        tested range, region.GAMMA_MAX (480 dB), which an overflow exceeds.
         That gain is scale / (2 pi h^2) * T_s * T_f, so a photodiode factor
         outside (0, inf) names its keys, and room_height is named last."""
         link = self.link()
@@ -161,8 +162,10 @@ class ExperimentConfig:
         if not 0.0 < gain < math.inf:
             raise ConfigError(
                 "room_height leaves the floor under the LED no finite positive channel gain")
-        if max(self.led_power, *self.power_grid) * gain * gain / self.noise_power == math.inf:
-            raise ConfigError("noise_power is too small: the SNR under the LED overflows")
+        if max(self.led_power, *self.power_grid) * gain * gain / self.noise_power > GAMMA_MAX:
+            raise ConfigError(
+                f"noise_power is too small: the SNR under the LED exceeds {SNR_DB_MAX:g} dB, "
+                "the pairing rule's tested range")
 
     # The devices are built once per config, and their link constants once
     # per device pair (LinkConstants.of's cache): drops reach them thousands
@@ -281,5 +284,6 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
+    # utf-8-sig drops the byte-order mark some editors write before the first key
+    with open(path, "r", encoding="utf-8-sig") as fh:
         return parse_config_text(fh.read())

@@ -32,18 +32,16 @@ users_min = users_max = K runs any single user count up to
 config.USER_LIMIT.
 
 Every route decides each pair by the sign of the rate gap at the weak
-user's exact SNR. A region only cross-checks a plan:
-adaptive_pairing(users, region_of) raises if a pair lies outside the region
-at its weak user's SNR by more than region.SOLVER_REL_BOUND. pair_once and
-the power sweep always cross-check their plans, the power sweep through
-scheme_sum_rates, so each power's one greedy is both rated and checked; the
-user sweep does so only with validate, since the check makes that sweep
-about six times slower. Every check passes region.oracle_region itself, the
-bisection reference, which bisects the same exact gap sign, certifies both
-of its endpoints within that bound by two more such sign tests, and runs
-no solver. Only the region map runs the solver. Every region is computed at the exact SNR that asks for it, and
-none is cached, so no result depends on the order of the lookups or on the
-worker count.
+user's exact SNR, and the sweeps read no region at all. Only pair_once
+cross-checks its plan: adaptive_pairing(users, region.oracle_region)
+raises if a pair lies outside the oracle region at its weak user's SNR by
+more than region.SOLVER_REL_BOUND. The oracle bisects the same exact gap
+sign, certifies both of its endpoints within that bound by two more such
+sign tests, and runs no solver. tests/test_properties.py checks that its
+regions agree with the gap sign, so no sweep re-checks that on every run.
+Only the region map runs the solver. Every region is computed at the exact
+SNR that asks for it, and none is cached, so no result depends on the
+order of the lookups or on the worker count.
 
 block_sum_rates holds a block user-major, one contiguous row per sorted
 user, and adds each scheme's group rates row by row in evaluate_schedule's
@@ -155,14 +153,11 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache=None):
 def _sweep_users_block(args):
     """Worker entry: simulate trials [lo, hi) of user count k, drop for drop
     equal to _simulate_drop; returns one (hi - lo, 3) array of (tdma,
-    forced, adaptive) sum-rates. With validate, every drop's pairs are also
-    cross-checked against their certified oracle regions, as pair_once
-    checks them, by a second scalar greedy per drop: block_sum_rates, which
-    rates the block, takes no region."""
+    forced, adaptive) sum-rates."""
     from .batch import block_floor_gains, block_sum_rates
     from .streams import uniform_streams
 
-    cfg, k, lo, hi, validate = args
+    cfg, k, lo, hi = args
     link, room = cfg.link(), cfg.room()
     u = uniform_streams(cfg.seed, k, lo, hi)
     # sample_user_positions' multiplies, in place on the same uniforms
@@ -170,17 +165,10 @@ def _sweep_users_block(args):
     u[:, 1::2] *= room.width
     gains = block_floor_gains(link, u[:, 0::2], u[:, 1::2])
     del u  # the positions are spent: the rates need only the gains
-    rates = block_sum_rates(gains, cfg.led_power, cfg.noise_power)
-    if validate:
-        for row in gains.tolist():
-            adaptive_pairing(UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power),
-                             region_module.oracle_region)
-    return rates
+    return block_sum_rates(gains, cfg.led_power, cfg.noise_power)
 
 
-def run_sweep_users(
-    cfg: ExperimentConfig, validate: bool = False, workers: int = 1
-) -> ResultTable:
+def run_sweep_users(cfg: ExperimentConfig, workers: int = 1) -> ResultTable:
     """Mean sum-rate (and standard error) of the three schemes per user count.
 
     Trials are independent with per-trial RNG streams keyed by (K, trial).
@@ -189,8 +177,7 @@ def run_sweep_users(
     range, which no worker count moves. The blocks run serially, or in a pool
     of min(workers, _usable_cpus(), number of blocks) processes, and each K's
     blocks are joined in trial order as soon as they are in, so the output
-    bytes are identical for any worker count. With validate, every drop is
-    also cross-checked against certified oracle regions, which adds no byte.
+    bytes are identical for any worker count.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -203,7 +190,7 @@ def run_sweep_users(
         "adaptive_mean", "adaptive_se",
     )
     starts = range(0, cfg.trials, STREAM_BLOCK)
-    blocks = ((cfg, k, lo, min(lo + STREAM_BLOCK, cfg.trials), validate)
+    blocks = ((cfg, k, lo, min(lo + STREAM_BLOCK, cfg.trials))
               for k in cfg.user_counts() for lo in starts)
 
     def table(outputs):
@@ -224,16 +211,13 @@ def run_sweep_users(
 
 def run_sweep_power(cfg: ExperimentConfig) -> ResultTable:
     """Deterministic sum-rates of the three schemes at the fixed receiver
-    cluster, per LED power. scheme_sum_rates hands region.oracle_region to
-    adaptive_pairing, so the one greedy per power that the rates come from
-    also has its pairs cross-checked against their certified oracle regions,
-    as pair_once checks them."""
+    cluster, per LED power, each from scheme_sum_rates' one greedy per
+    power, which pairs on the gap sign and reads no region."""
     columns = ("p_led", "tdma", "forced", "adaptive", "adaptive_minus_forced")
     gains = floor_gains(cfg.link(), cfg.fixed_positions)
     rows = []
     for p_led in cfg.power_grid:
-        rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(
-            gains, p_led, cfg.noise_power, region_module.oracle_region)
+        rate_tdma, rate_forced, rate_adaptive = scheme_sum_rates(gains, p_led, cfg.noise_power)
         rows.append((
             p_led, rate_tdma, rate_forced, rate_adaptive,
             rate_adaptive - rate_forced,

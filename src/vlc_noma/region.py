@@ -6,7 +6,7 @@ linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 a brute-force bisection oracle licensed by the gap's unimodality. The
 solver, the paper's method, serves only the region map (region_for_snr and
 RegionCache); the oracle is the reference the tests compare it with, and
-the region every pair check reads. The oracle bisects the exact gap sign,
+the region pair_once's check reads. The oracle bisects the exact gap sign,
 rates.noma_wins, in + - * / alone: the same predicate that forms every
 pair, so past the scan it takes no log2. The same unimodality lets two
 exact gap-sign tests prove an endpoint of either route within
@@ -111,9 +111,9 @@ class NomaRegion:
     def admits(self, r: float) -> bool:
         """Whether r lies in [r_min, r_max] widened at each end by
         SOLVER_REL_BOUND of that end: the ratios a true region can hold
-        when this one is a validated solver region. The pair checks pass
-        oracle regions, bisected on the noma_wins sign that forms each
-        pair, whose endpoints may lie up to ORACLE_REL_WIDTH inside that
+        when this one is a validated solver region. pair_once's check
+        passes oracle regions, bisected on the noma_wins sign that forms
+        each pair, whose endpoints may lie up to ORACLE_REL_WIDTH inside that
         sign's change, so a pair nearer to it than that can fall just
         outside one unwidened; solver regions reach it through perfbench's
         traced replay."""
@@ -498,9 +498,9 @@ class RegionCache:
     A miss runs region_for_snr at the SNR that missed, so every cached
     region equals a fresh region_for_snr call at the SNR that asks for it.
     Lookups from threads may race but at worst recompute the same value.
-    No route of the package uses one: pair_once, the power sweep and the
-    validated user sweep check each pair against oracle_region, certified,
-    at its weak user's own SNR.
+    No route of the package uses one: pair_once checks each pair against
+    oracle_region, certified, at its weak user's own SNR, and the sweeps
+    read no region.
     """
 
     def __init__(self):

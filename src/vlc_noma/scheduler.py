@@ -119,11 +119,10 @@ def adaptive_pairing(
     A given region_of only cross-checks the plan: it is called once per pair
     formed, at the weak user's SNR, and a pair whose r lies outside that
     region by more than region.SOLVER_REL_BOUND of an endpoint (see
-    NomaRegion.admits) raises OracleMismatchError. The package's routes
-    pass region.oracle_region, the bisection reference, which bisects the
-    same noma_wins sign and certifies each region's endpoints before the
-    pair is checked;
-    perfbench's traced replay passes solver regions from a
+    NomaRegion.admits) raises OracleMismatchError. pair_once passes
+    region.oracle_region, the bisection reference, which bisects the same
+    noma_wins sign and certifies each region's endpoints before the pair is
+    checked; perfbench's traced replay passes solver regions from a
     region.RegionCache. It never changes the plan.
     """
     order = users.users
@@ -221,15 +220,11 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
 
 
 def scheme_sum_rates(
-    gains: Sequence[float],
-    p_led: float,
-    noise_power: float,
-    region_of: Callable[[float], NomaRegion] | None = None,
+    gains: Sequence[float], p_led: float, noise_power: float
 ) -> tuple[float, float, float]:
     """(TDMA, forced, adaptive) sum-rates of users 1..K with these gains:
     evaluate_schedule of tdma_plan, forced_pairing and adaptive_pairing over
-    UserChannelSet.from_gains(gains, p_led, noise_power). A given region_of
-    goes to adaptive_pairing, which cross-checks the plan it rates."""
+    UserChannelSet.from_gains(gains, p_led, noise_power), with no region."""
     users = UserChannelSet.from_gains(gains, p_led, noise_power)
-    plans = (tdma_plan(users), forced_pairing(users), adaptive_pairing(users, region_of))
+    plans = (tdma_plan(users), forced_pairing(users), adaptive_pairing(users))
     return tuple(evaluate_schedule(plan, users).sum_rate for plan in plans)

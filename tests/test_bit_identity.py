@@ -124,19 +124,27 @@ def test_an_overflowed_ratio_never_pairs_and_forces_the_limit(gains, p_led, nois
     assert forced == unit + unit
 
 
-# With validate the block also cross-checks every drop's pairs against
-# certified oracle regions (cross_check), which must pass and change no
-# rate. The trial ranges span a block boundary of the sweep and end at the
-# last trial the streams take.
-@pytest.mark.parametrize("validate", [False, True], ids=["gap_sign", "cross_check"])
+# The trial ranges span a block boundary of the sweep and end at the last
+# trial the streams take. cross_check also checks every pair the scalar
+# greedy forms in those drops against its certified oracle region, a check
+# the sweep itself does not make: each must pass.
+@pytest.mark.parametrize("cross_check", [False, True], ids=["gap_sign", "cross_check"])
 @pytest.mark.parametrize("cfg", [DEFAULT, NARROW_FOV], ids=["default", "narrow_fov"])
-def test_sweep_block_equals_simulate_drop(cfg, validate):
+def test_sweep_block_equals_simulate_drop(cfg, cross_check):
+    room = cfg.room()
     for lo, hi in [(STREAM_BLOCK - 15, STREAM_BLOCK + 15), (2**32 - 15, 2**32)]:
         for k in range(1, 12):
-            drops = _sweep_users_block((cfg, k, lo, hi, validate))
+            drops = _sweep_users_block((cfg, k, lo, hi))
             assert drops.shape == (hi - lo, 3)
             assert list(map(tuple, drops.tolist())) == [
                 _simulate_drop(cfg, k, m) for m in range(lo, hi)], (k, lo)
+            if cross_check:
+                u = uniform_streams(cfg.seed, k, lo, hi)
+                gains = block_floor_gains(cfg.link(), u[:, 0::2] * room.length,
+                                          u[:, 1::2] * room.width)
+                for row in gains.tolist():
+                    users = UserChannelSet.from_gains(row, cfg.led_power, cfg.noise_power)
+                    adaptive_pairing(users, oracle_region)
 
 
 def block_gains(cfg, k, trials):
@@ -628,7 +636,7 @@ def test_mean_and_se_equal_left_to_right_folds_on_random_columns(rows):
 
 def test_sweep_users_mean_and_se_equal_left_to_right_folds():
     for k in DEFAULT.user_counts():
-        assert_mean_and_se_equal_the_folds(_sweep_users_block((DEFAULT, k, 0, 2000, False)))
+        assert_mean_and_se_equal_the_folds(_sweep_users_block((DEFAULT, k, 0, 2000)))
 
 
 def traced_peak(fn, *args) -> int:
@@ -665,7 +673,7 @@ def test_a_sweep_block_holds_a_few_times_its_uniforms():
     # freed before the rates, and each kernel step writes into the array it
     # reads (3.8x here)
     k = 100
-    block = (DEFAULT, k, 0, STREAM_BLOCK, False)
+    block = (DEFAULT, k, 0, STREAM_BLOCK)
     _sweep_users_block(block)  # imports and first-call allocations
     uniform_bytes = STREAM_BLOCK * 2 * k * 8
     assert traced_peak(_sweep_users_block, block) <= 5 * uniform_bytes

@@ -76,10 +76,17 @@ def test_pair_exits_2_on_a_skewed_oracle_r_max(monkeypatch, capsys):
 @pytest.mark.parametrize("command", [
     ["region"], ["sweep-power"], ["pair", "--gains", "1e-6,2e-6"]])
 def test_validate_oracle_is_a_usage_error_outside_sweep_users(command, capsys):
-    # region, sweep-power and pair always certify the regions they read
-    assert build_parser().parse_args(["sweep-users", "--validate-oracle"]).validate_oracle
     with pytest.raises(SystemExit) as exc:
         main([*command, "--validate-oracle"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --validate-oracle" in capsys.readouterr().err
+
+
+def test_sweep_users_has_no_validate_oracle_flag(capsys):
+    # the sweep reads no region; tests/test_properties.py checks the oracle
+    # regions against the gap sign the sweep pairs on
+    with pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(["sweep-users", "--validate-oracle"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --validate-oracle" in capsys.readouterr().err
 
@@ -274,15 +281,24 @@ def test_snr_grid_bounds_past_the_float_range_fail_cleanly(text, key, tmp_path, 
     assert captured.err.count("\n") == 1
 
 
+# Past 480 dB, the range the pairing rule is tested over, pair's oracle
+# region refuses a weak-user SNR, and the config refuses a sweep whose SNR
+# under the LED, the room's largest, lies there: the sweeps read no region.
+PAST_480_DB = {
+    "pair": "error: gamma must be finite and positive, and at most 1e48 (480 dB), not ",
+    "sweep-users": "error: noise_power is too small: the SNR under the LED exceeds 480 dB",
+    "sweep-power": "error: noise_power is too small: the SNR under the LED exceeds 480 dB",
+}
+
+
 @pytest.mark.parametrize("text, command", [
-    # a weak-user SNR of 1.0201e48, 480.09 dB: the oracle region of pair's
-    # cross-check rejects it
+    # a weak-user SNR of 1.0201e48, 480.09 dB
     ("", ["pair", "--gains", "1.01e17,2e17"]),
     # a 1e301 weak-user SNR
     ("led_power = 1e9\nnoise_power = 1e-20\n", ["pair", "--gains", "1e136,2e136"]),
-    # SNRs of about 1e240, through the user sweep's region cross-check
-    ("noise_power = 1e-250\n", ["sweep-users", "--trials", "20", "--validate-oracle"]),
-    # fixed receivers past 480 dB, through the power sweep's region cross-check
+    # SNRs of up to 2,401 dB
+    ("noise_power = 1e-250\n", ["sweep-users", "--trials", "20"]),
+    # fixed receivers past 480 dB: 501 dB under the LED
     ("noise_power = 1e-60\n", ["sweep-power"]),
 ])
 def test_region_solver_failures_exit_2(text, command, tmp_path, capsys):
@@ -291,22 +307,20 @@ def test_region_solver_failures_exit_2(text, command, tmp_path, capsys):
     assert main([*command, "--config", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "error: gamma must be finite and positive, and at most 1e48 (480 dB), not ")
+    assert captured.err.startswith(PAST_480_DB[command[0]])
     assert captured.err.count("\n") == 1
 
 
-# region runs the solver, and pair and the validated sweep the oracle region
+# region runs the solver, pair the oracle region, and the sweep no region
 @pytest.mark.parametrize("text, command", [
     # 160 dB, where r_max is about 2e31
     ("snr_db_min = 160\nsnr_db_max = 160\n", ["region"]),
     ("", ["pair", "--gains", "1e3,2e3"]),  # weak-user SNR 1e20
     # weak-user SNRs of about 1e17
-    ("led_power = 1e9\nnoise_power = 1e-20\n",
-     ["sweep-users", "--trials", "20", "--validate-oracle"]),
+    ("led_power = 1e9\nnoise_power = 1e-20\n", ["sweep-users", "--trials", "20"]),
     # the solver's bound: a weak-user SNR of exactly 1e48
     ("", ["pair", "--gains", "1e17,2e17"]),
-], ids=["region_160_db", "pair_200_db", "validated_sweep_170_db", "pair_480_db"])
+], ids=["region_160_db", "pair_200_db", "sweep_170_db", "pair_480_db"])
 def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
@@ -315,19 +329,26 @@ def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
     assert captured.err == "" and "inf" not in captured.out
 
 
-# every route checks its pairs against region.oracle_region; the user sweep
-# does so only with the oracle flag
-@pytest.mark.parametrize("command", [
-    pytest.param(["sweep-users", "--trials", "20", "--validate-oracle"], id="sweep-users"),
-    pytest.param(["sweep-power"], id="sweep-power"),
-    pytest.param(["pair", "--gains", "1e-6,2e-6"], id="pair"),
+# pair checks its pairs against region.oracle_region, so regions that end at
+# r = 1.5 make it exit 2; the sweeps pair on the gap sign and read no region,
+# so the same regions leave their bytes as they are (tests/test_properties.py
+# checks the oracle regions against the gap sign)
+@pytest.mark.parametrize("command, code", [
+    pytest.param(["sweep-users", "--trials", "20"], 0, id="sweep-users"),
+    pytest.param(["sweep-power"], 0, id="sweep-power"),
+    pytest.param(["pair", "--gains", "1e-6,2e-6"], 2, id="pair"),
 ])
 def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
-        command, monkeypatch, capsys):
+        command, code, monkeypatch, capsys):
+    assert main(command) == 0
+    plain = capsys.readouterr().out
     monkeypatch.setattr(region, "oracle_region",
                         lambda gamma: NomaRegion(gamma, 1.0, 1.5))
-    assert main(command) == 2
+    assert main(command) == code
     captured = capsys.readouterr()
+    if code == 0:
+        assert (captured.out, captured.err) == (plain, "")
+        return
     assert captured.out == ""
     assert captured.err.startswith("error: the gap sign pairs r=")
     assert captured.err.count("\n") == 1
@@ -403,9 +424,6 @@ def test_a_sweep_below_the_snr_floor_pairs_nobody(tmp_path, capsys):
     for row in rows:
         assert row[5:7] == row[1:3]  # adaptive's mean and SE are TDMA's
         assert float(row[3]) < float(row[1])  # forced pairs lose there
-    assert main(["sweep-users", "--config", str(cfg), "--trials", "200",
-                 "--validate-oracle"]) == 0
-    assert capsys.readouterr().out == plain
 
 
 def test_region_rows_below_the_snr_floor_are_empty(tmp_path, capsys):

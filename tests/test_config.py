@@ -202,6 +202,9 @@ def test_fixed_positions_must_lie_on_the_floor(z):
 @pytest.mark.parametrize("text, key", [
     ("room_height = 1e-300\n", "room_height"),   # every link would be dead
     ("noise_power = 1e-320\n", "noise_power"),   # the SNR under the LED overflows
+    # the SNR under the LED passes 480 dB: 2,901 and 501 dB
+    ("noise_power = 1e-300\n", "noise_power"),
+    ("noise_power = 1e-60\n", "noise_power"),
     ("refractive_index = 1e200\n", "refractive_index and fov_deg"),  # concentrator gain is inf
     ("fov_deg = 1e-155\n", "refractive_index and fov_deg"),  # sin(fov)^2 is subnormal
     ("pd_responsivity = 1e-320\n", "pd_area and pd_responsivity"),  # (m+1)*A*R is 0
@@ -234,7 +237,7 @@ def test_device_bounds_name_the_config_key(key, values, message):
 
 
 @pytest.mark.parametrize("text", ["", "semi_angle_deg = 1\n", "fov_deg = 90\n", "fov_deg = 30\n",
-                                  "noise_power = 1e-300\n", "room_height = 0.01\n"])
+                                  "room_height = 0.01\n"])
 def test_extreme_but_live_channels_load(text):
     parse_config_text(text)
 
@@ -244,3 +247,13 @@ def test_load_config_roundtrip(tmp_path):
     path.write_text("seed = 5\ntrials = 10\nled_power = 0.5\n")
     cfg = load_config(str(path))
     assert (cfg.seed, cfg.trials, cfg.led_power) == (5, 10, 0.5)
+
+
+def test_load_config_skips_a_byte_order_mark(tmp_path):
+    # some editors start a UTF-8 file with a BOM, which would be read as
+    # part of the first key
+    path = tmp_path / "run.cfg"
+    path.write_text("trials = 10\nseed = 5\n", encoding="utf-8-sig")
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf")
+    cfg = load_config(str(path))
+    assert (cfg.trials, cfg.seed) == (10, 5)

@@ -170,7 +170,7 @@ def test_sweep_users_blocks_do_not_depend_on_the_worker_count(pools, monkeypatch
     (two, blocks_two), (three, blocks_three) = pools
     assert (two, three) == (2, 3)
     assert blocks_two == blocks_three == [
-        (cfg, k, lo, hi, False) for k in (2, 3, 4)
+        (cfg, k, lo, hi) for k in (2, 3, 4)
         for lo, hi in ((0, STREAM_BLOCK), (STREAM_BLOCK, 2 * STREAM_BLOCK),
                        (2 * STREAM_BLOCK, 5000))]
 
@@ -288,20 +288,36 @@ def test_pair_once_matches_library_pairing():
 
 
 def test_validated_sweeps_raise_when_a_region_disagrees_with_the_gap_sign(monkeypatch):
-    # Regions that end at r = 1.5 leave out pairs the gap sign takes.
+    # The validated region map certifies each solver endpoint against the
+    # gap sign, so an r_min 1% too high raises; the unvalidated map does not.
+    cfg = ExperimentConfig(snr_db_min=20.0, snr_db_max=22.0, snr_db_step=1.0)
+    true_solve = region.sca_solve
+
+    def skewed_solve(gamma, objective, seed):
+        r, trace = true_solve(gamma, objective, seed)
+        return (r * 1.01 if objective == "min" else r), trace
+
+    monkeypatch.setattr(region, "sca_solve", skewed_solve)
+    with pytest.raises(OracleMismatchError, match="r_min .* is not within"):
+        run_region_map(cfg, validate=True)
+    assert len(run_region_map(cfg).rows) == 3
+
+
+def test_the_sweeps_read_no_region(monkeypatch):
+    # Regions that end at r = 1.5 leave out pairs the gap sign takes: pair
+    # checks its plan against them and raises, the sweeps never read one.
+    users_cfg, power_cfg = small_cfg(), ExperimentConfig()
+    users, power = run_sweep_users(users_cfg), run_sweep_power(power_cfg)
     monkeypatch.setattr(region, "oracle_region",
                         lambda gamma: NomaRegion(gamma, 1.0, 1.5))
     with pytest.raises(OracleMismatchError, match="outside the region"):
-        run_sweep_users(small_cfg(), validate=True)
-    with pytest.raises(OracleMismatchError, match="outside the region"):
-        run_sweep_power(ExperimentConfig())
-    # without validate the user sweep's rates consult no region
-    assert run_sweep_users(small_cfg()).rows
+        pair_once([1e-6, 2e-6], power_cfg)
+    assert run_sweep_users(users_cfg) == users
+    assert run_sweep_power(power_cfg) == power
 
 
-def test_the_power_sweep_runs_one_checked_greedy_per_power(monkeypatch):
-    # scheme_sum_rates passes the oracle to the greedy whose plan it rates,
-    # so no second greedy runs only to check the pairs
+def test_the_power_sweep_runs_one_greedy_per_power(monkeypatch):
+    # scheme_sum_rates runs the greedy whose plan it rates, with no region
     calls = []
     true_pairing = adaptive_pairing
 
@@ -313,8 +329,7 @@ def test_the_power_sweep_runs_one_checked_greedy_per_power(monkeypatch):
     monkeypatch.setattr(experiments, "adaptive_pairing", counted)
     cfg = ExperimentConfig()
     run_sweep_power(cfg)
-    assert len(calls) == len(cfg.power_grid)
-    assert all(region_of is not None for region_of in calls)
+    assert calls == [None] * len(cfg.power_grid)
 
 
 @functools.cache

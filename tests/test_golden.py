@@ -134,13 +134,6 @@ def test_sweep_users_default_bytes():
     assert _sha(run_sweep_users(ExperimentConfig()).csv_text()) == SWEEP_USERS_DEFAULT
 
 
-def test_sweep_users_bytes_through_the_validated_region_route():
-    # Every gap-sign pair must also lie in a certified oracle region, and
-    # the check adds no byte.
-    cfg = ExperimentConfig(trials=200, seed=1)
-    assert _sha(run_sweep_users(cfg, validate=True).csv_text()) == SWEEP_USERS_200
-
-
 def test_sweep_users_bytes_parallel():
     cfg = ExperimentConfig(trials=200, seed=1, users_max=3)
     assert _sha(run_sweep_users(cfg, workers=2).csv_text()) == SWEEP_USERS_200_K3

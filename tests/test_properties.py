@@ -4,6 +4,9 @@ regions are found or on input order, a region cross-check fails exactly
 when a gap-sign pair lies outside it by more than the solver's validated
 bound (NomaRegion.admits) and otherwise leaves the plan as it is,
 adaptive pairing never loses to TDMA, and oracle endpoints are feasible.
+The pairing rule itself is checked here once, not on every run: at seeded
+SNRs up to 480 dB the gap sign that forms every pair wins on one interval
+of ratios, the one the oracle region bounds.
 
 Examples are derandomized, so a run is reproducible; each example builds
 fresh region caches.
@@ -11,11 +14,14 @@ fresh region caches.
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from vlc_noma.rates import noma_wins, rate_gap_at, squared_ratio
 from vlc_noma.region import (
+    ORACLE_REL_WIDTH,
+    SNR_DB_MAX,
     NomaRegion,
     OracleMismatchError,
     RegionCache,
@@ -105,6 +111,32 @@ def test_gap_sign_is_region_membership_up_to_140_db(snr_db, frac):
                 return  # too close to an endpoint to tell the solver's rounding apart
     assert (rate_gap_at(gamma, r) >= 0.0) == (
         not region.is_empty and region.r_min <= r <= region.r_max)
+
+
+# The sweeps pair on noma_wins and read no region, so this is the check that
+# the sign they pair on is region membership. Each grid runs from r = 1 to
+# past r_max (below 0.19 * gamma**2), plus two probes just outside the
+# ORACLE_REL_WIDTH band of each endpoint, within which its bisection stopped.
+def test_noma_wins_is_one_interval_that_the_oracle_region_bounds():
+    rng = np.random.default_rng(38)
+    for db in [10.2, SNR_DB_MAX, *rng.uniform(10.2, SNR_DB_MAX, 1000).tolist()]:
+        gamma = 10.0 ** (db / 10.0)
+        region = oracle_region(gamma)
+        assert not region.is_empty, db  # the threshold is 10.13 dB
+        ends = (region.r_min, region.r_max)
+        r = np.concatenate((
+            np.logspace(0.0, math.log10(max(1e12, gamma * gamma)), 50_000),
+            [end * f for end in ends for f in (1.0 - 2.0 * ORACLE_REL_WIDTH,
+                                               1.0 + 2.0 * ORACLE_REL_WIDTH)]))
+        r.sort()
+        wins = noma_wins(gamma, r)
+        assert not wins[0] and not wins[-1], db
+        assert np.count_nonzero(wins[1:] != wins[:-1]) <= 2, db
+        far = np.ones(len(r), dtype=bool)
+        for end in ends:
+            far &= np.abs(r - end) > ORACLE_REL_WIDTH * end
+        inside = (r >= region.r_min) & (r <= region.r_max)
+        assert np.array_equal(wins[far], inside[far]), db
 
 
 # 480 dB is the solver's whole range: past it every region function raises
