@@ -33,12 +33,15 @@ config.USER_LIMIT.
 
 Every route decides each pair by the sign of the rate gap at the weak
 user's exact SNR, and the sweeps read no region at all. Only pair_once
-cross-checks its plan: adaptive_pairing(users, region.oracle_region)
-raises if a pair lies outside the oracle region at its weak user's SNR by
-more than region.SOLVER_REL_BOUND. The oracle bisects the same exact gap
-sign, certifies both of its endpoints within that bound by two more such
-sign tests, and runs no solver. tests/test_properties.py checks that its
-regions agree with the gap sign, so no sweep re-checks that on every run.
+cross-checks its plan: adaptive_pairing raises if a pair lies outside the
+oracle region at its weak user's SNR by more than
+region.SOLVER_REL_BOUND. The oracle bisects the same exact gap sign, here
+only to region.CHECK_REL_WIDTH, a quarter of that bound, so its region
+nests inside the reference region; it certifies both of its endpoints
+within the bound by two more such sign tests, and runs no solver.
+tests/test_properties.py checks that the reference regions agree with the
+gap sign and that the check's nest inside them, so no sweep re-checks that
+on every run.
 Only the region map runs the solver. Every region is computed at the exact
 SNR that asks for it, and none is cached, so no result depends on the
 order of the lookups or on the worker count.
@@ -58,6 +61,7 @@ import itertools
 import numbers
 import os
 from dataclasses import dataclass
+from functools import partial
 
 from . import region as region_module
 from .channel import RoomGeometry, floor_gains, snr_db
@@ -227,9 +231,11 @@ def run_sweep_power(cfg: ExperimentConfig) -> ResultTable:
 
 def pair_once(gains, cfg: ExperimentConfig):
     """One-shot adaptive pairing for explicit gains, each pair cross-checked
-    against region.oracle_region at its weak user's SNR, which certifies
-    both of its endpoints within region.SOLVER_REL_BOUND, each by two exact
-    gap-sign tests; returns (plan, outcome)."""
+    against region.oracle_region at its weak user's SNR, bisected to
+    region.CHECK_REL_WIDTH, which nests inside the reference region and
+    certifies both of its endpoints within region.SOLVER_REL_BOUND, each by
+    two exact gap-sign tests; returns (plan, outcome)."""
     users = UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power)
-    plan = adaptive_pairing(users, region_module.oracle_region)
+    plan = adaptive_pairing(
+        users, partial(region_module.oracle_region, rel_width=region_module.CHECK_REL_WIDTH))
     return plan, evaluate_schedule(plan, users)

@@ -5,14 +5,16 @@ linearizes the concave TDMA side and shrinks/grows a surrogate feasible set
 (an inner approximation, so every iterate stays inside the true region), and
 a brute-force bisection oracle licensed by the gap's unimodality. The
 solver, the paper's method, serves only the region map (region_for_snr and
-RegionCache); the oracle is the reference the tests compare it with, and
-the region pair_once's check reads. The oracle bisects the exact gap sign,
+RegionCache); the oracle, bisected to ORACLE_REL_WIDTH, is the reference
+the tests compare it with. pair_once's check reads oracle regions bisected
+only to CHECK_REL_WIDTH, the first steps of the same bisection, which nest
+inside the reference region. The oracle bisects the exact gap sign,
 rates.noma_wins, in + - * / alone: the same predicate that forms every
 pair, so past the scan it takes no log2. The same unimodality lets two
 exact gap-sign tests prove an endpoint of either route within
 SOLVER_REL_BOUND of the gap's sign change, with no second bisection:
-every oracle region is certified so, and a solver region when
-region_for_snr is asked to validate it.
+every oracle region, at either width, is certified so, and a solver
+region when region_for_snr is asked to validate it.
 
 Both routes run as fused kernels: each bisection step and bracket test
 evaluates rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope,
@@ -61,6 +63,11 @@ ORACLE_REL_WIDTH = 1e-8       # bracket width at which the oracle's bisection st
 # ones, so a ratio in the true region may lie outside [r_min, r_max], but by
 # no more than this.
 SOLVER_REL_BOUND = 1e-3
+# Bracket width of the oracle regions pair_once's check reads. admits widens
+# each end by b = SOLVER_REL_BOUND and _certify proves no more, so the check
+# needs no bracket near ORACLE_REL_WIDTH; _certify holds for widths below
+# b / (1 + b), and b / 4 sits about 4x below that.
+CHECK_REL_WIDTH = SOLVER_REL_BOUND / 4
 _INV_PHI = (math.sqrt(5.0) - 1.0) / 2.0  # golden-section step of the scan's refine
 _REFINE_WIDTH = 1e-12         # ln r bracket width at which the scan's refine stops
 
@@ -113,8 +120,9 @@ class NomaRegion:
         SOLVER_REL_BOUND of that end: the ratios a true region can hold
         when this one is a validated solver region. pair_once's check
         passes oracle regions, bisected on the noma_wins sign that forms
-        each pair, whose endpoints may lie up to ORACLE_REL_WIDTH inside that
-        sign's change, so a pair nearer to it than that can fall just
+        each pair to CHECK_REL_WIDTH, whose endpoints may lie up to
+        CHECK_REL_WIDTH inside that sign's change (ORACLE_REL_WIDTH for the
+        reference regions), so a pair nearer to it than that can fall just
         outside one unwidened; solver regions reach it through perfbench's
         traced replay."""
         return (not self.is_empty
@@ -340,24 +348,32 @@ def _log_bisect(gamma: float, lo: float, hi: float, lo_feasible: bool,
     return lo if lo_feasible else hi
 
 
-def oracle_region(gamma: float) -> NomaRegion:
+def oracle_region(gamma: float, rel_width: float = ORACLE_REL_WIDTH) -> NomaRegion:
     """Brute-force region: grid seed plus bisection of the exact gap sign,
     rates.noma_wins, toward both endpoints (_log_bisect, which evaluates it
-    inline), each endpoint then certified from the seed (_certify), r_min
-    first, or OracleMismatchError.
+    inline) until each bracket is rel_width of its upper end wide, each
+    endpoint then certified from the seed (_certify), r_min first, or
+    OracleMismatchError.
 
     Valid because the gap has a single interior maximum, so each side of the
     seed crosses zero at most once. Past the scan it takes no log2.
+
+    The default width is the reference the tests compare the solver with.
+    A wider one, such as pair_once's CHECK_REL_WIDTH, starts from the same
+    brackets and takes the same midpoints, so its steps are the reference's
+    first ones, and its region nests inside the reference region, each
+    end at most w = rel_width further in: r_min in [ref.r_min, ref.r_min /
+    (1 - w)] and r_max in [ref.r_max * (1 - w), ref.r_max].
     """
     seed = feasibility_scan(gamma)
     if seed is None:
         return NomaRegion.empty(gamma)
     # The gap at r = 1 is negative at every SNR (t < 1), so r_min lies above 1.
-    r_min = _log_bisect(gamma, 1.0, seed, False, ORACLE_REL_WIDTH)
+    r_min = _log_bisect(gamma, 1.0, seed, False, rel_width)
     hi = max(seed * 2.0, SCAN_RANGE[1])
     while noma_wins(gamma, hi):
         hi *= 4.0
-    r_max = _log_bisect(gamma, seed, hi, True, ORACLE_REL_WIDTH)  # a scan seed has gap > 0
+    r_max = _log_bisect(gamma, seed, hi, True, rel_width)  # a scan seed has gap > 0
     _certify(gamma, "min", r_min, seed)
     _certify(gamma, "max", r_max, seed)
     return NomaRegion(gamma, r_min, r_max)

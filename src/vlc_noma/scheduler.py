@@ -120,9 +120,10 @@ def adaptive_pairing(
     formed, at the weak user's SNR, and a pair whose r lies outside that
     region by more than region.SOLVER_REL_BOUND of an endpoint (see
     NomaRegion.admits) raises OracleMismatchError. pair_once passes
-    region.oracle_region, the bisection reference, which bisects the same
-    noma_wins sign and certifies each region's endpoints before the pair is
-    checked; perfbench's traced replay passes solver regions from a
+    region.oracle_region bisected to region.CHECK_REL_WIDTH, which bisects
+    the same noma_wins sign, nests inside the reference region and
+    certifies each region's endpoints before the pair is checked;
+    perfbench's traced replay passes solver regions from a
     region.RegionCache. It never changes the plan.
     """
     order = users.users

@@ -343,7 +343,8 @@ def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
     assert main(command) == 0
     plain = capsys.readouterr().out
     monkeypatch.setattr(region, "oracle_region",
-                        lambda gamma: NomaRegion(gamma, 1.0, 1.5))
+                        lambda gamma, rel_width=region.ORACLE_REL_WIDTH:
+                        NomaRegion(gamma, 1.0, 1.5))
     assert main(command) == code
     captured = capsys.readouterr()
     if code == 0:

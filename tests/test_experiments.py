@@ -309,7 +309,8 @@ def test_the_sweeps_read_no_region(monkeypatch):
     users_cfg, power_cfg = small_cfg(), ExperimentConfig()
     users, power = run_sweep_users(users_cfg), run_sweep_power(power_cfg)
     monkeypatch.setattr(region, "oracle_region",
-                        lambda gamma: NomaRegion(gamma, 1.0, 1.5))
+                        lambda gamma, rel_width=region.ORACLE_REL_WIDTH:
+                        NomaRegion(gamma, 1.0, 1.5))
     with pytest.raises(OracleMismatchError, match="outside the region"):
         pair_once([1e-6, 2e-6], power_cfg)
     assert run_sweep_users(users_cfg) == users
@@ -355,22 +356,29 @@ def formed_pairs(gains, cfg):
 
 @pytest.fixture
 def solver_runs(monkeypatch):
-    """Record each sca_solve run as (gamma, objective), each oracle run as
-    (gamma, "oracle") and each certificate as (gamma, "certify <objective>")."""
+    """Record each sca_solve run as (gamma, objective, width), each oracle
+    run as (gamma, "oracle", width) and each certificate as (gamma,
+    "certify <objective>", width), where width is the rel_width of the
+    oracle run that makes the call, or None outside one."""
     runs = []
+    width = [None]
     true_solve, true_oracle, true_certify = (
         region.sca_solve, region.oracle_region, region._certify)
 
     def solve(gamma, objective, seed):
-        runs.append((gamma, objective))
+        runs.append((gamma, objective, width[-1]))
         return true_solve(gamma, objective, seed)
 
-    def oracle(gamma):
-        runs.append((gamma, "oracle"))
-        return true_oracle(gamma)
+    def oracle(gamma, rel_width=region.ORACLE_REL_WIDTH):
+        runs.append((gamma, "oracle", rel_width))
+        width.append(rel_width)
+        try:
+            return true_oracle(gamma, rel_width)
+        finally:
+            width.pop()
 
     def certify(gamma, objective, r, seed):
-        runs.append((gamma, f"certify {objective}"))
+        runs.append((gamma, f"certify {objective}", width[-1]))
         return true_certify(gamma, objective, r, seed)
 
     monkeypatch.setattr(region, "sca_solve", solve)
@@ -380,13 +388,15 @@ def solver_runs(monkeypatch):
 
 
 def test_pair_once_reads_one_oracle_region_per_pair_and_runs_no_solver(solver_runs):
-    # each oracle region certifies both endpoints, r_min first
+    # each oracle region is bisected to the check's width and certifies both
+    # endpoints, r_min first
     cfg = ExperimentConfig(seed=1)
     checks = ["oracle", "certify min", "certify max"]
     expected = []
     for gains in pair_pool(1):
         pair_once(gains, cfg)
-        expected += [(gamma, check) for gamma, _ in formed_pairs(gains, cfg) for check in checks]
+        expected += [(gamma, check, region.CHECK_REL_WIDTH)
+                     for gamma, _ in formed_pairs(gains, cfg) for check in checks]
     assert solver_runs == expected  # and no sca_solve
     assert len(expected) == 3438 * len(checks)  # counted in advance
 
@@ -418,7 +428,8 @@ def log2_calls(monkeypatch):
     monkeypatch.setattr(region, "sca_solve",
                         staged(region.sca_solve, lambda gamma, objective, seed: f"r_{objective}"))
     monkeypatch.setattr(region, "oracle_region",
-                        staged(region.oracle_region, lambda gamma: "oracle"))
+                        staged(region.oracle_region,
+                               lambda gamma, rel_width=None: "oracle"))
     return calls
 
 
@@ -448,18 +459,47 @@ def test_plain_pair_pool_log2_calls(log2_calls):
     assert log2_calls == {"scan": 168462, "other": 11895}
 
 
+def test_the_pair_check_bisects_about_half_the_reference_steps(monkeypatch):
+    # counted in advance: _log_bisect looks math.sqrt up on each call and
+    # takes one per bisection step, and nothing else in pair_once takes one.
+    # A seed-1 pool pass bisects its 3,438 check regions to CHECK_REL_WIDTH;
+    # the same regions at the reference width, ORACLE_REL_WIDTH, take
+    # 210,751 steps.
+    cfg = ExperimentConfig(seed=1)
+    pool = pair_pool(1)
+    steps = [0]
+    true_sqrt = math.sqrt
+
+    def sqrt(x):
+        steps[0] += 1
+        return true_sqrt(x)
+
+    monkeypatch.setattr(math, "sqrt", sqrt)
+    for gains in pool:
+        pair_once(gains, cfg)
+    assert steps == [109847]
+    steps[0] = 0
+    for gains in pool:
+        adaptive_pairing(UserChannelSet.from_gains(gains, cfg.led_power, cfg.noise_power),
+                         oracle_region)
+    assert steps == [210751]
+
+
 @pytest.mark.parametrize("seed", [1, 2])
 def test_every_pool_pair_lies_in_its_unwidened_oracle_region(seed):
-    # No pool pair needs the widening. admits keeps SOLVER_REL_BOUND all the
+    # No pool pair needs the widening, in the reference region or in the
+    # check region pair_once reads. admits keeps SOLVER_REL_BOUND all the
     # same: solver regions can reach it, and an oracle endpoint may lie up to
-    # ORACLE_REL_WIDTH inside the gap's sign change, as the oracle r_max at
-    # gamma = 400 lies 5.9e-10 below a pair tests/test_cli.py forms.
+    # its bisection width inside the gap's sign change, as the r_max at
+    # gamma = 400 lies 5.9e-10 (reference) and 4.8e-5 (check) below a pair
+    # tests/test_cli.py forms.
     cfg = ExperimentConfig(seed=seed)
     pairs = [pair for gains in pair_pool(seed) for pair in formed_pairs(gains, cfg)]
     assert len(pairs) == {1: 3438, 2: 3384}[seed]  # counted in advance
     for gamma, r in pairs:
-        ref = oracle_region(gamma)
-        assert not ref.is_empty and ref.r_min <= r <= ref.r_max, (gamma, r)
+        for width in (region.ORACLE_REL_WIDTH, region.CHECK_REL_WIDTH):
+            found = oracle_region(gamma, width)
+            assert not found.is_empty and found.r_min <= r <= found.r_max, (gamma, r, width)
 
 
 @pytest.mark.parametrize("seed", [1, 2])

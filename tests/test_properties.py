@@ -20,6 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from vlc_noma.rates import noma_wins, rate_gap_at, squared_ratio
 from vlc_noma.region import (
+    CHECK_REL_WIDTH,
     ORACLE_REL_WIDTH,
     SNR_DB_MAX,
     NomaRegion,
@@ -137,6 +138,29 @@ def test_noma_wins_is_one_interval_that_the_oracle_region_bounds():
             far &= np.abs(r - end) > ORACLE_REL_WIDTH * end
         inside = (r >= region.r_min) & (r <= region.r_max)
         assert np.array_equal(wins[far], inside[far]), db
+
+
+# pair_once checks its pairs against oracle regions bisected to
+# CHECK_REL_WIDTH: the reference's brackets and midpoints, stopped earlier,
+# so each check region certifies and nests inside the reference region,
+# CHECK_REL_WIDTH from each end up to one ulp of rounding, and the check
+# admits no pair the reference region would refuse. The 10.13..10.2 dB band
+# holds regions narrower than the scan's grid step.
+def test_the_check_region_nests_inside_the_reference_region():
+    rng = np.random.default_rng(39)
+    w = CHECK_REL_WIDTH
+    nonempty = 0
+    for db in [10.13, SNR_DB_MAX, *rng.uniform(10.13, 10.2, 100).tolist(),
+               *rng.uniform(10.2, SNR_DB_MAX, 300).tolist()]:
+        gamma = 10.0 ** (db / 10.0)
+        check, ref = oracle_region(gamma, w), oracle_region(gamma)  # each certified
+        assert check.is_empty == ref.is_empty, db
+        if ref.is_empty:
+            continue
+        nonempty += 1
+        assert ref.r_min <= check.r_min <= math.nextafter(ref.r_min / (1.0 - w), math.inf), db
+        assert math.nextafter(ref.r_max * (1.0 - w), 0.0) <= check.r_max <= ref.r_max, db
+    assert nonempty == 397  # 96 of the band's 101 SNRs have a region
 
 
 # 480 dB is the solver's whole range: past it every region function raises
