@@ -6,7 +6,6 @@ and incidence angles coincide. Gains include the photodiode responsivity, so
 the electrical SNR is simply P_LED * h^2 / sigma^2.
 """
 
-import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -137,7 +136,6 @@ class LinkConstants(NamedTuple):
     concentrator: float  # T_f inside the field of view
 
     @classmethod
-    @functools.lru_cache(maxsize=32)  # devices are frozen and hashable
     def of(cls, led: LedConfig, pd: PhotodiodeConfig) -> "LinkConstants":
         m = lambertian_order(led.semi_angle)
         return cls(

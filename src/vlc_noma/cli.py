@@ -72,7 +72,7 @@ def main(argv=None) -> int:
     try:
         cfg = _load(args)
         if args.command == "region":
-            table = run_region_map(cfg, validate=True)
+            table = run_region_map(cfg)
             _emit(table.csv_text(), args.out)
         elif args.command == "sweep-users":
             table = run_sweep_users(cfg, workers=args.workers)

@@ -8,7 +8,6 @@ to a default.
 
 import math
 from dataclasses import dataclass, field, fields
-from functools import cached_property
 
 from .channel import LedConfig, LinkConstants, PhotodiodeConfig, RoomGeometry, floor_gains
 from .region import GAMMA_MAX, SNR_DB_MAX
@@ -167,34 +166,16 @@ class ExperimentConfig:
                 f"noise_power is too small: the SNR under the LED exceeds {SNR_DB_MAX:g} dB, "
                 "the pairing rule's tested range")
 
-    # The devices are built once per config, and their link constants once
-    # per device pair (LinkConstants.of's cache): drops reach them thousands
-    # of times, and a frozen config cannot make them stale.
     def room(self) -> RoomGeometry:
-        return self._room
-
-    def led(self) -> LedConfig:
-        return self._led
-
-    def photodiode(self) -> PhotodiodeConfig:
-        return self._photodiode
-
-    def link(self) -> LinkConstants:
-        return LinkConstants.of(self.led(), self.photodiode())
-
-    @cached_property
-    def _room(self) -> RoomGeometry:
         return RoomGeometry(self.room_length, self.room_width, self.room_height)
 
-    @cached_property
-    def _led(self) -> LedConfig:
+    def led(self) -> LedConfig:
         return LedConfig(
             position=self.room().led_position(),
             semi_angle=math.radians(self.semi_angle_deg),
         )
 
-    @cached_property
-    def _photodiode(self) -> PhotodiodeConfig:
+    def photodiode(self) -> PhotodiodeConfig:
         return PhotodiodeConfig(
             active_area=self.pd_area,
             responsivity=self.pd_responsivity,
@@ -202,6 +183,9 @@ class ExperimentConfig:
             filter_gain=self.filter_gain,
             concentrator_index=self.refractive_index,
         )
+
+    def link(self) -> LinkConstants:
+        return LinkConstants.of(self.led(), self.photodiode())
 
     def snr_db_grid(self) -> tuple[float, ...]:
         """snr_db_min + i * snr_db_step up to snr_db_max, rounded to

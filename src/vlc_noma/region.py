@@ -13,8 +13,8 @@ rates.noma_wins, in + - * / alone: the same predicate that forms every
 pair, so past the scan it takes no log2. The same unimodality lets two
 exact gap-sign tests prove an endpoint of either route within
 SOLVER_REL_BOUND of the gap's sign change, with no second bisection:
-every oracle region, at either width, is certified so, and a solver
-region when region_for_snr is asked to validate it.
+every region of either route is certified so, each oracle region at
+either width and each solver region as region_for_snr solves it.
 
 Both routes run as fused kernels: each bisection step and bracket test
 evaluates rates' formulas (noma_rate_at, tdma_rate_at, tdma_rate_slope,
@@ -58,7 +58,7 @@ MAX_ITERATIONS = 60
 SCAN_POINTS = 256             # log-spaced feasibility grid over SCAN_RANGE
 SCAN_RANGE = (1.0, 1e12)
 ORACLE_REL_WIDTH = 1e-8       # bracket width at which the oracle's bisection stops
-# Largest relative error a validated solver endpoint may have against the
+# Largest relative error a certified solver endpoint may have against the
 # true one, the gap's sign change. The solver's endpoints lie inside the true
 # ones, so a ratio in the true region may lie outside [r_min, r_max], but by
 # no more than this.
@@ -118,7 +118,7 @@ class NomaRegion:
     def admits(self, r: float) -> bool:
         """Whether r lies in [r_min, r_max] widened at each end by
         SOLVER_REL_BOUND of that end: the ratios a true region can hold
-        when this one is a validated solver region. pair_once's check
+        when this one is a solver region. pair_once's check
         passes oracle regions, bisected on the noma_wins sign that forms
         each pair to CHECK_REL_WIDTH, whose endpoints may lie up to
         CHECK_REL_WIDTH inside that sign's change (ORACLE_REL_WIDTH for the
@@ -484,35 +484,34 @@ def _certify(gamma: float, objective: str, r: float, seed: float) -> None:
             f"at gamma={gamma:g} (scan seed {seed:g})")
 
 
-def _solve(gamma: float, objective: str, seed: float, validate: bool) -> float:
+def _solve(gamma: float, objective: str, seed: float) -> float:
     """r_<objective> by one sca_solve run from the scan seed, to convergence,
-    or RegionSolverError; with validate, certified by _certify, or
-    OracleMismatchError."""
+    or RegionSolverError, certified by _certify, or OracleMismatchError."""
     r, trace = sca_solve(gamma, objective, seed)
     if not trace.converged:
         raise RegionSolverError(f"r_{objective} solve did not converge at gamma={gamma:g}")
-    if validate:
-        _certify(gamma, objective, r, seed)
+    _certify(gamma, objective, r, seed)
     return r
 
 
-def region_for_snr(gamma: float, validate: bool = False) -> NomaRegion:
+def region_for_snr(gamma: float) -> NomaRegion:
     """The solver region: the scan seed, then r_min and r_max each solved
-    from it (_solve), r_min first, so with validate each is certified by two
-    gap-sign tests. A gamma that is not finite and positive, or that exceeds
+    from it (_solve), r_min first, each certified by two gap-sign tests as
+    it is solved. A gamma that is not finite and positive, or that exceeds
     GAMMA_MAX, raises ValueError."""
     seed = feasibility_scan(gamma)
     if seed is None:
         return NomaRegion.empty(gamma)
-    return NomaRegion(gamma, _solve(gamma, "min", seed, validate),
-                      _solve(gamma, "max", seed, validate))
+    return NomaRegion(gamma, _solve(gamma, "min", seed), _solve(gamma, "max", seed))
 
 
 class RegionCache:
-    """Memoizes solver regions per exact SNR.
+    """Memoizes certified solver regions per exact SNR.
 
     A miss runs region_for_snr at the SNR that missed, so every cached
-    region equals a fresh region_for_snr call at the SNR that asks for it.
+    region equals a fresh region_for_snr call at the SNR that asks for it,
+    and a miss whose endpoint fails its certificate raises
+    OracleMismatchError.
     Lookups from threads may race but at worst recompute the same value.
     No route of the package uses one: pair_once checks each pair against
     oracle_region, certified, at its weak user's own SNR, and the sweeps

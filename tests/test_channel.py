@@ -225,5 +225,5 @@ def test_photodiode_fields_must_be_positive(field, value):
 
 def test_link_constants_are_built_once_per_device_pair():
     led, pd = LedConfig(), PhotodiodeConfig()
-    assert LinkConstants.of(led, pd) is LinkConstants.of(LedConfig(), PhotodiodeConfig())
+    assert LinkConstants.of(led, pd) == LinkConstants.of(LedConfig(), PhotodiodeConfig())
     assert LinkConstants.of(led, PhotodiodeConfig(fov=0.5)).cos_fov == math.cos(0.5)

@@ -338,7 +338,7 @@ def test_region_solver_runs_at_high_snr(text, command, tmp_path, capsys):
     pytest.param(["sweep-power"], 0, id="sweep-power"),
     pytest.param(["pair", "--gains", "1e-6,2e-6"], 2, id="pair"),
 ])
-def test_validated_sweep_exits_2_when_a_region_disagrees_with_the_gap_sign(
+def test_only_pair_exits_2_when_a_region_disagrees_with_the_gap_sign(
         command, code, monkeypatch, capsys):
     assert main(command) == 0
     plain = capsys.readouterr().out
@@ -386,7 +386,7 @@ def test_pair_takes_a_gap_sign_pair_just_past_the_solver_r_max(capsys):
     # r = 29664.13946589052 lies 2.5e-12 relative above the solver's inner
     # r_max, 29664.1394658151, and 5.9e-10 above the oracle's,
     # 29664.139448351045, which pair checks it against: inside the bound a
-    # region is validated to.
+    # region is certified to.
     assert main(["pair", "--gains", "2e-6,0.00034446561201890974"]) == 0
     captured = capsys.readouterr()
     assert captured.out == "PAIR 1 2\nSUM_RATE 14.867427805084258\n"

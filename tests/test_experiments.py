@@ -287,9 +287,9 @@ def test_pair_once_matches_library_pairing():
     assert outcome.sum_rate > 0.0
 
 
-def test_validated_sweeps_raise_when_a_region_disagrees_with_the_gap_sign(monkeypatch):
-    # The validated region map certifies each solver endpoint against the
-    # gap sign, so an r_min 1% too high raises; the unvalidated map does not.
+def test_the_region_map_certifies_each_solver_endpoint(monkeypatch):
+    # The region map certifies each solver endpoint against the gap sign,
+    # so an r_min 1% too high raises.
     cfg = ExperimentConfig(snr_db_min=20.0, snr_db_max=22.0, snr_db_step=1.0)
     true_solve = region.sca_solve
 
@@ -298,9 +298,8 @@ def test_validated_sweeps_raise_when_a_region_disagrees_with_the_gap_sign(monkey
         return (r * 1.01 if objective == "min" else r), trace
 
     monkeypatch.setattr(region, "sca_solve", skewed_solve)
-    with pytest.raises(OracleMismatchError, match="r_min .* is not within"):
-        run_region_map(cfg, validate=True)
-    assert len(run_region_map(cfg).rows) == 3
+    with pytest.raises(OracleMismatchError, match="^r_min .* is not within"):
+        run_region_map(cfg)
 
 
 def test_the_sweeps_read_no_region(monkeypatch):
@@ -443,7 +442,7 @@ def test_validated_region_map_log2_calls(log2_calls):
     # scan returns None with no log2: 49 calls each, 2,989 calls before.
     cfg = ExperimentConfig()
     log2_calls.clear()  # the config's Lambertian order takes two
-    run_region_map(cfg, validate=True)
+    run_region_map(cfg)
     assert log2_calls == {"scan": 2499, "r_min": 21521, "r_max": 21936}
 
 

@@ -27,7 +27,7 @@ REGION_MAP = "4e3435b510220a648b55a504281445b17c19e5fa4b0a02ed8f7256a0276ad79a"
 SWEEP_POWER = "8c3fc59e584ac2a2c6eca4a0ae206d88846b9be22152fe74ce8037624e4130e1"
 # fov_deg = 50: two of the six fixed receivers lie outside the field of view.
 SWEEP_POWER_FOV50 = "f531b1db41f1552b45208ebd6eee6655b61f085108ff77d85e6443fd01b9a8e0"
-# -10..480 dB at step 0.5 (981 rows), validated or not: unlike the default
+# -10..480 dB at step 0.5 (981 rows), every endpoint certified: unlike the default
 # 0..60 dB map it reaches the solver's high-SNR iteration counts and its
 # bracket growth.
 REGION_MAP_WIDE = "e66d952b10e07c5d733cc4d168243b087b237afda79a172502f51111ae755f58"
@@ -46,12 +46,14 @@ def _sha(text: str) -> str:
 
 
 def test_region_map_bytes():
+    # the acceptance tests' plain call, and perfbench's validate=True, which selects nothing
+    assert _sha(run_region_map(ExperimentConfig()).csv_text()) == REGION_MAP
     assert _sha(run_region_map(ExperimentConfig(), validate=True).csv_text()) == REGION_MAP
 
 
 def test_wide_region_map_bytes():
     cfg = ExperimentConfig(snr_db_min=-10.0, snr_db_max=480.0, snr_db_step=0.5)
-    assert _sha(run_region_map(cfg, validate=True).csv_text()) == REGION_MAP_WIDE
+    assert _sha(run_region_map(cfg).csv_text()) == REGION_MAP_WIDE
 
 
 def test_sweep_power_bytes():
@@ -92,8 +94,8 @@ def test_sum_rate_bytes_do_not_depend_on_builtin_sum(monkeypatch, capsys):
     assert _sha(capsys.readouterr().out) == PAIR
 
 
-# Runs with numpy unimportable: importing the package, the validated region
-# map, pair and the power sweep are scalar math throughout.
+# Runs with numpy unimportable: importing the package, the region map, pair
+# and the power sweep are scalar math throughout.
 NUMPY_FREE_SCRIPT = """
 import sys
 sys.modules["numpy"] = None
@@ -106,7 +108,7 @@ pair = io.StringIO()
 with contextlib.redirect_stdout(pair):
     code = main(["pair", "--gains", sys.argv[1]])
 texts = {
-    "region": run_region_map(cfg, validate=True).csv_text(),
+    "region": run_region_map(cfg).csv_text(),
     "pair": pair.getvalue(),
     "sweep_power": run_sweep_power(cfg).csv_text(),
 }

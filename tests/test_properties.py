@@ -1,9 +1,10 @@
 """Property tests: the rate gap is non-negative exactly inside the region,
 the solver agrees with the oracle, the pairing plan does not depend on how
 regions are found or on input order, a region cross-check fails exactly
-when a gap-sign pair lies outside it by more than the solver's validated
-bound (NomaRegion.admits) and otherwise leaves the plan as it is,
-adaptive pairing never loses to TDMA, and oracle endpoints are feasible.
+when a gap-sign pair lies outside it by more than the bound a solver
+region is certified to (NomaRegion.admits) and otherwise leaves the plan
+as it is, adaptive pairing never loses to TDMA, and oracle endpoints are
+feasible.
 The pairing rule itself is checked here once, not on every run: at seeded
 SNRs up to 480 dB the gap sign that forms every pair wins on one interval
 of ratios, the one the oracle region bounds.

@@ -105,7 +105,7 @@ def test_scalar_scan_equals_the_argmax_of_the_gap_curve():
         if seed is not None and band[0] <= db <= band[-1]:
             # the narrowest regions; at 10.1334 dB the region is the seed
             # alone, and the certificate rests on the seed at both ends
-            region = region_for_snr(gamma, validate=True)
+            region = region_for_snr(gamma)
             assert not region.is_empty and region.r_min <= seed <= region.r_max, db
         seeds.add(seed)
     assert None in seeds and len(seeds) > 200  # empty maps and nearly every grid point
@@ -210,7 +210,7 @@ def test_region_for_snr_matches_oracle_across_decades():
 def test_region_is_oracle_checked_up_to_480_db():
     for db in range(0, 490, 10):
         gamma = 10.0 ** (db / 10.0)
-        assert region_for_snr(gamma, validate=True) == region_for_snr(gamma), db
+        assert region_for_snr(gamma).is_empty == (db <= 10), db  # certified as solved
     assert 10.0 ** (480 / 10.0) == GAMMA_MAX
 
 
@@ -285,7 +285,7 @@ def test_sca_solve_rejects_a_seed_whose_gap_is_nan(gamma, seed, objective):
 
 
 def test_region_validate_against_oracle():
-    region = region_for_snr(100.0, validate=True)
+    region = region_for_snr(100.0)
     assert not region.is_empty
 
 
@@ -338,7 +338,7 @@ def test_a_solve_that_does_not_converge_raises(monkeypatch):
         region_for_snr(100.0)
     assert str(err.value) == "r_min solve did not converge at gamma=100"
     with pytest.raises(RegionSolverError) as err:
-        region_module._solve(100.0, "max", feasibility_scan(100.0), False)
+        region_module._solve(100.0, "max", feasibility_scan(100.0))
     assert str(err.value) == "r_max solve did not converge at gamma=100"
 
 
@@ -363,8 +363,9 @@ def test_region_cache_miss_equals_a_fresh_solve():
 
 
 def test_region_for_snr_validate_refuses_a_skewed_solver_endpoint(monkeypatch):
-    # a validated region_for_snr certifies each of the solver's own
-    # endpoints as it is solved, so the skewed r_max raises
+    # region_for_snr certifies each of the solver's own endpoints as it is
+    # solved, so the skewed r_max raises, and so do the acceptance gate's
+    # plain run_region_map(cfg) and a RegionCache miss, which solve through it
     true_solve = region_module.sca_solve
 
     def skewed_solve(gamma, objective, seed):
@@ -372,9 +373,12 @@ def test_region_for_snr_validate_refuses_a_skewed_solver_endpoint(monkeypatch):
         return (r * 1.01 if objective == "max" else r), trace
 
     monkeypatch.setattr(region_module, "sca_solve", skewed_solve)
-    region_for_snr(100.0)  # no certificate without validate
     with pytest.raises(OracleMismatchError, match="^r_max "):
-        region_for_snr(100.0, validate=True)
+        region_for_snr(100.0)
+    with pytest.raises(OracleMismatchError, match="^r_max "):
+        run_region_map(ExperimentConfig(snr_db_min=20.0, snr_db_max=20.0))
+    with pytest.raises(OracleMismatchError, match="^r_max "):
+        RegionCache().region_of(100.0)
 
 
 def test_the_oracle_certifies_its_endpoints_with_no_argument(monkeypatch):
@@ -403,7 +407,7 @@ def test_the_certificate_refuses_an_endpoint_off_by_2e_3_and_takes_one_off_by_5e
     # 10.1335 dB holds a region about 1.5% wide, narrower than the scan's
     # grid step (11.4%)
     gamma = 10.0 ** (db / 10.0)
-    region = region_for_snr(gamma, validate=True)
+    region = region_for_snr(gamma)
     for f in (1.0 - 2e-3, 1.0 + 2e-3):
         with pytest.raises(OracleMismatchError, match="^r_min "):
             certify(gamma, region.r_min * f, region.r_max)
@@ -429,7 +433,7 @@ def test_the_certificate_refuses_an_endpoint_across_the_scan_seed(
         db, r_min_factor, r_max_factor, message):
     gamma = 10.0 ** (db / 10.0)
     seed = feasibility_scan(gamma)
-    region = region_for_snr(gamma, validate=True)
+    region = region_for_snr(gamma)
     assert seed in (region.r_min, region.r_max)
     with pytest.raises(OracleMismatchError) as err:
         certify(gamma, region.r_min * r_min_factor, region.r_max * r_max_factor)
@@ -447,7 +451,7 @@ def test_just_above_the_threshold_the_certified_region_is_the_seed_alone():
     for objective in ("min", "max"):
         r, trace = sca_solve(gamma, objective, seed)
         assert (r, trace.iterates, trace.converged) == (seed, [seed, seed], True)
-    region = region_for_snr(gamma, validate=True)
+    region = region_for_snr(gamma)
     assert (region.r_min, region.r_max) == (seed, seed)
     certify(gamma, region.r_min, region.r_max)
     ref = oracle_region(gamma)
@@ -456,13 +460,13 @@ def test_just_above_the_threshold_the_certified_region_is_the_seed_alone():
     assert abs(region.r_max - ref.r_max) <= SOLVER_REL_BOUND * ref.r_max
     # so the map prints a certified non-empty row of width 0.0 dB
     cfg = ExperimentConfig(snr_db_min=10.1334, snr_db_max=10.1334)
-    (row,) = run_region_map(cfg, validate=True).rows
+    (row,) = run_region_map(cfg).rows
     assert row[1:] == (gamma, "nonempty", seed, seed, row[5], row[5], 0.0)
 
 
 def test_solver_endpoints_lie_within_the_bound_of_the_oracles_and_are_certified():
     # the independent bisection route, at seeded SNRs across the range
     for gamma in seeded_gammas(17, 50):
-        found, ref = region_for_snr(gamma, validate=True), oracle_region(gamma)
+        found, ref = region_for_snr(gamma), oracle_region(gamma)
         assert abs(found.r_min - ref.r_min) <= SOLVER_REL_BOUND * ref.r_min, gamma
         assert abs(found.r_max - ref.r_max) <= SOLVER_REL_BOUND * ref.r_max, gamma

@@ -190,7 +190,7 @@ def test_cross_check_takes_the_solver_bound_but_not_a_one_percent_shrink():
     users = users_from_gains([2e-6, 0.00034446561201890974])
     weak, strong = users.users
     r = squared_ratio(strong.gain, weak.gain)
-    region = region_for_snr(weak.snr, validate=True)
+    region = region_for_snr(weak.snr)
     assert weak.snr == 400.0 and region.r_max < r
     assert not (not region.is_empty and region.r_min <= r <= region.r_max)
     assert adaptive_pairing(users, CACHE.region_of).pairs == ((1, 2),)
