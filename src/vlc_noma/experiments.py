@@ -61,7 +61,7 @@ import itertools
 import numbers
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 from . import region as region_module
 from .channel import RoomGeometry, floor_gains, snr_db
@@ -140,6 +140,13 @@ def run_region_map(cfg: ExperimentConfig, validate: bool = False) -> ResultTable
     return ResultTable(columns, rows)
 
 
+@lru_cache(maxsize=1)
+def _drop_devices(cfg: ExperimentConfig):
+    """cfg's room and link, built once for the consecutive drops of one
+    config."""
+    return cfg.room(), cfg.link()
+
+
 def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache=None):
     """One seeded user drop; returns (tdma, forced, adaptive) sum-rates.
 
@@ -147,11 +154,12 @@ def _simulate_drop(cfg: ExperimentConfig, k: int, trial: int, cache=None):
     region: a given cache (a region.RegionCache) is accepted and ignored."""
     import numpy as np
 
+    room, link = _drop_devices(cfg)
     seq = np.random.SeedSequence(entropy=cfg.seed, spawn_key=(k, trial))
     # The generator default_rng(seq) returns, without its argument dispatch.
     rng = np.random.Generator(np.random.PCG64(seq))
-    positions = sample_user_positions(rng, cfg.room(), k)
-    gains = floor_gains(cfg.link(), positions.tolist())
+    positions = sample_user_positions(rng, room, k)
+    gains = floor_gains(link, positions.tolist())
     return scheme_sum_rates(gains, cfg.led_power, cfg.noise_power)
 
 
