@@ -121,6 +121,21 @@ ROWS = (
     Digest("pair-narrow-region", "pair --gains 3.2115e-7,8.6154e-7", None, "any",
            "0bea5773d81b183998236d15c4c2d57d678a04d5ea0cd772a1b26f2565b6ed1d",
            "a region 4.1% wide at 10.134 dB, narrower than the scan's step, holds the pair"),
+    Digest("pair-four-ties", "pair --gains 3e-6,2e-6,1e-6,1e-6,1e-6,1e-6", None, "any",
+           "244b2c269899155a4d2473414ddcabc9f0a64146d1ed827edc1296af753de398",
+           "users 3 to 6 tie on gain: ordered by id, 3 takes the strongest and 4 the next"),
+    Digest("pair-zero-gain", "pair --gains 1e-6,0,3e-6,2e-6", None, "any",
+           "45a2039198df9bf55645601f77172475491170f758e59f65bb73f1496dbc5be5",
+           "a dead link among live users is never paired and rates zero solo"),
+    Digest("pair-weak-below-floor", "pair --gains 2e-7,1e-6,2e-6,3e-6", None, "any",
+           "1fb502c8ee0f705a1f855ef5e1c547091888737efbee0f1a1e935847e43365d0",
+           "user 1 at 6 dB lies below rates.GAMMA_FLOOR, so user 2 takes the strongest"),
+    Digest("pair-30-repeats",
+           "pair --gains 0.8e-6,3.4e-6,3.1e-6,1.2e-6,2.1e-6,2.0e-6,2.7e-6,3.2e-6,0.6e-6,"
+           "0.4e-6,3.4e-6,1.9e-6,3.1e-6,0.3e-6,1.9e-6,3.0e-6,1.1e-6,3.8e-6,3.6e-6,0.4e-6,"
+           "0.4e-6,2.3e-6,3.8e-6,1.7e-6,1.1e-6,1.9e-6,0.4e-6,1.1e-6,1.9e-6,2.1e-6", None, "any",
+           "307801970c7dfee0c3d856580b1b2c5d60e806d75a14b679c47d7a9bb9922200",
+           "30 users, 19 on a repeated gain, one at 9.5 dB: 11 pairs, some not forced"),
 )
 DIGESTS = {row.name: row for row in ROWS}
 
