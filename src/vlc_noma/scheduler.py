@@ -7,7 +7,8 @@ beneficial region; a region may only cross-check the pairs), the
 forced strongest-weakest baseline that always pairs, and plain
 one-user-per-slot TDMA. Slot durations are proportional to group size,
 which makes the per-pair unit-slot gap comparison exactly the system-level
-comparison.
+comparison. A user set is held as sorted columns of ids, gains and SNRs;
+the plans and evaluate_schedule read them and build no UserChannel record.
 """
 
 import math
@@ -29,44 +30,50 @@ class UserChannel:
 
 
 class UserChannelSet:
-    """Users stored sorted ascending by gain, ties broken by id."""
+    """Users sorted ascending by gain, ties broken by id, as three parallel
+    tuples: user_ids, gains and snrs. .users and iteration build the
+    UserChannel records from them on each request."""
 
-    __slots__ = ("users",)
+    __slots__ = ("user_ids", "gains", "snrs")
 
     def __init__(self, users: Iterable[UserChannel]):
         ordered = sorted(users, key=lambda u: (u.gain, u.user_id))
-        if not ordered:
+        self._set_columns(tuple(u.user_id for u in ordered), tuple(u.gain for u in ordered),
+                          tuple(u.snr for u in ordered))
+
+    def _set_columns(self, user_ids: tuple, gains: tuple, snrs: tuple) -> None:
+        if not user_ids:
             raise ValueError("need at least one user")
-        if any(not 0.0 <= u.gain < math.inf or not 0.0 <= u.snr < math.inf
-               for u in ordered):
+        values = gains + snrs
+        if not (all(map(math.isfinite, values)) and min(values) >= 0.0):
             raise ValueError("gains and SNRs must be finite and non-negative")
-        ids = [u.user_id for u in ordered]
-        if len(set(ids)) != len(ids):
+        if len(set(user_ids)) != len(user_ids):
             raise ValueError("user ids must be unique")
-        self.users = tuple(ordered)
+        self.user_ids, self.gains, self.snrs = user_ids, gains, snrs
 
     @classmethod
-    def from_gains(
-        cls,
-        gains: Sequence[float],
-        p_led: float,
-        noise_power: float,
-        ids: Sequence[int] | None = None,
-    ) -> "UserChannelSet":
+    def from_gains(cls, gains: Sequence[float], p_led: float, noise_power: float,
+                   ids: Sequence[int] | None = None) -> "UserChannelSet":
         """Build the set from raw gains; SNR = P * h^2 / sigma^2. Given ids
         must match the gains one for one."""
         if ids is None:
             ids = range(1, len(gains) + 1)
-        return cls(
-            UserChannel(uid, h, p_led * h * h / noise_power)
-            for uid, h in zip(ids, gains, strict=True)
-        )
+        ordered = sorted(zip(gains, ids, strict=True))  # by (gain, id)
+        sorted_gains, user_ids = zip(*ordered) if ordered else ((), ())
+        users = cls.__new__(cls)
+        users._set_columns(user_ids, sorted_gains,
+                           tuple([p_led * h * h / noise_power for h in sorted_gains]))
+        return users
+
+    @property
+    def users(self) -> tuple[UserChannel, ...]:
+        return tuple(map(UserChannel, self.user_ids, self.gains, self.snrs))
 
     def __iter__(self):
         return iter(self.users)
 
     def ids(self) -> tuple[int, ...]:
-        return tuple(u.user_id for u in self.users)
+        return self.user_ids
 
 
 @dataclass(frozen=True)
@@ -126,51 +133,50 @@ def adaptive_pairing(
     perfbench's traced replay passes solver regions from a
     region.RegionCache. It never changes the plan.
     """
-    order = users.users
-    k = len(order)
+    ids, gains, snrs = users.user_ids, users.gains, users.snrs
+    k = len(ids)
     paired = [False] * k
     pairs: list[tuple[int, int]] = []
     for i in range(k - 1):
-        weak = order[i]
-        if paired[i] or weak.snr < GAMMA_FLOOR:
+        gamma = snrs[i]
+        if paired[i] or gamma < GAMMA_FLOOR:
             continue
+        weak_gain = gains[i]
         for j in range(k - 1, i, -1):
             if paired[j]:
                 continue
-            r = squared_ratio(order[j].gain, weak.gain)
+            r = squared_ratio(gains[j], weak_gain)
             if r < R_FLOOR:
                 break
-            if not noma_wins(weak.snr, r):
+            if not noma_wins(gamma, r):
                 continue
             if region_of is not None:
-                region = region_of(weak.snr)
+                region = region_of(gamma)
                 if not region.admits(r):
                     bounds = ("empty" if region.is_empty
                               else f"[{region.r_min!r}, {region.r_max!r}]")
                     raise OracleMismatchError(
-                        f"the gap sign pairs r={r!r} at gamma={weak.snr!r}, "
+                        f"the gap sign pairs r={r!r} at gamma={gamma!r}, "
                         f"outside the region {bounds}")
-            pairs.append((weak.user_id, order[j].user_id))
+            pairs.append((ids[i], ids[j]))
             paired[i] = paired[j] = True
             break
     return PairingPlan(
-        tuple(pairs), tuple(u.user_id for u, done in zip(order, paired) if not done))
+        tuple(pairs), tuple([uid for uid, done in zip(ids, paired) if not done]))
 
 
 def forced_pairing(users: UserChannelSet) -> PairingPlan:
     """Always pair rank i with rank K+1-i; the median stays solo for odd K."""
-    order = users.users
-    k = len(order)
-    pairs = tuple(
-        (order[i].user_id, order[k - 1 - i].user_id) for i in range(k // 2)
-    )
-    singles = (order[k // 2].user_id,) if k % 2 == 1 else ()
+    ids = users.user_ids
+    k = len(ids)
+    pairs = tuple(zip(ids[:k // 2], reversed(ids)))
+    singles = (ids[k // 2],) if k % 2 == 1 else ()
     return PairingPlan(pairs, singles)
 
 
 def tdma_plan(users: UserChannelSet) -> PairingPlan:
     """Every user in its own slot."""
-    return PairingPlan((), users.ids())
+    return PairingPlan((), users.user_ids)
 
 
 def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutcome:
@@ -179,12 +185,13 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
     Pairs earn the shared-slot sum-rate with the gain-inverse power split
     applied at their own ratio; singletons earn tau * log2(1 + t*gamma).
     """
-    lookup = {u.user_id: u for u in users}
+    gains, snrs = users.gains, users.snrs
+    k = len(gains)
+    position = dict(zip(users.user_ids, range(k)))
     covered = plan.covered_ids()
-    if sorted(covered) != sorted(lookup):
+    if len(covered) != k or position.keys() != set(covered):
         raise ValueError("plan does not cover the user set exactly once")
 
-    k = len(lookup)
     per_user: dict[int, float] = {}
     # Each group's rate joins an explicit left-to-right fold from 0.0, pairs
     # first: CPython 3.11's builtin sum of the group rates bit for bit, where
@@ -192,20 +199,20 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
     sum_rate = 0.0
 
     for weak_id, strong_id in plan.pairs:
-        weak, strong = lookup[weak_id], lookup[strong_id]
-        if strong.gain < weak.gain:
+        weak, strong = position[weak_id], position[strong_id]
+        if gains[strong] < gains[weak]:
             raise ValueError(f"pair ({weak_id}, {strong_id}) is not weak/strong ordered")
         tau = 2.0 / k
-        if weak.gain <= 0.0:
+        if gains[weak] <= 0.0:
             # the gain-inverse split sends all power to the unreachable user
             unit_weak = unit_strong = 0.0
         else:
-            r = squared_ratio(strong.gain, weak.gain)
+            r = squared_ratio(gains[strong], gains[weak])
             if r == math.inf:
                 # both unit rates tend to the weak user's solo rate as r grows
-                unit_weak = unit_strong = math.log2(1.0 + CAPACITY_SNR_FACTOR * weak.snr)
+                unit_weak = unit_strong = math.log2(1.0 + CAPACITY_SNR_FACTOR * snrs[weak])
             else:
-                unit_weak, unit_strong = noma_user_rates(weak.snr, r)
+                unit_weak, unit_strong = noma_user_rates(snrs[weak], r)
         rate_weak, rate_strong = tau * unit_weak, tau * unit_strong
         per_user[weak_id] = rate_weak
         per_user[strong_id] = rate_strong
@@ -213,7 +220,7 @@ def evaluate_schedule(plan: PairingPlan, users: UserChannelSet) -> ScheduleOutco
 
     for uid in plan.singletons:
         tau = 1.0 / k
-        rate = tau * math.log2(1.0 + CAPACITY_SNR_FACTOR * lookup[uid].snr)
+        rate = tau * math.log2(1.0 + CAPACITY_SNR_FACTOR * snrs[position[uid]])
         per_user[uid] = rate
         sum_rate += rate
 

@@ -23,7 +23,7 @@ from vlc_noma.experiments import (
 )
 from vlc_noma.rates import squared_ratio
 from vlc_noma.region import NomaRegion, OracleMismatchError, oracle_region
-from vlc_noma.scheduler import UserChannelSet, adaptive_pairing
+from vlc_noma.scheduler import UserChannel, UserChannelSet, adaptive_pairing, scheme_sum_rates
 
 from test_bit_identity import reference_oracle
 
@@ -443,6 +443,30 @@ def test_plain_pair_pool_log2_calls(log2_calls):
     for gains in pool:
         pair_once(gains, cfg)
     assert log2_calls == {"scan": 168462, "other": 11895}
+
+
+def test_the_pair_and_scheme_routes_build_no_user_record(monkeypatch):
+    # counted: the plans and evaluate_schedule read the user set's columns,
+    # and only .users and iteration build UserChannel records. Built through
+    # records, the same calls took 23,820: 11,895 on each route over the
+    # seed-1 pool and 30 in the power sweep.
+    cfg = ExperimentConfig(seed=1)
+    pool = pair_pool(1)
+    built = [0]
+    true_init = UserChannel.__init__
+
+    def init(self, *args, **kwargs):
+        built[0] += 1
+        true_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(UserChannel, "__init__", init)
+    for gains in pool:
+        pair_once(gains, cfg)
+        scheme_sum_rates(gains, cfg.led_power, cfg.noise_power)
+    run_sweep_power(cfg)
+    assert built == [0]
+    users = UserChannelSet.from_gains(pool[0], cfg.led_power, cfg.noise_power)
+    assert len(list(users)) == len(pool[0]) and built == [len(pool[0])]
 
 
 def test_the_pair_check_bisects_about_half_the_reference_steps(monkeypatch):

@@ -44,7 +44,6 @@ def test_the_table_runner_checks_the_pair_rows_through_the_cli(monkeypatch, caps
     # CI runs every row this way, through the installed console script
     monkeypatch.setenv("PYTHONPATH", SRC)
     rows = [row for row in ROWS if row.argv.startswith("pair ")]
-    assert len(rows) == 7
     assert check([sys.executable, "-m", "vlc_noma.cli"], rows) == 0
     assert capsys.readouterr().out == "7 of 7 digests match\n"
 

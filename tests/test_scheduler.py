@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from vlc_noma.rates import (
     CAPACITY_SNR_FACTOR,
@@ -76,6 +77,59 @@ def test_from_gains_computes_snr():
 def test_from_gains_rejects_ids_that_do_not_match_the_gains(ids):
     with pytest.raises(ValueError):
         UserChannelSet.from_gains([1e-6, 2e-6, 3e-6], 1.0, NOISE, ids=ids)
+
+
+# Gains with ties, dead links and an SNR that underflows to 0, each list
+# with shuffled distinct ids; a power and noise that move every SNR.
+gains_and_ids = st.lists(
+    st.one_of(st.sampled_from([0.0, 1e-170, 1e-6, 2e-6]), st.floats(1e-7, 1e-4)),
+    min_size=1, max_size=12,
+).flatmap(lambda gains: st.tuples(
+    st.just(gains),
+    st.lists(st.integers(-50, 50), min_size=len(gains), max_size=len(gains), unique=True)))
+powers = st.sampled_from([(1.0, NOISE), (0.05, NOISE), (2.0, 1e-10)])
+
+
+def refusal(build) -> str:
+    with pytest.raises(ValueError) as info:
+        build()
+    return str(info.value)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(gains_and_ids, powers)
+def test_from_gains_equals_the_set_of_its_records(gains_ids, power):
+    gains, ids = gains_ids
+    p_led, noise = power
+    columns = UserChannelSet.from_gains(gains, p_led, noise, ids)
+    records = UserChannelSet([UserChannel(i, h, p_led * h * h / noise)
+                              for i, h in zip(ids, gains)])
+    assert columns.ids() == records.ids() == tuple(i for _, i in sorted(zip(gains, ids)))
+    assert columns.users == records.users
+    assert list(columns) == list(records) == list(columns.users)
+
+
+@settings(deadline=None, derandomize=True, max_examples=200)
+@given(gains_and_ids, powers, st.sampled_from(["negative", "nan", "inf", "snr inf", "repeat id"]),
+       st.integers(0, 11))
+def test_both_constructors_refuse_a_bad_user_alike(gains_ids, power, bad, at):
+    gains, ids = list(gains_ids[0]), list(gains_ids[1])
+    p_led, noise = power
+    at %= len(gains)
+    if bad == "repeat id":
+        if len(ids) == 1:
+            ids.append(ids[0])
+            gains.append(gains[0])
+        ids[at] = ids[at - 1]
+    else:
+        gains[at] = {"negative": -1e-6, "nan": math.nan, "inf": math.inf, "snr inf": 1e200}[bad]
+    message = refusal(lambda: UserChannelSet.from_gains(gains, p_led, noise, ids))
+    assert message == refusal(lambda: UserChannelSet(
+        [UserChannel(i, h, p_led * h * h / noise) for i, h in zip(ids, gains)]))
+    assert message == ("user ids must be unique" if bad == "repeat id"
+                       else "gains and SNRs must be finite and non-negative")
+    assert refusal(lambda: UserChannelSet.from_gains([], p_led, noise, [])) == refusal(
+        lambda: UserChannelSet([])) == "need at least one user"
 
 
 def test_forced_pairing_even_count():
